@@ -208,15 +208,16 @@ def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
 
 
 class MpcController:
-    """Receding-horizon controller with warm starting and a reusable KKT.
+    """Receding-horizon controller around one reusable QP workspace.
 
     The QP's quadratic term and constraint matrix never change between
     steps, so one QpSolver is set up lazily and only q, l, u are refreshed.
-    The previous solution, shifted one step with the terminal block
-    repeated, warm-starts each solve. Solver hiccups are absorbed: hitting
-    the iteration cap returns the best iterate with a degraded flag, and a
-    certified-infeasible problem falls back to zero correction (the inner
-    regulator alone keeps the robot balanced) while the event is logged.
+    Each solve starts cold: interior-point iterates gain little from a
+    warm start, and a cold start keeps every solve independent of the last.
+    Solver hiccups are absorbed: hitting the iteration cap returns the last
+    iterate with a degraded flag, and a certified-infeasible problem falls
+    back to zero correction (the inner regulator alone keeps the robot
+    balanced) while the event is logged.
     """
 
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,
@@ -225,35 +226,14 @@ class MpcController:
         self.cfg = cfg
         self.settings = settings or QpSettings()
         self._solver = None
-        self._prev = None  # raw solver iterates from the last solve
         self.infeasible_events = 0
         self.degraded_events = 0
         self.last_solution: QpSolution = None
 
     def reset(self):
-        self._prev = None
         self.infeasible_events = 0
         self.degraded_events = 0
         self.last_solution = None
-
-    def _shift(self, z, y):
-        n, N = self.pred.n_states, self.cfg.N
-        zs = np.empty_like(z)
-        zs[:(N - 1) * n] = z[n:N * n]
-        zs[(N - 1) * n:N * n] = z[(N - 1) * n:N * n]
-        us = z[N * n:]
-        zs[N * n:-1] = us[1:]
-        zs[-1] = us[-1]
-        ys = np.empty_like(y)
-        m_eq = N * n
-        ys[:m_eq - n] = y[n:m_eq]
-        ys[m_eq - n:m_eq] = y[m_eq - n:m_eq]
-        ys[m_eq:m_eq + 3 * (N - 1)] = y[m_eq + 3:m_eq + 3 * N]
-        ys[m_eq + 3 * (N - 1):m_eq + 3 * N] = y[m_eq + 3 * (N - 1):m_eq + 3 * N]
-        ib = m_eq + 3 * N
-        ys[ib:-1] = y[ib + 1:]
-        ys[-1] = y[-1]
-        return zs, ys
 
     def _vectors(self, x0, ref):
         """q, l, u for a new (x0, ref); P and A never change between steps."""
@@ -280,22 +260,17 @@ class MpcController:
             ref = np.asarray(ref, dtype=float)
             q, l, u = self._vectors(x0, ref)
             self._solver.update_vectors(q=q, l=l, u=u)
-        warm = self._shift(*self._prev) if self._prev is not None else None
-        sol = self._solver.solve(warm_start=warm)
+        sol = self._solver.solve()
         self.last_solution = sol
         info = {"status": sol.status, "iterations": sol.iterations,
                 "degraded": False, "infeasible": False}
         if sol.status == "primal-infeasible":
             self.infeasible_events += 1
             info["infeasible"] = True
-            self._prev = None
             return 0.0, info
         if sol.status == "max-iter":
             self.degraded_events += 1
             info["degraded"] = True
-        # warm-start from the raw iterates: the polished duals are sparse and
-        # make poor starting points for the next operator-splitting run
-        self._prev = self._solver.last_iterates
         n, N = self.pred.n_states, self.cfg.N
         return float(sol.z[N * n]), info
 

@@ -587,7 +587,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     target = ref_spec.amplitude
     u_mpc_raw = 0.0
     pending = None
-    viol = 0
+    viol = clamped = 0
     max_th = max_yd = max_thd = max_u_mpc = 0.0
     iter_counts = []
     y_trace = []
@@ -602,6 +602,10 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
                                     for j in range(mpc_cfg.N + 1)])
                 u_new, info = controller.mpc_step(xm[0], preview)
                 iter_counts.append(info["iterations"])
+                # a solve stopped at its cap may return an input off the box
+                u_box = min(max(u_new, -mpc_cfg.u_max), mpc_cfg.u_max)
+                clamped += u_box != u_new
+                u_new = u_box
                 if latency == 0:
                     u_mpc_raw = u_new
                 else:
@@ -663,6 +667,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         "constraint_violation_count": viol,
         "infeasible_event_count": controller.infeasible_events,
         "degraded_event_count": controller.degraded_events,
+        "clamped_event_count": clamped,
         "solver_iterations_mean": float(np.mean(iter_counts)) if iter_counts else 0.0,
         "solver_iterations_max": int(np.max(iter_counts)) if iter_counts else 0,
         "tracking_cost": tracking_cost,

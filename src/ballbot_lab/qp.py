@@ -1,28 +1,36 @@
 """Convex QP solver for  minimize 1/2 z'Pz + q'z  s.t.  l <= Az <= u.
 
-Operator-splitting (ADMM) with over-relaxation. The per-iteration linear
-system
+Mehrotra predictor-corrector interior-point method. Rows with l == u are
+equalities A_E z = b; the finite sides of the other rows become one-sided
+inequalities Gz + s = h with slacks s > 0 and multipliers lam > 0. Each
+iteration factors the reduced KKT matrix
 
-    [[P + sigma I, A'], [A, -diag(1/rho)]]
+    [[P + G' W G + delta I, A_E'], [A_E, -delta I]],   W = diag(lam / s),
 
-is factorized once (dense LU) and reused across iterations, and across
-solves when only q, l, u change, which is exactly the receding-horizon
-pattern. Rows with l == u are treated as equalities and get a stiffer
-penalty internally, which speeds up convergence on the MPC's dynamics
-constraints without changing the solution.
+once and solves with it twice, for the predictor and for the corrector.
+The matrix is held in LAPACK band storage (dgbtrf/dgbtrs): a reverse
+Cuthill-McKee ordering of the fixed sparsity pattern of P and A, found once
+per solver, keeps stage-wise problems such as the MPC narrow, and each
+iteration only rebuilds the band values. The regularization delta perturbs
+the Newton direction, not the residuals, so it does not bias the solution.
+Primal infeasibility is certified by a Farkas check on the dual step, whose
+direction settles once the multipliers diverge.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = ["QpProblem", "QpSettings", "QpSolution", "QpSolver", "solve"]
 
-_EQ_RHO_SCALE = 1e3
+_DELTA = 1e-9      # KKT regularization
+_STEP = 0.99       # fraction of the step to the boundary of s, lam > 0
+_DUAL_BIG = 1e3    # dual size, relative to the data, that triggers the Farkas check
 
 
 @dataclass
@@ -65,24 +73,16 @@ class QpProblem:
 
 @dataclass
 class QpSettings:
-    rho: float = 0.1
-    sigma: float = 1e-6
-    alpha_relax: float = 1.6
-    eps_abs: float = 1e-4
-    eps_rel: float = 1e-4
+    eps_abs: float = 1e-8
+    eps_rel: float = 1e-8
     eps_prim_inf: float = 1e-6
-    max_iter: int = 4000
-    polish: bool = True
-    # badly scaled problems stall at a fixed penalty; rescaling rho by the
-    # primal/dual residual ratio (with a refactorization) restores progress
-    rho_adaptive: bool = True
-    adapt_interval: int = 50
+    max_iter: int = 100
 
     def __post_init__(self):
-        if self.rho <= 0 or self.sigma <= 0:
-            raise ValueError("rho and sigma must be positive")
-        if not 0.0 < self.alpha_relax < 2.0:
-            raise ValueError("alpha_relax must lie in (0, 2)")
+        if min(self.eps_abs, self.eps_rel, self.eps_prim_inf) <= 0:
+            raise ValueError("tolerances must be positive")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -96,42 +96,100 @@ class QpSolution:
     objective: float = field(default=float("nan"))
 
 
-class QpSolver:
-    """Workspace owning the KKT factorization for one problem structure.
+def _norm(*arrays) -> float:
+    """Largest absolute entry over the 1-D arrays (0 if all are empty)."""
+    return float(np.abs(np.concatenate(arrays)).max(initial=0.0))
 
-    The factorization is reused across iterations, and across solves when
-    only q, l, u change. An adapted rho (and the refactorization it implies)
-    also carries over to later solves, which suits receding-horizon use:
-    the penalty settles once and subsequent solves run warm.
+
+def _row_pattern(p: QpProblem):
+    """Equality rows, and the rows with a finite upper / lower side."""
+    eq = np.isfinite(p.l) & np.isfinite(p.u) & (p.u - p.l <= 1e-12)
+    return eq, ~eq & np.isfinite(p.u), ~eq & np.isfinite(p.l)
+
+
+class QpSolver:
+    """Workspace owning the banded KKT structure for one problem.
+
+    P and A are fixed for the solver's life; `update_vectors` swaps q, l, u
+    between solves, which is the receding-horizon pattern.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
         self.prob = problem
         self.settings = settings or QpSettings()
-        self._eq = np.isfinite(problem.l) & np.isfinite(problem.u) \
-            & (problem.u - problem.l <= 1e-12)
-        self.n_refactor = 0
-        self.last_iterates = None  # raw (x, y) before polish, for warm starts
-        self._factor(self.settings.rho)
+        self._structure()
 
-    def _factor(self, rho):
-        p, s = self.prob, self.settings
-        n, m = p.n, p.m
-        self.rho = rho
-        self.rho_vec = np.where(self._eq, rho * _EQ_RHO_SCALE, rho)
-        kkt = np.zeros((n + m, n + m))
-        kkt[:n, :n] = p.P + s.sigma * np.eye(n)
-        kkt[:n, n:] = p.A.T
-        kkt[n:, :n] = p.A
-        kkt[n:, n:] = -np.diag(1.0 / self.rho_vec) if m else np.zeros((0, 0))
-        self._lu = lu_factor(kkt)
-        self.n_refactor += 1
+    def _structure(self):
+        """Split the rows, order the KKT pattern, and map entries to the band."""
+        p = self.prob
+        n = p.n
+        self._pattern = _row_pattern(p)
+        eq, up, lo = self._pattern
+        self._eq_rows = np.flatnonzero(eq)
+        self._g_rows = np.concatenate([np.flatnonzero(up), np.flatnonzero(lo)])
+        self._g_sign = np.concatenate([np.ones(up.sum()), -np.ones(lo.sum())])
+        self._AE = p.A[self._eq_rows]
+        self._G = self._g_sign[:, None] * p.A[self._g_rows]
+        nk = n + self._eq_rows.size
+        diag = np.arange(nk)
+        Pi, Pj = np.nonzero(p.P)
+        Ei, Ej = np.nonzero(self._AE)
+        ci = np.concatenate([Pi, n + Ei, Ej, diag])
+        cj = np.concatenate([Pj, Ej, n + Ei, diag])
+        cv = np.concatenate([p.P[Pi, Pj], self._AE[Ei, Ej], self._AE[Ei, Ej],
+                             np.where(diag < n, _DELTA, -_DELTA)])
+        # G'WG = sum_r w_r g_r g_r': one entry per pair of nonzeros in a row
+        pr, pi, pj = [], [], []
+        for r, g in enumerate(self._G):
+            cols = np.flatnonzero(g)
+            pr.append(np.full(cols.size ** 2, r))
+            pi.append(np.repeat(cols, cols.size))
+            pj.append(np.tile(cols, cols.size))
+        pr, pi, pj = (np.concatenate(a) if a else np.zeros(0, int)
+                      for a in (pr, pi, pj))
+        self._pair_row = pr
+        self._pair_val = self._G[pr, pi] * self._G[pr, pj]
+        rows = np.concatenate([ci, pi])
+        cols = np.concatenate([cj, pj])
+        pattern = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(nk, nk)).tocsr()
+        self._perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
+        iperm = np.empty(nk, dtype=int)
+        iperm[self._perm] = np.arange(nk)
+        I, J = iperm[rows], iperm[cols]
+        self._bw = int(np.max(np.abs(I - J)))
+        ldab = 3 * self._bw + 1
+        # LAPACK band storage: entry (I, J) lives at ab[2 bw + I - J, J]
+        self._band_idx = 2 * self._bw + I - J + J * ldab
+        self._band_shape = (nk, ldab)
+        self._vals = np.concatenate([cv, self._pair_val])
+        self._n_const = cv.size
+        # the starting point's KKT matrix (w = 1) depends on P and A only
+        self._factor(np.ones(self._G.shape[0]))
+        self._lu0 = (self._lu, self._piv)
+
+    def _factor(self, w):
+        """LU-factor the reduced KKT matrix for the weights w = lam / s."""
+        self._vals[self._n_const:] = w[self._pair_row] * self._pair_val
+        nk, ldab = self._band_shape
+        ab = np.bincount(self._band_idx, self._vals, nk * ldab).reshape(nk, ldab).T
+        self._lu, self._piv, info = dgbtrf(ab, self._bw, self._bw, overwrite_ab=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded KKT factorization failed (info={info})")
+
+    def _kkt_solve(self, rhs):
+        x, info = dgbtrs(self._lu, self._bw, self._bw, rhs[self._perm], self._piv,
+                         overwrite_b=1)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"banded KKT solve failed (info={info})")
+        out = np.empty_like(x)
+        out[self._perm] = x
+        return out
 
     def update_vectors(self, q=None, l=None, u=None):
-        """Swap the linear term and bounds; the factorization is reused.
+        """Swap the linear term and bounds; P and A stay as they are.
 
-        The equality-row pattern must not change, since rho was frozen at
-        setup time.
+        The banded structure was built for the current equality rows and
+        finite bound sides, so that pattern must not change.
         """
         p = self.prob
         if q is not None:
@@ -142,140 +200,96 @@ class QpSolver:
             p.u = np.asarray(u, dtype=float).ravel()
         if np.any(p.l > p.u):
             raise ValueError("need l <= u elementwise")
+        if any(np.any(a != b) for a, b in zip(_row_pattern(p), self._pattern)):
+            raise ValueError("equality rows and finite bound sides must not change")
 
-    def solve(self, warm_start=None) -> QpSolution:
-        p, s = self.prob, self.settings
-        n, m = p.n, p.m
-        alpha = s.alpha_relax
-        if warm_start is not None:
-            x = np.asarray(warm_start[0], dtype=float).copy()
-            y = np.asarray(warm_start[1], dtype=float).copy()
-            z = np.clip(p.A @ x, p.l, p.u) if m else np.zeros(0)
-        else:
-            x = np.zeros(n)
-            y = np.zeros(m)
-            z = np.zeros(m)
-        rhs = np.empty(n + m)
-        status = "max-iter"
-        iters = s.max_iter
-        r_prim = r_dual = float("inf")
-        for it in range(1, s.max_iter + 1):
-            rho = self.rho_vec
-            rhs[:n] = s.sigma * x - p.q
-            rhs[n:] = z - y / rho if m else np.zeros(0)
-            sol = lu_solve(self._lu, rhs)
-            x_tilde = sol[:n]
-            nu = sol[n:]
-            z_tilde = z + (nu - y) / rho if m else z
-            x = alpha * x_tilde + (1.0 - alpha) * x
+    def _newton(self, r_d, r_e, r_i, r_c, s, lam, w):
+        """Newton step for the residuals, with complementarity target r_c."""
+        n, G = self.prob.n, self._G
+        v = w * r_i - r_c / s
+        sol = self._kkt_solve(np.concatenate([-r_d - G.T @ v, -r_e]))
+        dz = sol[:n]
+        dlam = w * (G @ dz) + v
+        ds = -(r_c + s * dlam) / lam
+        return dz, sol[n:], ds, dlam
+
+    def solve(self) -> QpSolution:
+        p, st = self.prob, self.settings
+        n, AE, G = p.n, self._AE, self._G
+        b = p.l[self._eq_rows]
+        h = np.where(self._g_sign > 0, p.u[self._g_rows], -p.l[self._g_rows])
+        mI = max(h.size, 1)  # averages s * lam; no inequalities gives mu = 0
+        # start from the minimizer of 1/2 z'Pz + q'z + 1/2 |Gz - h|^2 on
+        # A_E z = b, with the slacks and multipliers shifted inside the cone
+        self._lu, self._piv = self._lu0
+        sol = self._kkt_solve(np.concatenate([G.T @ h - p.q, b]))
+        z, yE = sol[:n], sol[n:]
+        s = h - G @ z
+        lam = -s
+        s = s + max(0.0, 1.0 - np.min(s, initial=1.0))
+        lam = lam + max(0.0, 1.0 - np.min(lam, initial=1.0))
+        data_size = max(1.0, _norm(p.q, p.P.ravel()))
+        status, iters = "max-iter", st.max_iter
+        y_prev = None
+        for it in range(st.max_iter + 1):
+            Pz, AEty, Gtl, Gz, AEz = p.P @ z, AE.T @ yE, G.T @ lam, G @ z, AE @ z
+            r_d = Pz + p.q + AEty + Gtl
+            r_e = AEz - b
+            r_i = Gz + s - h
+            r_prim, r_dual, gap = _norm(r_e, r_i), _norm(r_d), float(s @ lam)
+            if (r_prim <= st.eps_abs + st.eps_rel * _norm(AEz, b, Gz, s)
+                    and r_dual <= st.eps_abs + st.eps_rel * _norm(Pz, p.q, AEty, Gtl)
+                    and gap <= st.eps_abs + st.eps_rel * max(abs(z @ Pz), abs(p.q @ z))):
+                status, iters = "solved", it
+                break
+            # on an infeasible problem the duals diverge along a Farkas
+            # direction; the step between iterates cancels the q-driven part
+            y = self._full_dual(yE, lam)
+            if (y_prev is not None and _norm(y) > _DUAL_BIG * data_size
+                    and self._primal_infeasible(y - y_prev)):
+                status, iters = "primal-infeasible", it
+                break
             y_prev = y
-            if m:
-                z_relax = alpha * z_tilde + (1.0 - alpha) * z
-                z = np.clip(z_relax + y / rho, p.l, p.u)
-                y = y + rho * (z_relax - z)
-
-            # residuals are three extra mat-vecs; sampling them every few
-            # iterations keeps the loop lean without delaying termination
-            # noticeably (warm restarts still exit on the first check)
-            if not (it <= 5 or it % 10 == 0):
-                continue
-            Ax = p.A @ x if m else np.zeros(0)
-            r_prim = float(np.max(np.abs(Ax - z))) if m else 0.0
-            Px = p.P @ x
-            Aty = p.A.T @ y if m else np.zeros(n)
-            r_dual = float(np.max(np.abs(Px + p.q + Aty)))
-            scale_prim = max(np.max(np.abs(Ax)), np.max(np.abs(z))) if m else 0.0
-            scale_dual = max(np.max(np.abs(Px)), np.max(np.abs(p.q)),
-                             np.max(np.abs(Aty)) if m else 0.0)
-            if r_prim <= s.eps_abs + s.eps_rel * scale_prim \
-                    and r_dual <= s.eps_abs + s.eps_rel * scale_dual:
-                status = "solved"
-                iters = it
+            if it == st.max_iter:
                 break
-            if m and self._primal_infeasible(y - y_prev):
-                status = "primal-infeasible"
-                iters = it
-                break
-            if s.rho_adaptive and it % s.adapt_interval == 0:
-                rp_rel = r_prim / max(scale_prim, 1e-10)
-                rd_rel = r_dual / max(scale_dual, 1e-10)
-                ratio = math.sqrt(rp_rel / max(rd_rel, 1e-16))
-                if ratio > 5.0 or ratio < 0.2:
-                    self._factor(min(max(self.rho * ratio, 1e-6), 1e6))
-        self.last_iterates = (x.copy(), y.copy())
-        if status == "solved" and s.polish:
-            polished = self._polish(x, y, r_prim, r_dual)
-            if polished is not None:
-                x, y, r_prim, r_dual = polished
+            w = lam / s
+            self._factor(w)
+            # predictor: pure Newton step towards s * lam = 0
+            dz, dy, ds, dlam = self._newton(r_d, r_e, r_i, s * lam, s, lam, w)
+            alpha = min(1.0, self._max_step(s, ds, lam, dlam))
+            mu = gap / mI
+            mu_aff = (s + alpha * ds) @ (lam + alpha * dlam) / mI
+            sigma = (mu_aff / mu) ** 3 if mu > 0 else 0.0
+            # corrector: second-order term plus centring
+            r_c = s * lam + ds * dlam - sigma * mu
+            dz, dy, ds, dlam = self._newton(r_d, r_e, r_i, r_c, s, lam, w)
+            alpha = min(1.0, _STEP * self._max_step(s, ds, lam, dlam))
+            z, yE = z + alpha * dz, yE + alpha * dy
+            s, lam = s + alpha * ds, lam + alpha * dlam
         return QpSolution(
-            z=x, y=y, status=status, iterations=iters,
-            primal_residual=r_prim, dual_residual=r_dual,
-            objective=p.objective(x),
+            z=z, y=self._full_dual(yE, lam), status=status, iterations=iters,
+            primal_residual=r_prim, dual_residual=r_dual, objective=p.objective(z),
         )
 
-    def _polish(self, x, y, r_prim_old, r_dual_old):
-        """Active-set refinement of an ADMM solution.
+    @staticmethod
+    def _max_step(s, ds, lam, dlam):
+        """Largest alpha keeping s + alpha ds and lam + alpha dlam >= 0."""
+        v = np.min(np.concatenate([ds / s, dlam / lam]), initial=0.0)
+        return -1.0 / v if v < 0 else np.inf
 
-        The converged duals identify which bounds are active; solving the
-        corresponding equality-constrained QP (with a whisper of
-        regularization plus one round of iterative refinement) sharpens the
-        solution to near machine precision. The refined point only replaces
-        the ADMM iterate when both residuals improve, so a wrong active-set
-        guess degrades nothing.
-        """
-        p = self.prob
-        n, m = p.n, p.m
-        eq = self._eq
-        act_low = (~eq) & (y < -1e-10) & np.isfinite(p.l)
-        act_up = (~eq) & (y > 1e-10) & np.isfinite(p.u)
-        rows = np.flatnonzero(eq | act_low | act_up)
-        if rows.size == 0:
-            try:
-                x_new = np.linalg.solve(p.P + 1e-12 * np.eye(n), -p.q)
-            except np.linalg.LinAlgError:
-                return None
-            y_new = np.zeros(m)
-        else:
-            A_act = p.A[rows]
-            b_act = np.where(act_up[rows], p.u[rows], p.l[rows])
-            b_act = np.where(eq[rows], p.l[rows], b_act)
-            k = rows.size
-            delta = 1e-9
-            kkt = np.zeros((n + k, n + k))
-            kkt[:n, :n] = p.P + delta * np.eye(n)
-            kkt[:n, n:] = A_act.T
-            kkt[n:, :n] = A_act
-            kkt[n:, n:] = -delta * np.eye(k)
-            rhs = np.concatenate([-p.q, b_act])
-            try:
-                lu = lu_factor(kkt)
-                sol = lu_solve(lu, rhs)
-                # one round of iterative refinement against the unregularized system
-                kkt0 = kkt.copy()
-                kkt0[:n, :n] -= delta * np.eye(n)
-                kkt0[n:, n:] += delta * np.eye(k)
-                sol = sol + lu_solve(lu, rhs - kkt0 @ sol)
-            except (np.linalg.LinAlgError, ValueError):
-                return None
-            x_new = sol[:n]
-            y_new = np.zeros(m)
-            y_new[rows] = sol[n:]
-        if not np.all(np.isfinite(x_new)) or not np.all(np.isfinite(y_new)):
-            return None
-        Ax = p.A @ x_new
-        viol = np.maximum(p.l - Ax, 0.0) + np.maximum(Ax - p.u, 0.0)
-        r_prim_new = float(np.max(viol)) if m else 0.0
-        r_dual_new = float(np.max(np.abs(p.P @ x_new + p.q + p.A.T @ y_new)))
-        if r_prim_new <= r_prim_old and r_dual_new <= r_dual_old:
-            return x_new, y_new, r_prim_new, r_dual_new
-        return None
+    def _full_dual(self, yE, lam):
+        """Multipliers of l <= Az <= u (positive when the upper side binds)."""
+        y = np.bincount(self._g_rows, self._g_sign * lam, self.prob.m)
+        y[self._eq_rows] = yE
+        return y
 
-    def _primal_infeasible(self, dy) -> bool:
+    def _primal_infeasible(self, y) -> bool:
+        """Farkas check on a normalized dual direction: A'y = 0, negative support."""
         p, s = self.prob, self.settings
-        scale = np.max(np.abs(dy))
+        scale = np.max(np.abs(y))
         if scale <= 1e-14:
             return False
-        dyn = dy / scale
+        dyn = y / scale
         if np.max(np.abs(p.A.T @ dyn)) > s.eps_prim_inf:
             return False
         pos = dyn > s.eps_prim_inf
@@ -286,6 +300,6 @@ class QpSolver:
         return support < -s.eps_prim_inf
 
 
-def solve(problem: QpProblem, settings: QpSettings = None, warm_start=None) -> QpSolution:
+def solve(problem: QpProblem, settings: QpSettings = None) -> QpSolution:
     """One-shot convenience wrapper around QpSolver."""
-    return QpSolver(problem, settings).solve(warm_start=warm_start)
+    return QpSolver(problem, settings).solve()

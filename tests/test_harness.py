@@ -1,13 +1,16 @@
+import functools
 import json
 
 import numpy as np
 import pytest
 
 from ballbot_lab import cli, harness
+from ballbot_lab.control import MpcController
 from ballbot_lab.errors import ConfigError
 from ballbot_lab.harness import (config_hash, load_config, run_balance,
                                  run_identify, run_lqr, run_track,
                                  over_excitation_sweep, write_telemetry_csv)
+from ballbot_lab.qp import QpSettings
 
 
 def quiet_config(**run_overrides):
@@ -181,6 +184,38 @@ class TestTrack:
         for rowa, rowb in zip(ra.telemetry, rb.telemetry):
             assert rowa["x_cm"] == rowb["x_cm"]
             assert rowa["theta_y_deg"] == rowb["theta_y_deg"]
+
+    def test_every_solve_converges_within_bound(self):
+        # default config (noise on), truth model, through the step onset
+        res = run_track(load_config(), duration=8.0)
+        m = res.summary["metrics"]
+        assert m["solver_iterations_max"] <= 25
+        assert m["degraded_event_count"] == 0
+        assert m["infeasible_event_count"] == 0
+
+    def test_capped_solves_reported(self, monkeypatch):
+        capped = functools.partial(MpcController, settings=QpSettings(max_iter=2))
+        monkeypatch.setattr(harness, "MpcController", capped)
+        res = run_track(quiet_config(), duration=1.0)
+        m = res.summary["metrics"]
+        assert m["solver_iterations_max"] == 2
+        assert m["degraded_event_count"] == 10  # every solve of 1 s at 10 Hz
+
+    def test_correction_clamped_to_box(self, monkeypatch):
+        solve = MpcController.mpc_step
+
+        def overshoot(self, x0, ref):
+            u, info = solve(self, x0, ref)
+            return u + 2.0 * self.cfg.u_max, info
+
+        monkeypatch.setattr(MpcController, "mpc_step", overshoot)
+        cfg = quiet_config()
+        cfg["mpc"]["u_max"] = 50.0
+        res = run_track(cfg, duration=1.0)
+        m = res.summary["metrics"]
+        assert m["clamped_event_count"] == 10
+        assert m["max_abs_u_mpc_ticks"] == 50.0
+        assert all(row["u_mpc_raw_ticks"] == 50.0 for row in res.telemetry)
 
     def test_track_with_identified_model(self):
         cfg = quiet_config()
