@@ -152,6 +152,21 @@ class TestMpcController:
         u2, _ = MpcController(pred, MpcConfig()).mpc_step(x0, ref)
         assert u1 == u2
 
+    def test_warm_resolve_is_cheap(self, pred):
+        # the controller no longer warm-starts; a re-solve through the
+        # vector-update path must cost no more than the cold solve, stay
+        # within the iteration bound of a track solve and give the same input
+        ctrl = MpcController(pred, MpcConfig())
+        ref = np.zeros((41, 4))
+        ref[:, 0] = np.linspace(0, 10, 41)
+        x0 = np.zeros(4)
+        u1, info1 = ctrl.mpc_step(x0, ref)
+        u2, info2 = ctrl.mpc_step(x0, ref)
+        assert info1["status"] == info2["status"] == "solved"
+        assert info2["iterations"] <= info1["iterations"]
+        assert info2["iterations"] <= 25
+        assert u2 == u1
+
     def test_capped_solve_is_flagged_degraded(self, pred):
         ctrl = MpcController(pred, MpcConfig(), QpSettings(max_iter=2))
         ref = np.zeros((41, 4))

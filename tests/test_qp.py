@@ -92,6 +92,30 @@ class TestOptimalityStructure:
                     assert sol.y[i] >= -1e-8 * scale
 
 
+class TestWarmStart:
+    def test_resolve_in_few_iterations(self):
+        # the interior-point solver carries no iterate from one solve to the
+        # next; a re-solve reuses only the cached ordering and band map, so
+        # it must repeat the cold solve exactly and stay within a few
+        # iterations, also after a vector update
+        rng = np.random.default_rng(5)
+        prob = random_box_qp(rng, n=5)
+        solver = QpSolver(prob)
+        first = solver.solve()
+        again = solver.solve()
+        assert first.status == again.status == "solved"
+        assert again.iterations == first.iterations
+        assert again.iterations <= 10
+        assert_allclose(again.z, first.z, atol=0)
+        q = 1.01 * prob.q
+        fresh = solve(QpProblem(P=prob.P, q=q, A=prob.A, l=prob.l, u=prob.u))
+        solver.update_vectors(q=q)
+        moved = solver.solve()
+        assert moved.status == "solved"
+        assert moved.iterations <= 10
+        assert_allclose(moved.z, fresh.z, atol=1e-12)
+
+
 class TestBandedKkt:
     def test_band_solve_matches_dense_kkt(self):
         # equality rows, one- and two-sided boxes, a free row and a coupled
