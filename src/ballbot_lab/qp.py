@@ -19,7 +19,7 @@ direction settles once the multipliers diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
@@ -111,11 +111,12 @@ class QpSolver:
     """Workspace owning the banded KKT structure for one problem.
 
     P and A are fixed for the solver's life; `update_vectors` swaps q, l, u
-    between solves, which is the receding-horizon pattern.
+    between solves, which is the receding-horizon pattern. The solver keeps
+    its own copy of the problem, so the caller's `QpProblem` is never changed.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
-        self.prob = problem
+        self.prob = replace(problem)
         self.settings = settings or QpSettings()
         self._structure()
 

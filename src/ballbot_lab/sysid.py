@@ -146,8 +146,12 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
 
     Returns an (N, 3) array, or None for a divergent candidate (callers map
     that to infinite cost rather than raising). The linear recursion is
-    evaluated through the modal decomposition so long records stay cheap;
-    a defective transition matrix falls back to the literal recursion.
+    evaluated in modal coordinates: with A_cl = V diag(lam) V^-1, each mode
+    z_i = (V^-1 x)_i obeys z_i[0] = c0_i and z_i[k] = lam_i z_i[k-1] +
+    w_i d[k-1], where c0 = V^-1 x0 and w = V^-1 B_cl. That is one first-order
+    filter per mode, run over the input [c0_i, w_i d[0], ..., w_i d[N-2]],
+    so the free and the forced response come from the same pass. A defective
+    transition matrix (ill-conditioned V) falls back to the literal recursion.
     """
     d = np.asarray(d, dtype=float)
     n = d.size
@@ -168,18 +172,12 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     cond = np.linalg.cond(V)
     if not np.isfinite(cond) or cond > 1e9:
         return _simulate_literal(A_cl, B_cl, d, x0)
-    c0 = np.linalg.solve(V, x0.astype(complex))
-    w = np.linalg.solve(V, B_cl.astype(complex))
-    ks = np.arange(n)
-    X = np.empty((n, 3), dtype=complex)
+    Z = np.empty((3, n), dtype=complex)
+    Z[:, 0] = np.linalg.solve(V, x0.astype(complex))
+    np.outer(np.linalg.solve(V, B_cl.astype(complex)), d[:-1], out=Z[:, 1:])
     for i in range(3):
-        powers = lam[i] ** ks
-        s = lfilter([1.0], [1.0, -lam[i]], d)
-        forced = np.empty(n, dtype=complex)
-        forced[0] = 0.0
-        forced[1:] = s[:-1]
-        X[:, i] = powers * c0[i] + w[i] * forced
-    out = (V @ X.T).T.real
+        Z[i] = lfilter([1.0], [1.0, -lam[i]], Z[i])
+    out = (V @ Z).real.T
     if not np.all(np.isfinite(out)):
         return None
     return out
@@ -197,20 +195,30 @@ def _simulate_literal(A_cl, B_cl, d, x0):
     return X
 
 
-def _channel_scales(dataset: IdDataset) -> np.ndarray:
+def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
+    """p -> normalized output errors, stacked channel by channel.
+
+    The measured matrix and the channel scales are built once per fit. The
+    function returns None for a divergent candidate, including one whose
+    squared residual norm overflows; such a candidate is never accepted.
+    """
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
     if np.any(var <= 0):
         raise ValueError("a measured channel is constant; cost undefined")
-    return np.sqrt(len(dataset) * var)
+    scales = np.sqrt(len(dataset) * var)
 
+    def residuals(p):
+        pred = simulate_syscl(p, gains, dataset.d, dataset.Ts, x0=meas[0])
+        if pred is None:
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = ((pred - meas) / scales).ravel(order="F")
+            if not math.isfinite(r @ r):
+                return None
+        return r
 
-def _residuals(p, dataset: IdDataset, gains: FeedbackGains, scales) -> np.ndarray:
-    pred = simulate_syscl(p, gains, dataset.d, dataset.Ts,
-                          x0=dataset.measured_matrix()[0])
-    if pred is None:
-        return None
-    return ((pred - dataset.measured_matrix()) / scales).ravel(order="F")
+    return residuals
 
 
 def pe_cost(p, dataset: IdDataset, gains: FeedbackGains) -> float:
@@ -220,7 +228,7 @@ def pe_cost(p, dataset: IdDataset, gains: FeedbackGains) -> float:
     with the sample variance of its measurement; a prediction stuck at the
     channel mean scores about 1 per channel. Divergent candidates get +inf.
     """
-    r = _residuals(p, dataset, gains, _channel_scales(dataset))
+    r = _residual_fn(dataset, gains)(p)
     if r is None:
         return float("inf")
     return float(r @ r)
@@ -235,7 +243,7 @@ def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdRe
     accepted step and grows tenfold on rejection; iteration stops when an
     accepted step improves the cost by less than the relative tolerance.
     """
-    scales = _channel_scales(dataset)
+    residuals = _residual_fn(dataset, gains)
     lo, hi = config.parameter_bounds
     rng = np.random.default_rng(config.seed)
     starts = [config.initial_guess.copy()]
@@ -247,7 +255,7 @@ def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdRe
     diagnostics = {"starts": []}
     for si, p0 in enumerate(starts):
         p, cost, iters, converged = _levenberg_marquardt(
-            p0, dataset, gains, scales, lo, hi, config)
+            p0, residuals, lo, hi, config)
         diagnostics["starts"].append(
             {"start": si, "cost": cost, "iterations": iters, "converged": converged})
         if not math.isfinite(cost):
@@ -262,9 +270,9 @@ def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdRe
                     iterations=iters, start_index=si, diagnostics=diagnostics)
 
 
-def _levenberg_marquardt(p0, dataset, gains, scales, lo, hi, config: IdConfig):
+def _levenberg_marquardt(p0, residuals, lo, hi, config: IdConfig):
     p = p0.copy()
-    r = _residuals(p, dataset, gains, scales)
+    r = residuals(p)
     if r is None:
         return p, float("inf"), 0, False
     cost = float(r @ r)
@@ -272,7 +280,7 @@ def _levenberg_marquardt(p0, dataset, gains, scales, lo, hi, config: IdConfig):
     converged = False
     it = 0
     for it in range(1, config.max_iterations + 1):
-        J = _jacobian(p, r, dataset, gains, scales)
+        J = _jacobian(p, r, residuals)
         if J is None:
             break
         JtJ = J.T @ J
@@ -287,7 +295,7 @@ def _levenberg_marquardt(p0, dataset, gains, scales, lo, hi, config: IdConfig):
                 lam *= 10.0
                 continue
             trial = np.clip(p + step, lo, hi)
-            r_trial = _residuals(trial, dataset, gains, scales)
+            r_trial = residuals(trial)
             if r_trial is not None:
                 cost_trial = float(r_trial @ r_trial)
                 if cost_trial < cost:
@@ -309,14 +317,14 @@ def _levenberg_marquardt(p0, dataset, gains, scales, lo, hi, config: IdConfig):
     return p, cost, it, converged
 
 
-def _jacobian(p, r0, dataset, gains, scales):
+def _jacobian(p, r0, residuals):
     """Forward finite differences with a relative step of 1e-6."""
     J = np.empty((r0.size, 8))
     for j in range(8):
         h = 1e-6 * max(abs(p[j]), 1e-3)
         pj = p.copy()
         pj[j] += h
-        rj = _residuals(pj, dataset, gains, scales)
+        rj = residuals(pj)
         if rj is None:
             return None
         J[:, j] = (rj - r0) / h
@@ -360,9 +368,8 @@ def augment_position(reduced: ContinuousSS) -> ContinuousSS:
 
 def validate(p_hat, holdout: IdDataset, gains: FeedbackGains) -> dict:
     """Fit rates (percent) of the candidate model on held-out data."""
-    pred = simulate_syscl(p_hat, gains, holdout.d, holdout.Ts,
-                          x0=holdout.measured_matrix()[0])
+    meas = holdout.measured_matrix()
+    pred = simulate_syscl(p_hat, gains, holdout.d, holdout.Ts, x0=meas[0])
     if pred is None:
         raise IdentificationFailedError("candidate diverges on the holdout data")
-    meas = holdout.measured_matrix()
     return {name: nrmse_fit(meas[:, i], pred[:, i]) for i, name in enumerate(_CHANNELS)}

@@ -118,6 +118,17 @@ class TestIdentify:
         assert A.shape == (4, 4)
         assert np.all(A[:, 0] == 0.0)  # augmented integrator layout
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_noisy_fit_rejects_overflowing_candidates_quietly(self):
+        # at this seed and length an LM trial step lands on a candidate
+        # whose squared residual norm overflows; it must be rejected as
+        # divergent without a RuntimeWarning
+        cfg = load_config(overrides={"run": {"seed": 2}})
+        assert cfg["run"]["noise"]
+        res = run_identify(cfg, duration=80.0)
+        assert not res.summary["aborted"]
+        assert np.isfinite(res.summary["metrics"]["final_cost"])
+
     def test_excitation_on_tracking_plane_only(self):
         cfg = quiet_config()
         res = run_identify(cfg, duration=20.0)

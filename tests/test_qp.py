@@ -116,6 +116,19 @@ class TestWarmStart:
         assert_allclose(moved.z, fresh.z, atol=1e-12)
 
 
+    def test_update_leaves_callers_problem_unchanged(self):
+        rng = np.random.default_rng(6)
+        prob = random_box_qp(rng, n=4)
+        q, l, u = prob.q, prob.l, prob.u
+        saved = (q.copy(), l.copy(), u.copy())
+        solver = QpSolver(prob)
+        solver.update_vectors(q=2.0 * q, l=l - 1.0, u=u + 1.0)
+        assert prob.q is q and prob.l is l and prob.u is u
+        for now, before in zip((prob.q, prob.l, prob.u), saved):
+            assert_allclose(now, before, atol=0)
+        assert_allclose(solver.prob.q, 2.0 * q, atol=0)
+
+
 class TestBandedKkt:
     def test_band_solve_matches_dense_kkt(self):
         # equality rows, one- and two-sided boxes, a free row and a coupled

@@ -35,7 +35,7 @@ class TestSimulateSyscl:
         pred = simulate_syscl(TRUTH, GAINS, np.zeros(100), 0.005)
         assert_allclose(pred, np.zeros((100, 3)), atol=0)
 
-    def test_self_consistency_на_truth(self):
+    def test_self_consistency_on_truth(self):
         ds = make_dataset(duration=10.0)
         pred = simulate_syscl(TRUTH, GAINS, ds.d, ds.Ts,
                               x0=ds.measured_matrix()[0])
@@ -46,6 +46,44 @@ class TestSimulateSyscl:
         bad[3] = 5000.0  # runaway tilt stiffness the loop cannot hold
         ds = make_dataset(duration=5.0)
         assert pe_cost(bad, ds, GAINS) == float("inf")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_residual_norm_is_divergent(self):
+        # |lam| = 1.04 passes the 1.05 divergence guard and the simulation
+        # stays finite, but over the 12,000 samples of a fit its squared
+        # residual norm overflows: that is a divergent candidate, not a warning
+        bad = TRUTH.copy()
+        bad[3] = 200.0
+        ds = make_dataset(duration=60.0)
+        assert len(ds) == 12_000
+        assert pe_cost(bad, ds, GAINS) == float("inf")
+
+    @pytest.mark.parametrize("tilt_stiffness, complex_pair",
+                             [(TRUTH[3], True), (100.0, False)],
+                             ids=["complex-pair", "all-real"])
+    def test_matches_literal_recursion_at_fit_length(self, tilt_stiffness,
+                                                      complex_pair):
+        # 12,000 samples is the fit half of the default 120 s record, long
+        # enough for the slow modes to matter; x0 != 0 exercises the free
+        # response through the same filter as the forced one
+        p = TRUTH.copy()
+        p[3] = tilt_stiffness
+        A, B = reduced_open_loop(p)
+        cl = discrete_closed_loop(zoh_discretize(ContinuousSS(A, B), 0.005), GAINS)
+        assert np.any(np.linalg.eigvals(cl.A_d).imag != 0) == complex_pair
+        rng = np.random.default_rng(4)
+        d = rng.normal(size=12_000)
+        x0 = np.array([0.02, -1.5, 0.3])
+        lit = simulate_discrete(cl.A_d, cl.B_d, x0, d)
+        fast = simulate_syscl(p, GAINS, d, 0.005, x0=x0)
+        assert fast.shape == (12_000, 3)
+        assert np.max(np.abs(lit - fast)) <= 1e-9
+
+    def test_single_sample_is_initial_state(self):
+        x0 = np.array([0.02, -1.5, 0.3])
+        pred = simulate_syscl(TRUTH, GAINS, [0.7], 0.005, x0=x0)
+        assert pred.shape == (1, 3)
+        assert_allclose(pred[0], x0, rtol=0, atol=1e-12)
 
     def test_matches_literal_recursion_on_random_params(self):
         rng = np.random.default_rng(3)
