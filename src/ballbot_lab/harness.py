@@ -26,9 +26,9 @@ from .control import (MpcConfig, MpcController, SmoothStepRef,
                       build_predictor, design_lqr, smooth_step)
 from .errors import ConfigError, MassMatrixSingularError, PlantFellOverError
 from .excitation import MultisineSpec, sample_sequence
-from .numerics import design_butterworth2, zoh_discretize
+from .numerics import ContinuousSS, design_butterworth2, zoh_discretize
 from .plant import (LinearParams, PhysicalParams, Plant, Sensor, SensorSpec,
-                    build_linear_ss, mix_to_wheels)
+                    build_linear_ss, linearize, mix_to_wheels)
 from .stabilizer import (FeedbackGains, PidState, closed_loop_matrices,
                          outer_reference, p_step, pid_step)
 
@@ -36,7 +36,7 @@ __all__ = [
     "DEFAULT_CONFIG", "load_config", "validate_config", "config_hash",
     "RunResult", "run_balance", "run_identify", "run_lqr", "run_track",
     "over_excitation_sweep", "write_telemetry_csv", "write_summary_json",
-    "TELEMETRY_COLUMNS",
+    "TELEMETRY_COLUMNS", "TELEMETRY_DTYPE",
 ]
 
 DEFAULT_CONFIG = {
@@ -134,6 +134,20 @@ TELEMETRY_COLUMNS = [
     "u_lqr_y_ticks", "u_mpc_raw_ticks", "u_mpc_filt_ticks", "y_ref_cm",
     "u1_ticks", "u2_ticks", "u3_ticks",
 ]
+
+# One float64 field per column, so a logged row reads as row["u_y_ticks"].
+TELEMETRY_DTYPE = np.dtype([(c, np.float64) for c in TELEMETRY_COLUMNS])
+
+# Column indices into the (ticks, 29) float view of the telemetry. Plane i
+# (0 = y/theta_x, 1 = x/theta_y) logs its true state at _STATE[i]:+4, its
+# measurement at _STATE[i]+4:+8, its velocity reference at _VEL_REF + i and
+# its command at _CMD + i.
+_COL = {c: j for j, c in enumerate(TELEMETRY_COLUMNS)}
+_STATE = (_COL["y_cm"], _COL["x_cm"])
+_VEL_REF = _COL["ydot_ref_cms"]
+_CMD = _COL["u_y_ticks"]
+_WHEELS = _COL["u1_ticks"]
+_CSV_CHUNK_ROWS = 2048
 
 
 def _merge(base, override, path=""):
@@ -265,7 +279,6 @@ def _model_for_design(cfg, model_lp) -> LinearParams:
     if model_lp is not None:
         return model_lp
     if cfg["plant"]["mode"] == "nonlinear":
-        from .plant import linearize
         return linearize(_physical_params(cfg))
     return _truth_linear_params(cfg)
 
@@ -275,23 +288,64 @@ def _model_for_design(cfg, model_lp) -> LinearParams:
 
 @dataclass
 class RunResult:
+    """One experiment's outcome.
+
+    ``telemetry`` is a structured array of ``TELEMETRY_DTYPE``, one row per
+    logged tick (cut to the ticks actually logged when the run aborted), so
+    ``res.telemetry[k]["u_y_ticks"]`` reads one entry and
+    ``res.telemetry["y_cm"]`` a whole column.
+    """
+
     experiment: str
-    telemetry: list
+    telemetry: np.ndarray
     summary: dict
     extra: dict = field(default_factory=dict)
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.9g}"
+def _new_telemetry(n_ticks: int, Ts: float):
+    """Zeroed telemetry with ``t_s`` filled, and its (ticks, 29) float view."""
+    tel = np.zeros(n_ticks, dtype=TELEMETRY_DTYPE)
+    buf = tel.view(np.float64).reshape(n_ticks, len(TELEMETRY_COLUMNS))
+    buf[:, _COL["t_s"]] = np.arange(n_ticks) * Ts
+    return tel, buf
 
 
-def write_telemetry_csv(path, rows, cfg_hash: str):
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as fh:
+def _finish_telemetry(tel, buf, n_logged: int):
+    """Cut to the logged ticks and mix both planar commands to the wheels."""
+    buf = buf[:n_logged]
+    buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
+        mix_to_wheels(buf[:, _CMD], buf[:, _CMD + 1], 0.0))
+    return tel[:n_logged]
+
+
+def _log_plane(row, plane_idx, x, xm, u, vel_ref=0.0):
+    """Write one plane's state, measurement, command and velocity reference."""
+    col = _STATE[plane_idx]
+    row[col:col + 4] = x
+    row[col + 4:col + 8] = xm
+    row[_VEL_REF + plane_idx] = vel_ref
+    row[_CMD + plane_idx] = u
+
+
+def write_telemetry_csv(path, telemetry, cfg_hash: str):
+    """Write the hash line, the header and one ``%.9g`` line per row.
+
+    ``telemetry`` is a ``TELEMETRY_DTYPE`` array. Rows are formatted in
+    chunks of ``_CSV_CHUNK_ROWS``, so only one chunk is ever held as Python
+    floats; the bytes equal ``",".join(f"{v:.9g}" for v in row)`` per row.
+    """
+    telemetry = np.asarray(telemetry)
+    if telemetry.dtype != TELEMETRY_DTYPE:
+        raise ValueError("telemetry must be an array of TELEMETRY_DTYPE")
+    buf = np.ascontiguousarray(telemetry).view(np.float64).reshape(
+        len(telemetry), len(TELEMETRY_COLUMNS))
+    line = ",".join(["%.9g"] * len(TELEMETRY_COLUMNS)) + "\n"
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"# config_hash={cfg_hash}\n")
         fh.write(",".join(TELEMETRY_COLUMNS) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(row.get(c, 0.0)) for c in TELEMETRY_COLUMNS) + "\n")
+        for start in range(0, len(buf), _CSV_CHUNK_ROWS):
+            chunk = buf[start:start + _CSV_CHUNK_ROWS].tolist()
+            fh.write("".join([line % tuple(row) for row in chunk]))
 
 
 def write_summary_json(path, summary: dict):
@@ -324,8 +378,22 @@ def _base_summary(cfg, name, duration) -> dict:
     }
 
 
-def _blank_row(t):
-    return {c: 0.0 for c in TELEMETRY_COLUMNS} | {"t_s": t}
+def _mark_aborted(summary, exc: PlantFellOverError):
+    summary["aborted"] = True
+    summary["abort_reason"] = str(exc)
+    summary["abort_time_s"] = exc.t
+
+
+def _settling_time(t, err, t0):
+    """Time after t0 from which err stays below 1 for good, or None.
+
+    The first tick at or after t0 that follows the last tick where err is not
+    below 1; one linear pass instead of testing every suffix.
+    """
+    start = int(np.searchsorted(t, t0))
+    outside = np.flatnonzero(~(err[start:] < 1.0))
+    idx = start + (int(outside[-1]) + 1 if outside.size else 0)
+    return float(t[idx] - t0) if idx < len(t) else None
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +408,14 @@ def run_balance(cfg, duration=None) -> RunResult:
     theta0 = cfg["run"]["theta0_deg"]
     states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
     pids = [PidState(), PidState()]
-    rows = []
     summary = _base_summary(cfg, "balance", duration)
     max_abs_theta = 0.0
     held = True  # |theta| < 0.1 deg for every t > 10 s
-    n_ticks = int(round(duration / Ts))
+    n_ticks = n_logged = int(round(duration / Ts))
+    tel, buf = _new_telemetry(n_ticks, Ts)
     try:
         for k in range(n_ticks):
-            t = k * Ts
-            row = _blank_row(t)
+            row = buf[k]
             cmds = []
             for i, ((plant, sensor), x) in enumerate(zip(planes, states)):
                 xm = sensor.measure(x)
@@ -356,21 +423,15 @@ def run_balance(cfg, duration=None) -> RunResult:
                 e = ydot_ref - xm[2]
                 u = pid_step(pids[i], e, gains, Ts)
                 cmds.append(u)
-                _fill_plane(row, i, x, xm)
-                row["ydot_ref_cms" if i == 0 else "xdot_ref_cms"] = ydot_ref
-                row["u_y_ticks" if i == 0 else "u_x_ticks"] = u
-            row["u1_ticks"], row["u2_ticks"], row["u3_ticks"] = \
-                mix_to_wheels(cmds[0], cmds[1], 0.0)
-            rows.append(row)
+                _log_plane(row, i, x, xm, u, ydot_ref)
             for i in range(2):
                 states[i] = planes[i][0].step(states[i], cmds[i], Ts)
             max_abs_theta = max(max_abs_theta, abs(states[0][1]), abs(states[1][1]))
             if k * Ts > 10.0 and (abs(states[0][1]) >= 0.1 or abs(states[1][1]) >= 0.1):
                 held = False
     except PlantFellOverError as exc:
-        summary["aborted"] = True
-        summary["abort_reason"] = str(exc)
-        summary["abort_time_s"] = exc.t
+        _mark_aborted(summary, exc)
+        n_logged = k + 1
         held = False
     summary["metrics"] = {
         "balanced_after_10s": bool(held and not summary["aborted"]),
@@ -378,18 +439,7 @@ def run_balance(cfg, duration=None) -> RunResult:
         "final_theta_x_deg": float(states[0][1]),
         "final_theta_y_deg": float(states[1][1]),
     }
-    return RunResult("balance", rows, summary)
-
-
-def _fill_plane(row, plane_idx, x, xm):
-    if plane_idx == 0:
-        row["y_cm"], row["theta_x_deg"], row["ydot_cms"], row["thetadot_x_degs"] = x
-        (row["y_meas_cm"], row["theta_x_meas_deg"],
-         row["ydot_meas_cms"], row["thetadot_x_meas_degs"]) = xm
-    else:
-        row["x_cm"], row["theta_y_deg"], row["xdot_cms"], row["thetadot_y_degs"] = x
-        (row["x_meas_cm"], row["theta_y_meas_deg"],
-         row["xdot_meas_cms"], row["thetadot_y_meas_degs"]) = xm
+    return RunResult("balance", _finish_telemetry(tel, buf, n_logged), summary)
 
 
 def run_identify(cfg, duration=None) -> RunResult:
@@ -401,17 +451,15 @@ def run_identify(cfg, duration=None) -> RunResult:
     spec = MultisineSpec(alpha_scale=cfg["excitation"]["alpha"],
                          components=tuple(tuple(c) for c in cfg["excitation"]["components"]))
     states = [np.zeros(4), np.zeros(4)]
-    rows = []
     summary = _base_summary(cfg, "identify", duration)
     n_ticks = int(round(duration / Ts))
     exc_seq = sample_sequence(spec, Ts, duration)
-    logged = {"d": [], "theta": [], "ydot": [], "thetadot": [], "y": []}
+    tel, buf = _new_telemetry(n_ticks, Ts)
+    buf[:, _COL["d_cms"]] = exc_seq.d[:n_ticks]
     try:
         for k in range(n_ticks):
-            t = k * Ts
+            row = buf[k]
             d = exc_seq.d[k]
-            row = _blank_row(t)
-            row["d_cms"] = d
             cmds = []
             for i, ((plant, sensor), x) in enumerate(zip(planes, states)):
                 xm = sensor.measure(x)
@@ -419,31 +467,22 @@ def run_identify(cfg, duration=None) -> RunResult:
                 e = ydot_ref - xm[2] + (d if i == 0 else 0.0)
                 u = p_step(gains.kp, e)
                 cmds.append(u)
-                _fill_plane(row, i, x, xm)
-                row["ydot_ref_cms" if i == 0 else "xdot_ref_cms"] = ydot_ref
-                row["u_y_ticks" if i == 0 else "u_x_ticks"] = u
-                if i == 0:
-                    logged["d"].append(d)
-                    logged["y"].append(xm[0])
-                    logged["theta"].append(xm[1])
-                    logged["ydot"].append(xm[2])
-                    logged["thetadot"].append(xm[3])
-            row["u1_ticks"], row["u2_ticks"], row["u3_ticks"] = \
-                mix_to_wheels(cmds[0], cmds[1], 0.0)
-            rows.append(row)
+                _log_plane(row, i, x, xm, u, ydot_ref)
             for i in range(2):
                 states[i] = planes[i][0].step(states[i], cmds[i], Ts)
     except PlantFellOverError as exc:
-        summary["aborted"] = True
-        summary["abort_reason"] = str(exc)
-        summary["abort_time_s"] = exc.t
-        return RunResult("identify", rows, summary)
+        _mark_aborted(summary, exc)
+        return RunResult("identify", _finish_telemetry(tel, buf, k + 1), summary)
+    tel = _finish_telemetry(tel, buf, n_ticks)
 
-    dataset = sysid.IdDataset(Ts=Ts, d=np.array(logged["d"]),
-                              theta=np.array(logged["theta"]),
-                              ydot=np.array(logged["ydot"]),
-                              thetadot=np.array(logged["thetadot"]),
-                              y=np.array(logged["y"]))
+    def logged(name):
+        return np.ascontiguousarray(tel[name])
+
+    dataset = sysid.IdDataset(Ts=Ts, d=logged("d_cms"),
+                              theta=logged("theta_x_meas_deg"),
+                              ydot=logged("ydot_meas_cms"),
+                              thetadot=logged("thetadot_x_meas_degs"),
+                              y=logged("y_meas_cm"))
     fit_ds, holdout = dataset.split_halves()
     truth = _model_for_design(cfg, None)
     id_sec = cfg["id"]
@@ -468,14 +507,11 @@ def run_identify(cfg, duration=None) -> RunResult:
     lp_hat = result.linear_params(r=truth.r)
     _, _, A_cl_r, B_cl_r = closed_loop_matrices(lp_hat, gains)
     A_r, B_r = sysid.extract_open_loop(A_cl_r, B_cl_r, gains)
-    from .numerics import ContinuousSS
     full = sysid.augment_position(ContinuousSS(A_r, B_r))
 
-    rel_err = None
     truth_p = truth.as_array()
     with np.errstate(divide="ignore", invalid="ignore"):
         rel = np.abs(result.p_hat - truth_p) / np.abs(truth_p)
-    rel_err = rel.tolist()
     summary["metrics"] = {
         "fit_rates_percent": result.fit_rates,
         "final_cost": result.final_cost,
@@ -484,8 +520,8 @@ def run_identify(cfg, duration=None) -> RunResult:
         "best_start": result.start_index,
         "p_hat": result.p_hat.tolist(),
         "p_truth": truth_p.tolist(),
-        "rel_error_vs_truth": rel_err,
-        "max_abs_theta_deg": float(np.max(np.abs(np.array(logged["theta"])))),
+        "rel_error_vs_truth": rel.tolist(),
+        "max_abs_theta_deg": float(np.max(np.abs(dataset.theta))),
         "excitation_peak_cms": exc_seq.peak,
         "excitation_rms_cms": exc_seq.rms,
     }
@@ -500,7 +536,7 @@ def run_identify(cfg, duration=None) -> RunResult:
         "iterations": result.iterations,
         "diagnostics": result.diagnostics,
     }
-    return RunResult("identify", rows, summary,
+    return RunResult("identify", tel, summary,
                      extra={"model": model_doc, "id_result": result,
                             "dataset": dataset})
 
@@ -515,34 +551,29 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     planes = _make_planes(cfg)
     theta0 = cfg["run"]["theta0_deg"]
     states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
-    rows = []
     summary = _base_summary(cfg, "lqr", duration)
     settle_t = None
-    n_ticks = int(round(duration / Ts))
+    n_ticks = n_logged = int(round(duration / Ts))
+    tel, buf = _new_telemetry(n_ticks, Ts)
+    u_lqr_col = _COL["u_lqr_y_ticks"]
     try:
         for k in range(n_ticks):
             t = k * Ts
-            row = _blank_row(t)
+            row = buf[k]
             cmds = []
             for i, ((plant, sensor), x) in enumerate(zip(planes, states)):
                 xm = sensor.measure(x)
                 u = -(lqr.K @ xm)[0]
                 cmds.append(u)
-                _fill_plane(row, i, x, xm)
-                row["u_y_ticks" if i == 0 else "u_x_ticks"] = u
-                if i == 0:
-                    row["u_lqr_y_ticks"] = u
-            row["u1_ticks"], row["u2_ticks"], row["u3_ticks"] = \
-                mix_to_wheels(cmds[0], cmds[1], 0.0)
-            rows.append(row)
+                _log_plane(row, i, x, xm, u)
+            row[u_lqr_col] = cmds[0]
             for i in range(2):
                 states[i] = planes[i][0].step(states[i], cmds[i], Ts)
             if settle_t is None and abs(states[0][1]) < 0.05:
                 settle_t = t
     except PlantFellOverError as exc:
-        summary["aborted"] = True
-        summary["abort_reason"] = str(exc)
-        summary["abort_time_s"] = exc.t
+        _mark_aborted(summary, exc)
+        n_logged = k + 1
     summary["metrics"] = {
         "theta_settle_time_s": settle_t,
         "final_y_cm": float(states[0][0]),
@@ -551,7 +582,8 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         "closed_loop_eig_mags": [abs(e) for e in lqr.closed_loop_eigs],
         "spectral_radius": max(abs(e) for e in lqr.closed_loop_eigs),
     }
-    return RunResult("lqr", rows, summary, extra={"lqr": lqr})
+    return RunResult("lqr", _finish_telemetry(tel, buf, n_logged), summary,
+                     extra={"lqr": lqr})
 
 
 def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
@@ -582,7 +614,6 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     latency = cfg["run"]["latency_mpc_periods"]
     planes = _make_planes(cfg)
     states = [np.zeros(4), np.zeros(4)]
-    rows = []
     summary = _base_summary(cfg, "track", duration)
     target = ref_spec.amplitude
     u_mpc_raw = 0.0
@@ -591,11 +622,13 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     max_th = max_yd = max_thd = max_u_mpc = 0.0
     iter_counts = []
     y_trace = []
-    n_ticks = int(round(duration / Ts))
+    n_ticks = n_logged = int(round(duration / Ts))
+    tel, buf = _new_telemetry(n_ticks, Ts)
+    # u_lqr_y_ticks, u_mpc_raw_ticks, u_mpc_filt_ticks, y_ref_cm are adjacent
+    mpc_cols = slice(_COL["u_lqr_y_ticks"], _COL["y_ref_cm"] + 1)
     try:
         for k in range(n_ticks):
             t = k * Ts
-            row = _blank_row(t)
             xm = [planes[i][1].measure(states[i]) for i in range(2)]
             if k % m == 0:
                 preview = np.stack([smooth_step(ref_spec, t + j * mpc_cfg.Ts_mpc)
@@ -616,17 +649,11 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
             u_lqr_y = -(lqr.K @ xm[0])[0]
             u_y = u_lqr_y + u_mpc_filt
             u_x = -(lqr.K @ xm[1])[0]
-            for i, x in enumerate(states):
-                _fill_plane(row, i, x, xm[i])
-            row["y_ref_cm"] = smooth_step(ref_spec, t)[0]
-            row["u_lqr_y_ticks"] = u_lqr_y
-            row["u_mpc_raw_ticks"] = u_mpc_raw
-            row["u_mpc_filt_ticks"] = u_mpc_filt
-            row["u_y_ticks"] = u_y
-            row["u_x_ticks"] = u_x
-            row["u1_ticks"], row["u2_ticks"], row["u3_ticks"] = \
-                mix_to_wheels(u_y, u_x, 0.0)
-            rows.append(row)
+            row = buf[k]
+            _log_plane(row, 0, states[0], xm[0], u_y)
+            _log_plane(row, 1, states[1], xm[1], u_x)
+            row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt,
+                             smooth_step(ref_spec, t)[0])
             states[0] = planes[0][0].step(states[0], u_y, Ts)
             states[1] = planes[1][0].step(states[1], u_x, Ts)
             x0 = states[0]
@@ -640,26 +667,21 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
                     or abs(u_mpc_raw) > mpc_cfg.u_max):
                 viol += 1
     except PlantFellOverError as exc:
-        summary["aborted"] = True
-        summary["abort_reason"] = str(exc)
-        summary["abort_time_s"] = exc.t
+        _mark_aborted(summary, exc)
+        n_logged = k + 1
+    tel = _finish_telemetry(tel, buf, n_logged)
 
+    # y after each completed step, scored against the reference logged at
+    # the start of that tick
     y_arr = np.array(y_trace) if y_trace else np.zeros(1)
     t_arr = np.arange(len(y_arr)) * Ts
     err = np.abs(y_arr - target)
-    settle = None
-    after = t_arr >= ref_spec.t0
-    for idx in np.nonzero(after)[0]:
-        if err[idx] < 1.0 and np.all(err[idx:] < 1.0):
-            settle = float(t_arr[idx] - ref_spec.t0)
-            break
     tail = y_arr[t_arr >= t_arr[-1] - 5.0] if len(y_arr) > 1 else y_arr
-    tracking_cost = float(np.sum((y_arr - np.array(
-        [smooth_step(ref_spec, tt)[0] for tt in t_arr])) ** 2) * Ts)
+    tracking_cost = float(np.sum((y_arr - tel["y_ref_cm"][:len(y_arr)]) ** 2) * Ts)
     summary["metrics"] = {
         "steady_state_error_cm": float(np.mean(np.abs(tail - target))),
         "final_y_cm": float(y_arr[-1]),
-        "settling_time_s": settle,
+        "settling_time_s": _settling_time(t_arr, err, ref_spec.t0),
         "max_abs_theta_deg": max_th,
         "max_abs_ydot_cms": max_yd,
         "max_abs_thetadot_degs": max_thd,
@@ -672,7 +694,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         "solver_iterations_max": int(np.max(iter_counts)) if iter_counts else 0,
         "tracking_cost": tracking_cost,
     }
-    return RunResult("track", rows, summary, extra={"controller": controller})
+    return RunResult("track", tel, summary, extra={"controller": controller})
 
 
 def over_excitation_sweep(cfg, alphas, duration=30.0):

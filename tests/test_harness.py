@@ -6,10 +6,12 @@ import pytest
 
 from ballbot_lab import cli, harness
 from ballbot_lab.control import MpcController
-from ballbot_lab.errors import ConfigError
-from ballbot_lab.harness import (config_hash, load_config, run_balance,
+from ballbot_lab.errors import ConfigError, PlantFellOverError
+from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
+                                 config_hash, load_config, run_balance,
                                  run_identify, run_lqr, run_track,
                                  over_excitation_sweep, write_telemetry_csv)
+from ballbot_lab.plant import Plant
 from ballbot_lab.qp import QpSettings
 
 
@@ -91,6 +93,14 @@ class TestBalance:
         assert res.summary["aborted"]
         assert res.summary["abort_time_s"] is not None
         assert "fell over" in res.summary["abort_reason"]
+
+    def test_beyond_envelope_logs_the_starting_tick_only(self):
+        # the first step of the y plane leaves the envelope, after the
+        # starting tick was logged
+        res = run_balance(quiet_config(theta0_deg=50.0), duration=2.0)
+        assert len(res.telemetry) == 1
+        assert res.telemetry[0]["theta_x_deg"] == 50.0
+        assert res.telemetry[0]["t_s"] == 0.0
 
     def test_summary_written_for_aborted_runs(self):
         cfg = quiet_config(theta0_deg=50.0)
@@ -237,6 +247,81 @@ class TestTrack:
         assert res.summary["metrics"]["infeasible_event_count"] == 0
 
 
+class TestSettlingTime:
+    @staticmethod
+    def brute_force(t, err, t0):
+        # the definition: the first tick at or after t0 from which every
+        # remaining error is below 1
+        for idx in np.nonzero(t >= t0)[0]:
+            if err[idx] < 1.0 and np.all(err[idx:] < 1.0):
+                return float(t[idx] - t0)
+        return None
+
+    @pytest.mark.parametrize("err, expected", [
+        (np.full(40, 2.0), None),                              # never settles
+        (np.concatenate([np.full(10, 3.0), np.full(30, 0.5)]), 0.0),  # from t0
+        (np.array([3.0] * 12 + [0.5, 0.2, 1.0, 0.9, 2.0, 0.1, 0.99]
+                  + [0.3] * 21), 0.035),                      # re-exits the band
+        (np.array([0.5] * 30 + [np.nan] + [0.5] * 9), 0.105),  # NaN counts as outside
+        (np.array([0.5] * 39 + [1.0]), None),                  # leaves on the last tick
+    ])
+    def test_matches_brute_force(self, err, expected):
+        t = np.arange(len(err)) * 0.005
+        t0 = 0.05
+        got = harness._settling_time(t, err, t0)
+        assert got == self.brute_force(t, err, t0)
+        if expected is None:
+            assert got is None
+        else:
+            assert got == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_brute_force_on_dithering_error(self):
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            err = np.abs(1.0 + 0.3 * rng.standard_normal(300) - np.linspace(0, 0.5, 300))
+            t = np.arange(300) * 0.005
+            assert harness._settling_time(t, err, 0.2) == self.brute_force(t, err, 0.2)
+
+
+class TestAbortTruncation:
+    # Plant.step raises on its 11th call. Both planes step once per tick,
+    # so that is the y plane of tick 5, whose row was already logged.
+    FAIL_ON_CALL = 11
+    LOGGED_TICKS = 6
+
+    @pytest.fixture
+    def falls_over(self, monkeypatch):
+        step = Plant.step
+        calls = []
+
+        def step_then_fall(plant, x, u, dt):
+            calls.append(1)
+            if len(calls) == self.FAIL_ON_CALL:
+                raise PlantFellOverError(plant.t + dt, np.asarray(x))
+            return step(plant, x, u, dt)
+
+        monkeypatch.setattr(Plant, "step", step_then_fall)
+
+    @pytest.mark.parametrize("runner", [run_balance, run_identify, run_lqr,
+                                        run_track])
+    def test_telemetry_cut_to_logged_ticks(self, runner, falls_over):
+        res = runner(quiet_config(), duration=1.0)
+        assert res.summary["aborted"]
+        assert len(res.telemetry) == self.LOGGED_TICKS
+        assert res.telemetry[-1]["t_s"] == (self.LOGGED_TICKS - 1) * 0.005
+
+    @pytest.mark.parametrize("name", ["balance", "identify", "lqr", "track"])
+    def test_cli_csv_has_one_row_per_logged_tick(self, name, falls_over,
+                                                 tmp_path):
+        rc = cli.main([name, "--out", str(tmp_path), "--duration", "1",
+                       "--noise", "off"])
+        assert rc == 1
+        lines = (tmp_path / f"{name}_telemetry.csv").read_text().splitlines()
+        data = lines[2:]
+        assert len(data) == self.LOGGED_TICKS
+        assert float(data[-1].split(",")[0]) == (self.LOGGED_TICKS - 1) * 0.005
+
+
 class TestSweep:
     def test_over_excitation_sweep(self):
         cfg = quiet_config()
@@ -258,6 +343,25 @@ class TestOutputs:
         assert header == harness.TELEMETRY_COLUMNS
         assert "theta_x_deg" in header
         assert len(lines) == 2 + len(res.telemetry)
+
+    @pytest.mark.parametrize("n_rows", [0, 1, harness._CSV_CHUNK_ROWS,
+                                        harness._CSV_CHUNK_ROWS + 5])
+    def test_csv_values_match_per_value_format(self, n_rows, tmp_path):
+        edge = [-0.0, 5e-324, 1e21, 0.1 + 0.2, 123456789012.0,
+                float("nan"), float("inf"), float("-inf"), 1.0 / 3.0, -2.5e-7]
+        flat = np.resize(np.array(edge), n_rows * len(TELEMETRY_COLUMNS))
+        tel = np.zeros(n_rows, dtype=TELEMETRY_DTYPE)
+        for j, c in enumerate(TELEMETRY_COLUMNS):
+            tel[c] = flat[j::len(TELEMETRY_COLUMNS)]
+        path = tmp_path / "edge.csv"
+        write_telemetry_csv(path, tel, "abc")
+        expected = ["# config_hash=abc", ",".join(TELEMETRY_COLUMNS)]
+        expected += [",".join(f"{v:.9g}" for v in row.tolist()) for row in tel]
+        assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+    def test_csv_rejects_other_layouts(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_telemetry_csv(tmp_path / "x.csv", np.zeros((3, 29)), "abc")
 
     def test_csv_determinism(self, tmp_path):
         outs = []
