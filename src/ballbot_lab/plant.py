@@ -272,7 +272,8 @@ class Sensor:
         self._prev_counts = None
 
     def measure(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
+        # Python floats: the same IEEE arithmetic as numpy scalars, cheaper
+        x = np.asarray(x, dtype=float).tolist()
         s = self.spec
         theta = x[1] + (s.sigma_theta * self.rng.standard_normal() if s.sigma_theta else 0.0)
         thetadot = x[3] + (s.sigma_thetadot * self.rng.standard_normal() if s.sigma_thetadot else 0.0)
