@@ -1,10 +1,11 @@
 """Experiment executive: wires the modules into the four standard runs.
 
-Every experiment simulates BOTH vertical planes at the fast inner rate,
-logs one telemetry row per tick, and emits a summary document. The tracking
-plane carries the position y and tilt theta_x; the mirror plane carries x
-and theta_y. Motor commands are mixed to the three omniwheels with the yaw
-channel pinned to zero.
+Every experiment runs the same tick loop (``_simulate``) over BOTH vertical
+planes at the fast inner rate and differs only in its controller; the loop
+logs one telemetry row per tick, and each run emits a summary document.
+The tracking plane carries the position y and tilt theta_x; the mirror
+plane carries x and theta_y. Motor commands are mixed to the three
+omniwheels with the yaw channel pinned to zero.
 
 Determinism contract: a fixed (config, seed) pair reproduces telemetry
 byte for byte. All randomness flows from the run seed through spawned
@@ -302,31 +303,6 @@ class RunResult:
     extra: dict = field(default_factory=dict)
 
 
-def _new_telemetry(n_ticks: int, Ts: float):
-    """Zeroed telemetry with ``t_s`` filled, and its (ticks, 29) float view."""
-    tel = np.zeros(n_ticks, dtype=TELEMETRY_DTYPE)
-    buf = tel.view(np.float64).reshape(n_ticks, len(TELEMETRY_COLUMNS))
-    buf[:, _COL["t_s"]] = np.arange(n_ticks) * Ts
-    return tel, buf
-
-
-def _finish_telemetry(tel, buf, n_logged: int):
-    """Cut to the logged ticks and mix both planar commands to the wheels."""
-    buf = buf[:n_logged]
-    buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
-        mix_to_wheels(buf[:, _CMD], buf[:, _CMD + 1], 0.0))
-    return tel[:n_logged]
-
-
-def _log_plane(row, plane_idx, x, xm, u, vel_ref=0.0):
-    """Write one plane's state, measurement, command and velocity reference."""
-    col = _STATE[plane_idx]
-    row[col:col + 4] = x
-    row[col + 4:col + 8] = xm
-    row[_VEL_REF + plane_idx] = vel_ref
-    row[_CMD + plane_idx] = u
-
-
 def write_telemetry_csv(path, telemetry, cfg_hash: str):
     """Write the hash line, the header and one ``%.9g`` line per row.
 
@@ -364,24 +340,18 @@ def _json_default(obj):
     raise TypeError(f"cannot serialize {type(obj)}")
 
 
-def _base_summary(cfg, name, duration) -> dict:
+def _base_summary(cfg, name, duration, abort) -> dict:
     return {
         "experiment": name,
         "seed": cfg["run"]["seed"],
         "config_hash": config_hash(cfg),
         "duration_s": duration,
         "Ts_inner": cfg["run"]["Ts_inner"],
-        "aborted": False,
-        "abort_reason": None,
-        "abort_time_s": None,
+        "aborted": abort is not None,
+        "abort_reason": None if abort is None else str(abort),
+        "abort_time_s": None if abort is None else abort.t,
         "metrics": {},
     }
-
-
-def _mark_aborted(summary, exc: PlantFellOverError):
-    summary["aborted"] = True
-    summary["abort_reason"] = str(exc)
-    summary["abort_time_s"] = exc.t
 
 
 def _settling_time(t, err, t0):
@@ -396,6 +366,71 @@ def _settling_time(t, err, t0):
     return float(t[idx] - t0) if idx < len(t) else None
 
 
+
+
+# ---------------------------------------------------------------------------
+# the tick loop
+
+def _simulate(planes, states, n_ticks: int, Ts: float, control):
+    """Run both planes through ``n_ticks`` ticks of the digital loop.
+
+    Each tick measures both planes, asks ``control(k, xm0, xm1, row)`` for
+    the two planar commands (it may write its own columns into the tick's
+    telemetry ``row``), logs each plane's state, measurement and command,
+    and steps both plants, the tracking plane first. ``states`` holds the
+    two initial states and is updated in place to the last states reached.
+
+    Returns the telemetry, cut to the logged ticks and with the wheel
+    commands mixed in, and the PlantFellOverError that ended the run or
+    None. An abort leaves its tick logged but not completed.
+    """
+    tel = np.zeros(n_ticks, dtype=TELEMETRY_DTYPE)
+    buf = tel.view(np.float64).reshape(n_ticks, len(TELEMETRY_COLUMNS))
+    buf[:, _COL["t_s"]] = np.arange(n_ticks) * Ts
+    (plant0, sensor0), (plant1, sensor1) = planes
+    x0, x1 = states
+    s0, s1 = _STATE
+    n_logged, abort = n_ticks, None
+    try:
+        for k in range(n_ticks):
+            row = buf[k]
+            xm0 = sensor0.measure(x0)
+            xm1 = sensor1.measure(x1)
+            u0, u1 = control(k, xm0, xm1, row)
+            row[s0:s0 + 4] = x0
+            row[s0 + 4:s0 + 8] = xm0
+            row[s1:s1 + 4] = x1
+            row[s1 + 4:s1 + 8] = xm1
+            row[_CMD] = u0
+            row[_CMD + 1] = u1
+            x0 = plant0.step(x0, u0, Ts)
+            x1 = plant1.step(x1, u1, Ts)
+    except PlantFellOverError as exc:
+        n_logged, abort = k + 1, exc
+    states[:] = x0, x1
+    buf = buf[:n_logged]
+    buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
+        mix_to_wheels(buf[:, _CMD], buf[:, _CMD + 1], 0.0))
+    return tel[:n_logged], abort
+
+
+def _after_steps(tel, plane, final, abort):
+    """One plane's state after each completed tick, one row per tick.
+
+    The logged states followed by ``final`` trace the whole run; dropping
+    the initial state leaves the state after each tick. An aborted tick is
+    not completed, so there ``final`` is left out: it is either the last
+    logged state or, when the mirror plane fell, a tracking-plane step of
+    the aborted tick.
+    """
+    col = _STATE[plane]
+    logged = tel.view(np.float64).reshape(len(tel), len(TELEMETRY_COLUMNS))
+    states = logged[:, col:col + 4]
+    if abort is None:
+        states = np.vstack([states, final])
+    return states[1:]
+
+
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -404,76 +439,74 @@ def run_balance(cfg, duration=None) -> RunResult:
     Ts = cfg["run"]["Ts_inner"]
     duration = duration or cfg["run"]["durations"]["balance"]
     gains = _balance_gains(cfg)
-    planes = _make_planes(cfg)
+    pid0, pid1 = PidState(), PidState()
+
+    def control(k, xm0, xm1, row):
+        r0 = outer_reference(gains, xm0)
+        r1 = outer_reference(gains, xm1)
+        row[_VEL_REF] = r0
+        row[_VEL_REF + 1] = r1
+        return (pid_step(pid0, r0 - xm0[2], gains, Ts),
+                pid_step(pid1, r1 - xm1[2], gains, Ts))
+
     theta0 = cfg["run"]["theta0_deg"]
     states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
-    pids = [PidState(), PidState()]
-    summary = _base_summary(cfg, "balance", duration)
-    max_abs_theta = 0.0
-    held = True  # |theta| < 0.1 deg for every t > 10 s
-    n_ticks = n_logged = int(round(duration / Ts))
-    tel, buf = _new_telemetry(n_ticks, Ts)
-    try:
-        for k in range(n_ticks):
-            row = buf[k]
-            cmds = []
-            for i, ((plant, sensor), x) in enumerate(zip(planes, states)):
-                xm = sensor.measure(x)
-                ydot_ref = outer_reference(gains, xm)
-                e = ydot_ref - xm[2]
-                u = pid_step(pids[i], e, gains, Ts)
-                cmds.append(u)
-                _log_plane(row, i, x, xm, u, ydot_ref)
-            for i in range(2):
-                states[i] = planes[i][0].step(states[i], cmds[i], Ts)
-            max_abs_theta = max(max_abs_theta, abs(states[0][1]), abs(states[1][1]))
-            if k * Ts > 10.0 and (abs(states[0][1]) >= 0.1 or abs(states[1][1]) >= 0.1):
-                held = False
-    except PlantFellOverError as exc:
-        _mark_aborted(summary, exc)
-        n_logged = k + 1
-        held = False
+    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
+                           Ts, control)
+    # the larger tilt of the two planes after each completed tick
+    tilt = np.maximum(np.abs(_after_steps(tel, 0, states[0], abort)[:, 1]),
+                      np.abs(_after_steps(tel, 1, states[1], abort)[:, 1]))
+    summary = _base_summary(cfg, "balance", duration, abort)
     summary["metrics"] = {
-        "balanced_after_10s": bool(held and not summary["aborted"]),
-        "max_abs_theta_deg": max_abs_theta,
+        # |theta| < 0.1 deg after every tick that starts after 10 s
+        "balanced_after_10s": bool(abort is None
+                                   and not np.any(tilt[tel["t_s"] > 10.0] >= 0.1)),
+        "max_abs_theta_deg": float(np.max(tilt, initial=0.0)),
         "final_theta_x_deg": float(states[0][1]),
         "final_theta_y_deg": float(states[1][1]),
     }
-    return RunResult("balance", _finish_telemetry(tel, buf, n_logged), summary)
+    return RunResult("balance", tel, summary)
+
+
+def _identification_loop(cfg, duration):
+    """The P-only loop with the multisine added on the tracking plane.
+
+    Returns the telemetry with ``d_cms`` filled, the last states, the abort
+    or None, and the sampled excitation.
+    """
+    Ts = cfg["run"]["Ts_inner"]
+    gains = _identification_gains(cfg)
+    spec = MultisineSpec(alpha_scale=cfg["excitation"]["alpha"],
+                         components=tuple(tuple(c) for c in cfg["excitation"]["components"]))
+    exc_seq = sample_sequence(spec, Ts, duration)
+    d = exc_seq.d
+
+    def control(k, xm0, xm1, row):
+        r0 = outer_reference(gains, xm0)
+        r1 = outer_reference(gains, xm1)
+        row[_VEL_REF] = r0
+        row[_VEL_REF + 1] = r1
+        # the mirror plane's excitation is 0.0, which also turns a -0.0
+        # error into 0.0 in the logged command
+        return (p_step(gains.kp, r0 - xm0[2] + d[k]),
+                p_step(gains.kp, r1 - xm1[2] + 0.0))
+
+    states = [np.zeros(4), np.zeros(4)]
+    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
+                           Ts, control)
+    tel["d_cms"] = d[:len(tel)]
+    return tel, states, abort, exc_seq
 
 
 def run_identify(cfg, duration=None) -> RunResult:
     """Excite the P-only loop, then fit, extract, augment, and validate."""
     Ts = cfg["run"]["Ts_inner"]
     duration = duration or cfg["run"]["durations"]["identify"]
+    tel, _, abort, exc_seq = _identification_loop(cfg, duration)
+    summary = _base_summary(cfg, "identify", duration, abort)
+    if abort is not None:
+        return RunResult("identify", tel, summary)
     gains = _identification_gains(cfg)
-    planes = _make_planes(cfg)
-    spec = MultisineSpec(alpha_scale=cfg["excitation"]["alpha"],
-                         components=tuple(tuple(c) for c in cfg["excitation"]["components"]))
-    states = [np.zeros(4), np.zeros(4)]
-    summary = _base_summary(cfg, "identify", duration)
-    n_ticks = int(round(duration / Ts))
-    exc_seq = sample_sequence(spec, Ts, duration)
-    tel, buf = _new_telemetry(n_ticks, Ts)
-    buf[:, _COL["d_cms"]] = exc_seq.d[:n_ticks]
-    try:
-        for k in range(n_ticks):
-            row = buf[k]
-            d = exc_seq.d[k]
-            cmds = []
-            for i, ((plant, sensor), x) in enumerate(zip(planes, states)):
-                xm = sensor.measure(x)
-                ydot_ref = outer_reference(gains, xm)
-                e = ydot_ref - xm[2] + (d if i == 0 else 0.0)
-                u = p_step(gains.kp, e)
-                cmds.append(u)
-                _log_plane(row, i, x, xm, u, ydot_ref)
-            for i in range(2):
-                states[i] = planes[i][0].step(states[i], cmds[i], Ts)
-    except PlantFellOverError as exc:
-        _mark_aborted(summary, exc)
-        return RunResult("identify", _finish_telemetry(tel, buf, k + 1), summary)
-    tel = _finish_telemetry(tel, buf, n_ticks)
 
     def logged(name):
         return np.ascontiguousarray(tel[name])
@@ -548,42 +581,30 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     design_model = _model_for_design(cfg, model_lp)
     dss = zoh_discretize(build_linear_ss(design_model), Ts)
     lqr = design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
-    planes = _make_planes(cfg)
+    K = lqr.K
+    u_lqr_col = _COL["u_lqr_y_ticks"]
+
+    def control(k, xm0, xm1, row):
+        u0 = -(K @ xm0)[0]
+        row[u_lqr_col] = u0
+        return u0, -(K @ xm1)[0]
+
     theta0 = cfg["run"]["theta0_deg"]
     states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
-    summary = _base_summary(cfg, "lqr", duration)
-    settle_t = None
-    n_ticks = n_logged = int(round(duration / Ts))
-    tel, buf = _new_telemetry(n_ticks, Ts)
-    u_lqr_col = _COL["u_lqr_y_ticks"]
-    try:
-        for k in range(n_ticks):
-            t = k * Ts
-            row = buf[k]
-            cmds = []
-            for i, ((plant, sensor), x) in enumerate(zip(planes, states)):
-                xm = sensor.measure(x)
-                u = -(lqr.K @ xm)[0]
-                cmds.append(u)
-                _log_plane(row, i, x, xm, u)
-            row[u_lqr_col] = cmds[0]
-            for i in range(2):
-                states[i] = planes[i][0].step(states[i], cmds[i], Ts)
-            if settle_t is None and abs(states[0][1]) < 0.05:
-                settle_t = t
-    except PlantFellOverError as exc:
-        _mark_aborted(summary, exc)
-        n_logged = k + 1
+    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
+                           Ts, control)
+    # the start time of the first tick after which |theta_x| < 0.05 deg
+    settled = np.flatnonzero(np.abs(_after_steps(tel, 0, states[0], abort)[:, 1]) < 0.05)
+    summary = _base_summary(cfg, "lqr", duration, abort)
     summary["metrics"] = {
-        "theta_settle_time_s": settle_t,
+        "theta_settle_time_s": float(tel["t_s"][settled[0]]) if settled.size else None,
         "final_y_cm": float(states[0][0]),
         "final_theta_x_deg": float(states[0][1]),
         "K": lqr.K.tolist(),
         "closed_loop_eig_mags": [abs(e) for e in lqr.closed_loop_eigs],
         "spectral_radius": max(abs(e) for e in lqr.closed_loop_eigs),
     }
-    return RunResult("lqr", _finish_telemetry(tel, buf, n_logged), summary,
-                     extra={"lqr": lqr})
+    return RunResult("lqr", tel, summary, extra={"lqr": lqr})
 
 
 def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
@@ -612,81 +633,65 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
                              T_rise=cfg["reference"]["T_rise"])
     filt = design_butterworth2(cfg["mpc"]["filter_fc_hz"], 1.0 / Ts)
     latency = cfg["run"]["latency_mpc_periods"]
-    planes = _make_planes(cfg)
-    states = [np.zeros(4), np.zeros(4)]
-    summary = _base_summary(cfg, "track", duration)
-    target = ref_spec.amplitude
-    u_mpc_raw = 0.0
-    pending = None
-    viol = clamped = 0
-    max_th = max_yd = max_thd = max_u_mpc = 0.0
-    iter_counts = []
-    y_trace = []
-    n_ticks = n_logged = int(round(duration / Ts))
-    tel, buf = _new_telemetry(n_ticks, Ts)
+    K = lqr.K
     # u_lqr_y_ticks, u_mpc_raw_ticks, u_mpc_filt_ticks, y_ref_cm are adjacent
     mpc_cols = slice(_COL["u_lqr_y_ticks"], _COL["y_ref_cm"] + 1)
-    try:
-        for k in range(n_ticks):
-            t = k * Ts
-            xm = [planes[i][1].measure(states[i]) for i in range(2)]
-            if k % m == 0:
-                preview = np.stack([smooth_step(ref_spec, t + j * mpc_cfg.Ts_mpc)
-                                    for j in range(mpc_cfg.N + 1)])
-                u_new, info = controller.mpc_step(xm[0], preview)
-                iter_counts.append(info["iterations"])
-                # a solve stopped at its cap may return an input off the box
-                u_box = min(max(u_new, -mpc_cfg.u_max), mpc_cfg.u_max)
-                clamped += u_box != u_new
-                u_new = u_box
-                if latency == 0:
-                    u_mpc_raw = u_new
-                else:
-                    if pending is not None:
-                        u_mpc_raw = pending
-                    pending = u_new
-            u_mpc_filt = filt.step(u_mpc_raw)
-            u_lqr_y = -(lqr.K @ xm[0])[0]
-            u_y = u_lqr_y + u_mpc_filt
-            u_x = -(lqr.K @ xm[1])[0]
-            row = buf[k]
-            _log_plane(row, 0, states[0], xm[0], u_y)
-            _log_plane(row, 1, states[1], xm[1], u_x)
-            row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt,
-                             smooth_step(ref_spec, t)[0])
-            states[0] = planes[0][0].step(states[0], u_y, Ts)
-            states[1] = planes[1][0].step(states[1], u_x, Ts)
-            x0 = states[0]
-            y_trace.append(x0[0])
-            max_th = max(max_th, abs(x0[1]))
-            max_yd = max(max_yd, abs(x0[2]))
-            max_thd = max(max_thd, abs(x0[3]))
-            max_u_mpc = max(max_u_mpc, abs(u_mpc_raw))
-            if (abs(x0[1]) > mpc_cfg.theta_max or abs(x0[2]) > mpc_cfg.ydot_max
-                    or abs(x0[3]) > mpc_cfg.thetadot_max
-                    or abs(u_mpc_raw) > mpc_cfg.u_max):
-                viol += 1
-    except PlantFellOverError as exc:
-        _mark_aborted(summary, exc)
-        n_logged = k + 1
-    tel = _finish_telemetry(tel, buf, n_logged)
+    u_mpc_raw = 0.0
+    pending = None
+    clamped = 0
+    iter_counts = []
 
+    def control(k, xm0, xm1, row):
+        nonlocal u_mpc_raw, pending, clamped
+        t = k * Ts
+        if k % m == 0:
+            preview = np.stack([smooth_step(ref_spec, t + j * mpc_cfg.Ts_mpc)
+                                for j in range(mpc_cfg.N + 1)])
+            u_new, info = controller.mpc_step(xm0, preview)
+            iter_counts.append(info["iterations"])
+            # a solve stopped at its cap may return an input off the box
+            u_box = min(max(u_new, -mpc_cfg.u_max), mpc_cfg.u_max)
+            clamped += u_box != u_new
+            if latency == 0:
+                u_mpc_raw = u_box
+            else:
+                if pending is not None:
+                    u_mpc_raw = pending
+                pending = u_box
+        u_mpc_filt = filt.step(u_mpc_raw)
+        u_lqr_y = -(K @ xm0)[0]
+        row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt, smooth_step(ref_spec, t)[0])
+        return u_lqr_y + u_mpc_filt, -(K @ xm1)[0]
+
+    states = [np.zeros(4), np.zeros(4)]
+    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
+                           Ts, control)
+
+    # the tracking plane after each completed tick, with that tick's MPC input
+    y, th, yd, thd = _after_steps(tel, 0, states[0], abort).T
+    u_raw = tel["u_mpc_raw_ticks"][:len(y)]
+    viol = np.count_nonzero((np.abs(th) > mpc_cfg.theta_max)
+                            | (np.abs(yd) > mpc_cfg.ydot_max)
+                            | (np.abs(thd) > mpc_cfg.thetadot_max)
+                            | (np.abs(u_raw) > mpc_cfg.u_max))
     # y after each completed step, scored against the reference logged at
     # the start of that tick
-    y_arr = np.array(y_trace) if y_trace else np.zeros(1)
+    target = ref_spec.amplitude
+    y_arr = y if len(y) else np.zeros(1)
     t_arr = np.arange(len(y_arr)) * Ts
     err = np.abs(y_arr - target)
     tail = y_arr[t_arr >= t_arr[-1] - 5.0] if len(y_arr) > 1 else y_arr
     tracking_cost = float(np.sum((y_arr - tel["y_ref_cm"][:len(y_arr)]) ** 2) * Ts)
+    summary = _base_summary(cfg, "track", duration, abort)
     summary["metrics"] = {
         "steady_state_error_cm": float(np.mean(np.abs(tail - target))),
         "final_y_cm": float(y_arr[-1]),
         "settling_time_s": _settling_time(t_arr, err, ref_spec.t0),
-        "max_abs_theta_deg": max_th,
-        "max_abs_ydot_cms": max_yd,
-        "max_abs_thetadot_degs": max_thd,
-        "max_abs_u_mpc_ticks": max_u_mpc,
-        "constraint_violation_count": viol,
+        "max_abs_theta_deg": float(np.max(np.abs(th), initial=0.0)),
+        "max_abs_ydot_cms": float(np.max(np.abs(yd), initial=0.0)),
+        "max_abs_thetadot_degs": float(np.max(np.abs(thd), initial=0.0)),
+        "max_abs_u_mpc_ticks": float(np.max(np.abs(u_raw), initial=0.0)),
+        "constraint_violation_count": int(viol),
         "infeasible_event_count": controller.infeasible_events,
         "degraded_event_count": controller.degraded_events,
         "clamped_event_count": clamped,
@@ -709,32 +714,11 @@ def over_excitation_sweep(cfg, alphas, duration=30.0):
         sub = copy.deepcopy(cfg)
         sub["excitation"]["alpha"] = float(alpha)
         sub["run"]["noise"] = False
-        res = run_identify_loop_only(sub, duration)
-        results.append(res)
+        tel, states, abort, _ = _identification_loop(sub, duration)
+        theta = _after_steps(tel, 0, states[0], abort)[:, 1]
+        results.append({"alpha": sub["excitation"]["alpha"],
+                        "max_abs_theta_deg": float(np.max(np.abs(theta), initial=0.0)),
+                        "fell_over": abort is not None})
     usable = [r["alpha"] for r in results
               if not r["fell_over"] and r["max_abs_theta_deg"] <= 3.0]
     return {"sweep": results, "largest_usable_alpha": max(usable) if usable else None}
-
-
-def run_identify_loop_only(cfg, duration) -> dict:
-    """Simulate the identification loop without fitting (sweep helper)."""
-    Ts = cfg["run"]["Ts_inner"]
-    gains = _identification_gains(cfg)
-    planes = _make_planes(cfg)
-    spec = MultisineSpec(alpha_scale=cfg["excitation"]["alpha"],
-                         components=tuple(tuple(c) for c in cfg["excitation"]["components"]))
-    exc_seq = sample_sequence(spec, Ts, duration)
-    x = np.zeros(4)
-    max_th = 0.0
-    fell = False
-    try:
-        for k in range(int(round(duration / Ts))):
-            xm = planes[0][1].measure(x)
-            e = outer_reference(gains, xm) - xm[2] + exc_seq.d[k]
-            u = p_step(gains.kp, e)
-            x = planes[0][0].step(x, u, Ts)
-            max_th = max(max_th, abs(x[1]))
-    except PlantFellOverError:
-        fell = True
-    return {"alpha": cfg["excitation"]["alpha"], "max_abs_theta_deg": max_th,
-            "fell_over": fell}

@@ -2,8 +2,8 @@
 
 Everything here is sized for state dimensions of at most eight: the matrix
 exponential uses scaling-and-squaring on a truncated series, the Riccati
-solver is a plain fixed-point iteration, and the eigenvalue routine is a
-shifted QR sweep on the Hessenberg form. All reals are 64-bit floats.
+solver is a structure-preserving doubling iteration, and eigenvalues come
+from LAPACK through numpy. All reals are 64-bit floats.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ __all__ = [
     "eigenvalues",
     "spectral_radius",
     "design_butterworth2",
-    "biquad_step",
     "nrmse_fit",
     "rk4_step",
 ]
@@ -226,99 +225,17 @@ def solve_dare(A_d, B_d, Q, R, tol=1e-10, max_iter=100):
     return P, K
 
 
-def _hessenberg(M):
-    """Reduce to upper Hessenberg form with Householder reflectors."""
-    H = M.astype(float).copy()
-    n = H.shape[0]
-    for k in range(n - 2):
-        x = H[k + 1:, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        v[0] += np.copysign(nx, x[0] if x[0] != 0 else 1.0)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        H[k + 1:, k:] -= 2.0 * np.outer(v, v @ H[k + 1:, k:])
-        H[:, k + 1:] -= 2.0 * np.outer(H[:, k + 1:] @ v, v)
-        H[k + 2:, k] = 0.0
-    return H
-
-
-def _wilkinson_shift(H, m):
-    """Eigenvalue of the trailing 2x2 block closest to the corner entry."""
-    a = H[m - 2, m - 2]
-    b = H[m - 2, m - 1]
-    c = H[m - 1, m - 2]
-    d = H[m - 1, m - 1]
-    tr = a + d
-    det = a * d - b * c
-    disc = np.lib.scimath.sqrt(tr * tr / 4.0 - det)
-    r1 = tr / 2.0 + disc
-    r2 = tr / 2.0 - disc
-    return r1 if abs(r1 - d) <= abs(r2 - d) else r2
-
-
 def eigenvalues(M):
-    """All eigenvalues of a small square matrix.
+    """All eigenvalues of a square matrix, sorted by real then imaginary part.
 
-    Householder reduction to Hessenberg form followed by complex shifted QR
-    iteration with Wilkinson shifts and deflation. Intended for n <= 8.
+    LAPACK's ``geev`` through ``np.linalg.eigvals``; complex eigenvalues of
+    a real matrix come in exact conjugate pairs.
     """
     M = _as_matrix(M, "M")
-    n = M.shape[0]
-    if M.shape[1] != n:
+    if M.shape[0] != M.shape[1]:
         raise ValueError("eigenvalues needs a square matrix")
-    if n == 0:
-        return []
-    if n == 1:
-        return [complex(M[0, 0])]
-    H = _hessenberg(M).astype(complex)
-    hnorm = max(np.max(np.abs(H)), 1e-300)
-    eigs = []
-    m = n
-    iters_since_deflation = 0
-    total_iters = 0
-    max_total = 200 * n
-    while m > 0:
-        if m == 1:
-            eigs.append(H[0, 0])
-            m = 0
-            break
-        # deflate a negligible subdiagonal entry anywhere in the active block
-        deflated = False
-        for k in range(m - 1, 0, -1):
-            ref = abs(H[k - 1, k - 1]) + abs(H[k, k])
-            if ref == 0.0:
-                ref = hnorm
-            if abs(H[k, k - 1]) <= 1e-14 * ref:
-                H[k, k - 1] = 0.0
-                if k == m - 1:
-                    eigs.append(H[m - 1, m - 1])
-                    m -= 1
-                    deflated = True
-                    iters_since_deflation = 0
-                break
-        if deflated:
-            continue
-        total_iters += 1
-        iters_since_deflation += 1
-        if total_iters > max_total:
-            raise ValueError("QR iteration failed to converge")
-        if iters_since_deflation % 30 == 0:
-            # exceptional shift to break symmetric stalls
-            mu = H[m - 1, m - 1] + abs(H[m - 1, m - 2]) * (0.5 + 0.5j)
-        else:
-            mu = _wilkinson_shift(H, m)
-        Q, R = np.linalg.qr(H[:m, :m] - mu * np.eye(m))
-        H[:m, :m] = R @ Q + mu * np.eye(m)
-    eigs = np.array(eigs, dtype=complex)
-    # collapse spurious imaginary crumbs on eigenvalues of real matrices
-    scale = max(1.0, np.max(np.abs(eigs)))
-    eigs = np.where(np.abs(eigs.imag) < 1e-10 * scale, eigs.real + 0j, eigs)
-    return sorted(eigs, key=lambda z: (z.real, z.imag))
+    return sorted((complex(z) for z in np.linalg.eigvals(M)),
+                  key=lambda z: (z.real, z.imag))
 
 
 def spectral_radius(M):
@@ -380,11 +297,6 @@ def design_butterworth2(fc: float, fs: float) -> Biquad:
     a2 = (1.0 - root2 * K + K * K) * norm
     scale = (1.0 + a1 + a2) / (b0 + b1 + b2)
     return Biquad(b0 * scale, b1 * scale, b2 * scale, a1, a2)
-
-
-def biquad_step(f: Biquad, x: float) -> float:
-    """Advance the filter by one sample and return the output."""
-    return f.step(x)
 
 
 def nrmse_fit(y, yhat) -> float:

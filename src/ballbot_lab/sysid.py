@@ -25,7 +25,7 @@ from scipy.signal import lfilter
 from .errors import IdentificationFailedError
 from .numerics import ContinuousSS, nrmse_fit, zoh_discretize
 from .plant import LinearParams
-from .stabilizer import FeedbackGains, feedback_row
+from .stabilizer import FeedbackGains, discrete_closed_loop, feedback_row
 
 __all__ = [
     "IdDataset", "IdConfig", "IdResult",
@@ -132,15 +132,6 @@ def reduced_open_loop(p):
     return A, B
 
 
-def _closed_discrete(p, gains: FeedbackGains, Ts: float):
-    A, B = reduced_open_loop(p)
-    dss = zoh_discretize(ContinuousSS(A, B), Ts)
-    F = feedback_row(gains)[1:]
-    A_cl = dss.A_d + gains.kp * np.outer(dss.B_d[:, 0], F)
-    B_cl = gains.kp * dss.B_d[:, 0]
-    return A_cl, B_cl
-
-
 def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     """Predicted (theta, ydot, thetadot) of the closed loop driven by d.
 
@@ -157,11 +148,11 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     n = d.size
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            A_cl, B_cl = _closed_discrete(p, gains, Ts)
+            dss = zoh_discretize(ContinuousSS(*reduced_open_loop(p)), Ts)
+            cl = discrete_closed_loop(dss, gains)
     except (ValueError, OverflowError, np.linalg.LinAlgError):
-        return None
-    if not (np.all(np.isfinite(A_cl)) and np.all(np.isfinite(B_cl))):
-        return None
+        return None  # includes a non-finite transition (DiscreteSS rejects it)
+    A_cl, B_cl = cl.A_d, cl.B_d[:, 0]
     x0 = np.zeros(3) if x0 is None else np.asarray(x0, dtype=float)
     try:
         lam, V = np.linalg.eig(A_cl)

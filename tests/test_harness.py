@@ -283,6 +283,27 @@ class TestSettlingTime:
             assert harness._settling_time(t, err, 0.2) == self.brute_force(t, err, 0.2)
 
 
+def fall_on_call(monkeypatch, n):
+    """Make Plant.step raise on its n-th call; return the states it returned.
+
+    The tick loop steps the y plane first, so the odd calls (even list
+    indices) are the y plane and the even calls the mirror plane.
+    """
+    step = Plant.step
+    calls = []
+    returned = []
+
+    def step_then_fall(plant, x, u, dt):
+        calls.append(1)
+        if len(calls) == n:
+            raise PlantFellOverError(plant.t + dt, np.asarray(x))
+        returned.append(step(plant, x, u, dt))
+        return returned[-1]
+
+    monkeypatch.setattr(Plant, "step", step_then_fall)
+    return returned
+
+
 class TestAbortTruncation:
     # Plant.step raises on its 11th call. Both planes step once per tick,
     # so that is the y plane of tick 5, whose row was already logged.
@@ -291,16 +312,7 @@ class TestAbortTruncation:
 
     @pytest.fixture
     def falls_over(self, monkeypatch):
-        step = Plant.step
-        calls = []
-
-        def step_then_fall(plant, x, u, dt):
-            calls.append(1)
-            if len(calls) == self.FAIL_ON_CALL:
-                raise PlantFellOverError(plant.t + dt, np.asarray(x))
-            return step(plant, x, u, dt)
-
-        monkeypatch.setattr(Plant, "step", step_then_fall)
+        fall_on_call(monkeypatch, self.FAIL_ON_CALL)
 
     @pytest.mark.parametrize("runner", [run_balance, run_identify, run_lqr,
                                         run_track])
@@ -320,6 +332,67 @@ class TestAbortTruncation:
         data = lines[2:]
         assert len(data) == self.LOGGED_TICKS
         assert float(data[-1].split(",")[0]) == (self.LOGGED_TICKS - 1) * 0.005
+
+    # Call 11 fails on the y plane of tick 5; call 12 on the mirror plane of
+    # tick 5, after the y plane has already stepped. Either way ticks 0-4 are
+    # the completed ones, and their states are the logged rows 1-5.
+    @pytest.mark.parametrize("fail_on", [11, 12])
+    def test_balance_summary_covers_completed_ticks(self, monkeypatch, fail_on):
+        returned = fall_on_call(monkeypatch, fail_on)
+        res = run_balance(quiet_config(), duration=1.0)
+        tel, m = res.telemetry, res.summary["metrics"]
+        assert len(tel) == self.LOGGED_TICKS
+        assert m["final_theta_x_deg"] == returned[0::2][-1][1]
+        assert m["final_theta_y_deg"] == returned[1::2][-1][1] == tel[-1]["theta_y_deg"]
+        assert m["max_abs_theta_deg"] == max(np.max(np.abs(tel["theta_x_deg"][1:])),
+                                             np.max(np.abs(tel["theta_y_deg"][1:])))
+        assert m["balanced_after_10s"] is False
+
+    @pytest.mark.parametrize("fail_on", [11, 12])
+    def test_lqr_summary_reads_y_plane_at_abort(self, monkeypatch, fail_on):
+        returned = fall_on_call(monkeypatch, fail_on)
+        res = run_lqr(quiet_config(), duration=1.0)
+        m = res.summary["metrics"]
+        y_state = returned[0::2][-1]
+        if fail_on == 11:
+            assert np.array_equal(y_state, [res.telemetry[-1][c] for c in
+                                            ("y_cm", "theta_x_deg", "ydot_cms",
+                                             "thetadot_x_degs")])
+        assert m["final_y_cm"] == y_state[0]
+        assert m["final_theta_x_deg"] == y_state[1]
+        assert m["theta_settle_time_s"] is None
+
+    @pytest.mark.parametrize("fail_on", [11, 12])
+    def test_track_summary_covers_completed_ticks(self, monkeypatch, fail_on):
+        # noise on and a reference from t = 0 make every state differ from
+        # the next; the tight tilt-rate box makes some ticks violate it
+        cfg = load_config()
+        cfg["reference"]["t0"] = 0.0
+        cfg["mpc"]["thetadot_max"] = 1e-3
+        returned = fall_on_call(monkeypatch, fail_on)
+        res = run_track(cfg, duration=1.0)
+        tel, m = res.telemetry, res.summary["metrics"]
+        assert len(tel) == self.LOGGED_TICKS
+        after = tel[1:]          # tracking plane after ticks 0-4
+        during = tel[:-1]        # MPC input and reference of ticks 0-4
+        # final_y_cm is y after the last completed tick, so a mirror-plane
+        # abort leaves out the y step of the aborted tick
+        assert m["final_y_cm"] == after[-1]["y_cm"]
+        if fail_on == 11:
+            assert m["final_y_cm"] == returned[0::2][-1][0]
+        for key, col in (("max_abs_theta_deg", "theta_x_deg"),
+                         ("max_abs_ydot_cms", "ydot_cms"),
+                         ("max_abs_thetadot_degs", "thetadot_x_degs")):
+            assert m[key] == np.max(np.abs(after[col]))
+        assert m["max_abs_u_mpc_ticks"] == np.max(np.abs(during["u_mpc_raw_ticks"]))
+        violations = ((np.abs(after["theta_x_deg"]) > cfg["mpc"]["theta_max"])
+                      | (np.abs(after["ydot_cms"]) > cfg["mpc"]["ydot_max"])
+                      | (np.abs(after["thetadot_x_degs"]) > cfg["mpc"]["thetadot_max"])
+                      | (np.abs(during["u_mpc_raw_ticks"]) > cfg["mpc"]["u_max"]))
+        assert m["constraint_violation_count"] == np.count_nonzero(violations) > 0
+        cost = np.sum((after["y_cm"] - during["y_ref_cm"]) ** 2) * 0.005
+        assert m["tracking_cost"] == pytest.approx(cost, rel=1e-12, abs=0.0)
+        assert cost > 0.0
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from ballbot_lab.errors import PlantBlowUpError, StabilizabilityError
-from ballbot_lab.numerics import (ContinuousSS, biquad_step,
+from ballbot_lab.numerics import (ContinuousSS,
                                   design_butterworth2, eigenvalues,
                                   nrmse_fit, rk4_step, solve_dare,
                                   spectral_radius, zoh_discretize)
@@ -175,7 +175,7 @@ class TestButterworth:
 class TestBiquadStep:
     def test_zero_state_zero_input(self):
         f = design_butterworth2(1.0, 200.0)
-        assert biquad_step(f, 0.0) == 0.0
+        assert f.step(0.0) == 0.0
 
     def test_constant_input_converges_to_one(self):
         f = design_butterworth2(1.0, 200.0)

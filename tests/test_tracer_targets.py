@@ -4,13 +4,19 @@
 globals and class attributes (``harness.mix_to_wheels``, ``Plant.step``, ...).
 A refactor that drops or renames one of them would silently lose that layer's
 numbers, so this test resolves every target against the current ``src``.
-The tracer module is imported as it is, never modified.
+The tracer module is imported as it is, never modified. A second test
+counts the calls the experiments make through those names.
 """
 
 import importlib
 from pathlib import Path
 
 import pytest
+
+from ballbot_lab import harness
+from ballbot_lab.control import MpcController
+from ballbot_lab.numerics import Biquad
+from ballbot_lab.plant import Plant, Sensor
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -29,3 +35,60 @@ def test_every_target_resolves(tracer):
         if not callable(binding):
             missing.append(f"{owner}.{attr}")
     assert missing == []
+
+
+def test_tick_loop_calls_traced_names(tracer, monkeypatch):
+    """The experiments reach each traced name as often as the loop implies.
+
+    A name that still resolves but is no longer called through the patched
+    binding (pre-bound as a local, say) would read zero calls in the trace.
+    """
+    counted = [(harness, attr) for attr in (
+        "outer_reference", "pid_step", "p_step", "mix_to_wheels", "smooth_step",
+        "sample_sequence", "design_lqr", "build_predictor", "zoh_discretize")]
+    counted += [(MpcController, "mpc_step"), (Biquad, "step"), (Plant, "step"),
+                (Sensor, "measure")]
+    targets = {(tracer.resolve_owner(owner), attr)
+               for owner, attr, _layer in tracer.TARGETS}
+    assert set(counted) <= targets
+    names = [attr if owner is harness else f"{owner.__name__}.{attr}"
+             for owner, attr in counted]
+    calls = dict.fromkeys(names, 0)
+
+    def counter(name, fn):
+        def counted_call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted_call
+
+    for (owner, attr), name in zip(counted, names):
+        monkeypatch.setattr(owner, attr, counter(name, getattr(owner, attr)))
+
+    def run(fn, *args, **kwargs):
+        for name in calls:
+            calls[name] = 0
+        fn(*args, **kwargs)
+        return {name: n for name, n in calls.items() if n}
+
+    cfg = harness.load_config(overrides={"run": {"noise": False}})
+    ticks = 100                                  # 0.5 s at 5 ms
+    assert run(harness.run_balance, cfg, duration=0.5) == {
+        "outer_reference": 2 * ticks, "pid_step": 2 * ticks,
+        "mix_to_wheels": 1, "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
+    assert run(harness.run_lqr, cfg, duration=0.5) == {
+        "zoh_discretize": 1, "design_lqr": 1, "mix_to_wheels": 1,
+        "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
+    periods = ticks // 20                        # one MPC solve per 0.1 s
+    n_preview = cfg["mpc"]["N"] + 1
+    assert run(harness.run_track, cfg, duration=0.5) == {
+        "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1,
+        "MpcController.mpc_step": periods,
+        "smooth_step": periods * n_preview + ticks,
+        "Biquad.step": ticks, "mix_to_wheels": 1,
+        "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
+    alphas = (0.5, 1.0)
+    assert run(harness.over_excitation_sweep, cfg, alphas, duration=0.5) == {
+        "sample_sequence": len(alphas), "outer_reference": 2 * ticks * len(alphas),
+        "p_step": 2 * ticks * len(alphas), "mix_to_wheels": len(alphas),
+        "Plant.step": 2 * ticks * len(alphas),
+        "Sensor.measure": 2 * ticks * len(alphas)}
