@@ -27,11 +27,11 @@ from .control import (MpcConfig, MpcController, SmoothStepRef,
                       build_predictor, design_lqr, smooth_step)
 from .errors import ConfigError, MassMatrixSingularError, PlantFellOverError
 from .excitation import MultisineSpec, sample_sequence
-from .numerics import ContinuousSS, design_butterworth2, zoh_discretize
+from .numerics import design_butterworth2, zoh_discretize
 from .plant import (LinearParams, PhysicalParams, Plant, Sensor, SensorSpec,
                     build_linear_ss, linearize, mix_to_wheels)
-from .stabilizer import (FeedbackGains, PidState, closed_loop_matrices,
-                         outer_reference, p_step, pid_step)
+from .stabilizer import (FeedbackGains, PidState, outer_reference, p_step,
+                         pid_step)
 
 __all__ = [
     "DEFAULT_CONFIG", "load_config", "validate_config", "config_hash",
@@ -67,8 +67,8 @@ DEFAULT_CONFIG = {
         "KD": 50.0,
         # The plain-P identification loop is not stabilized by the balancing
         # k_thetadot on the reference model (the PID derivative term supplied
-        # that damping), so identification runs with this retuned value.
-        "k_thetadot_identification": 0.12,
+        # that damping), so identification runs with the retuned value.
+        "k_thetadot_identification": FeedbackGains.identification().k_thetadot,
         # Identification-loop velocity gain. At 1.0 the net velocity feedback
         # (k_ydot - 1) vanishes, which keeps the heavily quantized trackball
         # velocity out of the loop; the measured channel is still logged and
@@ -456,11 +456,17 @@ def run_balance(cfg, duration=None) -> RunResult:
     # the larger tilt of the two planes after each completed tick
     tilt = np.maximum(np.abs(_after_steps(tel, 0, states[0], abort)[:, 1]),
                       np.abs(_after_steps(tel, 1, states[1], abort)[:, 1]))
+    # |theta| < 0.1 deg after every tick that starts after 10 s
+    late = tel["t_s"] > 10.0
+    if abort is not None:
+        held = False
+    elif late.any():
+        held = not np.any(tilt[late] >= 0.1)
+    else:
+        held = None  # a run of 10 s or less has no tick to check
     summary = _base_summary(cfg, "balance", duration, abort)
     summary["metrics"] = {
-        # |theta| < 0.1 deg after every tick that starts after 10 s
-        "balanced_after_10s": bool(abort is None
-                                   and not np.any(tilt[tel["t_s"] > 10.0] >= 0.1)),
+        "balanced_after_10s": held,
         "max_abs_theta_deg": float(np.max(tilt, initial=0.0)),
         "final_theta_x_deg": float(states[0][1]),
         "final_theta_y_deg": float(states[1][1]),
@@ -499,7 +505,7 @@ def _identification_loop(cfg, duration):
 
 
 def run_identify(cfg, duration=None) -> RunResult:
-    """Excite the P-only loop, then fit, extract, augment, and validate."""
+    """Excite the P-only loop, fit the model constants, and validate them."""
     Ts = cfg["run"]["Ts_inner"]
     duration = duration or cfg["run"]["durations"]["identify"]
     tel, _, abort, exc_seq = _identification_loop(cfg, duration)
@@ -534,13 +540,7 @@ def run_identify(cfg, duration=None) -> RunResult:
     result = sysid.identify(fit_ds, gains, id_cfg)
     result.fit_rates = sysid.validate(result.p_hat, holdout, gains)
 
-    # recover the open loop from the fitted closed loop, then re-attach the
-    # position integrator: the round trip back to p_hat is the consistency
-    # check of the composition algebra
-    lp_hat = result.linear_params(r=truth.r)
-    _, _, A_cl_r, B_cl_r = closed_loop_matrices(lp_hat, gains)
-    A_r, B_r = sysid.extract_open_loop(A_cl_r, B_cl_r, gains)
-    full = sysid.augment_position(ContinuousSS(A_r, B_r))
+    full = build_linear_ss(result.linear_params(r=truth.r))
 
     truth_p = truth.as_array()
     with np.errstate(divide="ignore", invalid="ignore"):

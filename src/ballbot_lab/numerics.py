@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StabilizabilityError
+from .errors import PlantBlowUpError, StabilizabilityError
 
 __all__ = [
     "ContinuousSS",
@@ -320,15 +320,11 @@ def rk4_step(f, x, u, dt: float):
     x = np.asarray(x, dtype=float)
     k1 = np.asarray(f(x, u), dtype=float)
     if not np.all(np.isfinite(k1)):
-        from .errors import PlantBlowUpError
-
         raise PlantBlowUpError(x)
     k2 = np.asarray(f(x + 0.5 * dt * k1, u), dtype=float)
     k3 = np.asarray(f(x + 0.5 * dt * k2, u), dtype=float)
     k4 = np.asarray(f(x + dt * k3, u), dtype=float)
     out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     if not np.all(np.isfinite(out)):
-        from .errors import PlantBlowUpError
-
         raise PlantBlowUpError(out)
     return out

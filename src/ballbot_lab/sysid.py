@@ -5,8 +5,9 @@ driven by the external excitation d. Fitting therefore simulates the
 parameterized CLOSED loop from d alone (output-error on the closed loop;
 the measured states never re-enter the simulation), which keeps the
 estimate unbiased because d is uncorrelated with the measurement noise.
-The open-loop model is recovered afterwards by inverting the composition
-algebraically, and the position integrator is re-attached last.
+The fitted constants parameterize the open loop directly; the algebraic
+inverse of the composition (``extract_open_loop``, ``augment_position``)
+recovers the same open loop from closed-loop matrices.
 
 The candidate closed loop is composed at the discrete level, A_d + kp B_d F,
 matching the digital controller that actually ran: the controller holds its
@@ -20,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.blas import ztbsv
 
 from .errors import IdentificationFailedError
 from .numerics import ContinuousSS, nrmse_fit, zoh_discretize
@@ -139,10 +140,12 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     that to infinite cost rather than raising). The linear recursion is
     evaluated in modal coordinates: with A_cl = V diag(lam) V^-1, each mode
     z_i = (V^-1 x)_i obeys z_i[0] = c0_i and z_i[k] = lam_i z_i[k-1] +
-    w_i d[k-1], where c0 = V^-1 x0 and w = V^-1 B_cl. That is one first-order
-    filter per mode, run over the input [c0_i, w_i d[0], ..., w_i d[N-2]],
-    so the free and the forced response come from the same pass. A defective
-    transition matrix (ill-conditioned V) falls back to the literal recursion.
+    w_i d[k-1], where c0 = V^-1 x0 and w = V^-1 B_cl. Stacked over k, that
+    is one unit lower-bidiagonal system per mode, with -lam_i below the
+    diagonal and right-hand side [c0_i, w_i d[0], ..., w_i d[N-2]], so the
+    free and the forced response come from the same forward solve (BLAS
+    ztbsv, in place). A defective transition matrix (ill-conditioned V)
+    falls back to the literal recursion.
     """
     d = np.asarray(d, dtype=float)
     n = d.size
@@ -166,8 +169,13 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     Z = np.empty((3, n), dtype=complex)
     Z[:, 0] = np.linalg.solve(V, x0.astype(complex))
     np.outer(np.linalg.solve(V, B_cl.astype(complex)), d[:-1], out=Z[:, 1:])
+    # LAPACK band storage: row 0 the unit diagonal, row 1 the sub-diagonal.
+    # Fortran order, or f2py copies the band on every call; Z[i] is a
+    # contiguous complex row, so the solve overwrites it in place.
+    band = np.ones((2, n), dtype=complex, order="F")
     for i in range(3):
-        Z[i] = lfilter([1.0], [1.0, -lam[i]], Z[i])
+        band[1] = -lam[i]
+        ztbsv(1, band, Z[i], lower=1, diag=1, overwrite_x=1)
     out = (V @ Z).real.T
     if not np.all(np.isfinite(out)):
         return None
@@ -358,9 +366,15 @@ def augment_position(reduced: ContinuousSS) -> ContinuousSS:
 
 
 def validate(p_hat, holdout: IdDataset, gains: FeedbackGains) -> dict:
-    """Fit rates (percent) of the candidate model on held-out data."""
+    """Fit rates (percent) of the candidate model on held-out data.
+
+    A channel whose held-out measurement is constant (a short run in which
+    the quantized trackball never ticks) has no fit rate: None.
+    """
     meas = holdout.measured_matrix()
     pred = simulate_syscl(p_hat, gains, holdout.d, holdout.Ts, x0=meas[0])
     if pred is None:
         raise IdentificationFailedError("candidate diverges on the holdout data")
-    return {name: nrmse_fit(meas[:, i], pred[:, i]) for i, name in enumerate(_CHANNELS)}
+    return {name: None if np.all(meas[:, i] == meas[0, i])
+            else nrmse_fit(meas[:, i], pred[:, i])
+            for i, name in enumerate(_CHANNELS)}

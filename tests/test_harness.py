@@ -85,6 +85,13 @@ class TestBalance:
         assert res.summary["metrics"]["balanced_after_10s"]
         assert abs(res.summary["metrics"]["final_theta_x_deg"]) < 1e-4
 
+    def test_run_without_a_tick_after_ten_seconds_is_not_judged(self):
+        # 2 s from 2 deg: no tick starts after 10 s, so there is nothing
+        # to check, which is neither a pass nor a fail
+        res = run_balance(quiet_config(theta0_deg=2.0), duration=2.0)
+        assert not res.summary["aborted"]
+        assert res.summary["metrics"]["balanced_after_10s"] is None
+
     def test_beyond_envelope_aborts(self):
         # the linear loop recovers from any sub-envelope tilt, so the abort
         # path is exercised from beyond the envelope

@@ -98,6 +98,57 @@ class TestSimulateSyscl:
         assert np.max(np.abs(lit - fast)) < 1e-9
 
 
+def _closed_loop(p, Ts=0.005):
+    A, B = reduced_open_loop(p)
+    return discrete_closed_loop(zoh_discretize(ContinuousSS(A, B), Ts), GAINS)
+
+
+def _assert_matches_literal(p, d, x0, rel=1e-12):
+    """simulate_syscl against the literal recursion, relative to its peak."""
+    cl = _closed_loop(p)
+    lit = simulate_discrete(cl.A_d, cl.B_d, x0, d)
+    fast = simulate_syscl(p, GAINS, d, 0.005, x0=x0)
+    assert fast.shape == lit.shape
+    assert np.max(np.abs(lit - fast)) <= rel * np.max(np.abs(lit))
+
+
+class TestModalKernelEdges:
+    """Each mode is its own forward solve; nothing may leak between them."""
+
+    X0 = np.array([0.02, -1.5, 0.3])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("tilt_stiffness", [TRUTH[3], 100.0],
+                             ids=["complex-pair", "all-real"])
+    def test_one_and_two_sample_records(self, n, tilt_stiffness):
+        p = TRUTH.copy()
+        p[3] = tilt_stiffness
+        _assert_matches_literal(p, np.array([0.7, -0.4])[:n], self.X0)
+
+    @pytest.mark.parametrize("tilt_stiffness", [TRUTH[3], 100.0],
+                             ids=["complex-pair", "all-real"])
+    def test_free_response_of_all_three_modes(self, tilt_stiffness):
+        # d = 0, so every sample comes from x0; x0 excites every mode and
+        # the slow ones are still well away from zero at the end of the
+        # record, so a recursion that ran on from one mode's last sample
+        # into the next mode's first would show
+        p = TRUTH.copy()
+        p[3] = tilt_stiffness
+        lam, V = np.linalg.eig(_closed_loop(p).A_d)
+        assert np.all(np.abs(np.linalg.solve(V, self.X0)) > 1e-3)
+        n = 200
+        assert np.all(np.abs(lam[np.abs(lam) > 0.9]) ** n > 5e-3)
+        _assert_matches_literal(p, np.zeros(n), self.X0)
+
+    def test_growing_mode_below_the_divergence_guard(self):
+        p = TRUTH.copy()
+        p[3] = 200.0
+        mags = np.abs(np.linalg.eigvals(_closed_loop(p).A_d))
+        assert 1.0 < mags.max() <= 1.05
+        d = np.random.default_rng(5).normal(size=300)
+        _assert_matches_literal(p, d, self.X0)
+
+
 class TestPeCost:
     def test_zero_at_truth_noiseless(self):
         ds = make_dataset(duration=10.0)
@@ -239,3 +290,10 @@ class TestValidate:
         ds = make_dataset(duration=10.0)
         fits = validate(TRUTH * 1.2, ds, GAINS)
         assert all(v < 100.0 for v in fits.values())
+
+    def test_constant_holdout_channel_has_no_fit_rate(self):
+        ds = make_dataset(duration=10.0)
+        ds.ydot = np.zeros(len(ds))
+        fits = validate(TRUTH, ds, GAINS)
+        assert fits["ydot"] is None
+        assert_allclose([fits["theta"], fits["thetadot"]], 100.0, atol=1e-6)
