@@ -149,14 +149,11 @@ def smooth_step(ref: SmoothStepRef, t: float) -> np.ndarray:
     return np.array([y, 0.0, 0.0, 0.0])
 
 
-def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
-    """Stack the finite-horizon tracking problem into a box-constrained QP.
+def _qp_vectors(pred: DualModePredictor, cfg: MpcConfig, x0, ref):
+    """q, l, u of the tracking QP for one (x0, ref); P and A do not depend on them.
 
-    Decision vector z = (x_1..x_N, u_0..u_{N-1}). The lifted dynamics are
-    equality rows (l = u); tilt, speed, and tilt rate are boxed on every
-    predicted state (position is unconstrained); the correction input is
-    boxed on every step. The cost penalizes deviations e_k = x_k - ref_k
-    under Q (terminal Q_N) plus R u^2.
+    The first n equality rows carry A_bar x0; the later dynamics rows are
+    zero; the tilt, speed and tilt-rate boxes come next, then the input box.
     """
     x0 = np.asarray(x0, dtype=float)
     ref = np.asarray(ref, dtype=float)
@@ -166,44 +163,49 @@ def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
         raise ValueError(f"reference must be ({N + 1}, {n}), got {ref.shape}")
     if x0.shape != (n,):
         raise ValueError(f"x0 must have {n} entries")
-    nz = N * n + N
-    P = np.zeros((nz, nz))
-    q = np.zeros(nz)
+    q = np.zeros(N * n + N)
     for k in range(1, N + 1):
         Wk = cfg.Q_N if k == N else cfg.Q
+        q[(k - 1) * n:k * n] = -2.0 * (Wk @ ref[k])
+    boxes = np.concatenate([np.tile([cfg.theta_max, cfg.ydot_max, cfg.thetadot_max], N),
+                            np.full(N, cfg.u_max)])
+    rhs = np.zeros(N * n)
+    rhs[:n] = pred.A_bar @ x0
+    return q, np.concatenate([rhs, -boxes]), np.concatenate([rhs, boxes])
+
+
+def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
+    """Stack the finite-horizon tracking problem into a box-constrained QP.
+
+    Decision vector z = (x_1..x_N, u_0..u_{N-1}). The lifted dynamics are
+    equality rows (l = u); tilt, speed, and tilt rate are boxed on every
+    predicted state (position is unconstrained); the correction input is
+    boxed on every step. The cost penalizes deviations e_k = x_k - ref_k
+    under Q (terminal Q_N) plus R u^2.
+    """
+    q, l, u = _qp_vectors(pred, cfg, x0, ref)
+    n = pred.n_states
+    N = cfg.N
+    nz = N * n + N
+    P = np.zeros((nz, nz))
+    for k in range(1, N + 1):
         sl = slice((k - 1) * n, k * n)
-        P[sl, sl] = 2.0 * Wk
-        q[sl] = -2.0 * (Wk @ ref[k])
+        P[sl, sl] = 2.0 * (cfg.Q_N if k == N else cfg.Q)
     for k in range(N):
         j = N * n + k
         P[j, j] = 2.0 * cfg.R
 
     m_eq = N * n
-    m_ineq = 4 * N  # 3 state boxes + 1 input box per step
-    A = np.zeros((m_eq + m_ineq, nz))
-    l = np.zeros(m_eq + m_ineq)
-    u = np.zeros(m_eq + m_ineq)
+    A = np.zeros((m_eq + 4 * N, nz))  # 3 state boxes + 1 input box per step
     for k in range(N):
         rows = slice(k * n, (k + 1) * n)
         A[rows, k * n:(k + 1) * n] = np.eye(n)
         if k > 0:
             A[rows, (k - 1) * n:k * n] = -pred.A_bar
         A[rows, N * n + k] = -pred.B_bar[:, 0]
-        rhs = pred.A_bar @ x0 if k == 0 else np.zeros(n)
-        l[rows] = rhs
-        u[rows] = rhs
-    box_vals = np.array([cfg.theta_max, cfg.ydot_max, cfg.thetadot_max])
-    for k in range(N):
-        base = m_eq + 3 * k
-        for i, state_idx in enumerate((1, 2, 3)):
-            A[base + i, k * n + state_idx] = 1.0
-            l[base + i] = -box_vals[i]
-            u[base + i] = box_vals[i]
-    for k in range(N):
-        row = m_eq + 3 * N + k
-        A[row, N * n + k] = 1.0
-        l[row] = -cfg.u_max
-        u[row] = cfg.u_max
+        for i in range(3):  # theta, ydot, thetadot of x_{k+1}
+            A[m_eq + 3 * k + i, k * n + 1 + i] = 1.0
+        A[m_eq + 3 * N + k, N * n + k] = 1.0
     return QpProblem(P=P, q=q, A=A, l=l, u=u)
 
 
@@ -211,13 +213,13 @@ class MpcController:
     """Receding-horizon controller around one reusable QP workspace.
 
     The QP's quadratic term and constraint matrix never change between
-    steps, so one QpSolver is set up lazily and only q, l, u are refreshed.
-    Each solve starts cold: interior-point iterates gain little from a
-    warm start, and a cold start keeps every solve independent of the last.
-    Solver hiccups are absorbed: hitting the iteration cap returns the last
-    iterate with a degraded flag, and a certified-infeasible problem falls
-    back to zero correction (the inner regulator alone keeps the robot
-    balanced) while the event is logged.
+    steps, so one QpSolver is set up at construction and each step only
+    refreshes q, l, u. Each solve starts cold: interior-point iterates gain
+    little from a warm start, and a cold start keeps every solve independent
+    of the last. Solver hiccups are absorbed: hitting the iteration cap
+    returns the last iterate with a degraded flag, and a certified-infeasible
+    problem falls back to zero correction (the inner regulator alone keeps
+    the robot balanced) while the event is logged.
     """
 
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,
@@ -225,41 +227,17 @@ class MpcController:
         self.pred = pred
         self.cfg = cfg
         self.settings = settings or QpSettings()
-        self._solver = None
+        zero_ref = np.zeros((cfg.N + 1, pred.n_states))
+        self._solver = QpSolver(build_qp(pred, cfg, np.zeros(pred.n_states), zero_ref),
+                                self.settings)
         self.infeasible_events = 0
         self.degraded_events = 0
         self.last_solution: QpSolution = None
 
-    def reset(self):
-        self.infeasible_events = 0
-        self.degraded_events = 0
-        self.last_solution = None
-
-    def _vectors(self, x0, ref):
-        """q, l, u for a new (x0, ref); P and A never change between steps."""
-        n, N = self.pred.n_states, self.cfg.N
-        q = np.zeros(N * n + N)
-        for k in range(1, N + 1):
-            Wk = self.cfg.Q_N if k == N else self.cfg.Q
-            q[(k - 1) * n:k * n] = -2.0 * (Wk @ ref[k])
-        l = self._box_l.copy()
-        u = self._box_u.copy()
-        rhs = self.pred.A_bar @ np.asarray(x0, dtype=float)
-        l[:n] = rhs
-        u[:n] = rhs
-        return q, l, u
-
     def mpc_step(self, x0, ref) -> tuple:
         """Solve for the horizon and return (u_mpc, info dict)."""
-        if self._solver is None:
-            prob = build_qp(self.pred, self.cfg, x0, ref)
-            self._box_l = prob.l.copy()
-            self._box_u = prob.u.copy()
-            self._solver = QpSolver(prob, self.settings)
-        else:
-            ref = np.asarray(ref, dtype=float)
-            q, l, u = self._vectors(x0, ref)
-            self._solver.update_vectors(q=q, l=l, u=u)
+        q, l, u = _qp_vectors(self.pred, self.cfg, x0, ref)
+        self._solver.update_vectors(q=q, l=l, u=u)
         sol = self._solver.solve()
         self.last_solution = sol
         info = {"status": sol.status, "iterations": sol.iterations,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -247,10 +247,9 @@ def _balance_gains(cfg) -> FeedbackGains:
 
 
 def _identification_gains(cfg) -> FeedbackGains:
-    g = _balance_gains(cfg)
-    g.k_thetadot = cfg["gains"]["k_thetadot_identification"]
-    g.k_ydot = cfg["gains"]["k_ydot_identification"]
-    return g
+    return replace(_balance_gains(cfg),
+                   k_thetadot=cfg["gains"]["k_thetadot_identification"],
+                   k_ydot=cfg["gains"]["k_ydot_identification"])
 
 
 def _sensor_spec(cfg) -> SensorSpec:
@@ -378,11 +377,13 @@ def _simulate(planes, states, n_ticks: int, Ts: float, control):
     the two planar commands (it may write its own columns into the tick's
     telemetry ``row``), logs each plane's state, measurement and command,
     and steps both plants, the tracking plane first. ``states`` holds the
-    two initial states and is updated in place to the last states reached.
+    two initial states and is updated in place to the states after the last
+    completed tick (the initial states when the first tick aborts).
 
     Returns the telemetry, cut to the logged ticks and with the wheel
     commands mixed in, and the PlantFellOverError that ended the run or
-    None. An abort leaves its tick logged but not completed.
+    None. An abort leaves its tick logged but not completed: a tracking-plane
+    step taken before the mirror plane fell is dropped.
     """
     tel = np.zeros(n_ticks, dtype=TELEMETRY_DTYPE)
     buf = tel.view(np.float64).reshape(n_ticks, len(TELEMETRY_COLUMNS))
@@ -407,6 +408,7 @@ def _simulate(planes, states, n_ticks: int, Ts: float, control):
             x1 = plant1.step(x1, u1, Ts)
     except PlantFellOverError as exc:
         n_logged, abort = k + 1, exc
+        x0, x1 = row[s0:s0 + 4].copy(), row[s1:s1 + 4].copy()
     states[:] = x0, x1
     buf = buf[:n_logged]
     buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
@@ -418,10 +420,8 @@ def _after_steps(tel, plane, final, abort):
     """One plane's state after each completed tick, one row per tick.
 
     The logged states followed by ``final`` trace the whole run; dropping
-    the initial state leaves the state after each tick. An aborted tick is
-    not completed, so there ``final`` is left out: it is either the last
-    logged state or, when the mirror plane fell, a tracking-plane step of
-    the aborted tick.
+    the initial state leaves the state after each tick. After an abort
+    ``final`` is the last logged state already, so it is not appended again.
     """
     col = _STATE[plane]
     logged = tel.view(np.float64).reshape(len(tel), len(TELEMETRY_COLUMNS))
@@ -520,8 +520,7 @@ def run_identify(cfg, duration=None) -> RunResult:
     dataset = sysid.IdDataset(Ts=Ts, d=logged("d_cms"),
                               theta=logged("theta_x_meas_deg"),
                               ydot=logged("ydot_meas_cms"),
-                              thetadot=logged("thetadot_x_meas_degs"),
-                              y=logged("y_meas_cm"))
+                              thetadot=logged("thetadot_x_meas_degs"))
     fit_ds, holdout = dataset.split_halves()
     truth = _model_for_design(cfg, None)
     id_sec = cfg["id"]
@@ -570,8 +569,7 @@ def run_identify(cfg, duration=None) -> RunResult:
         "diagnostics": result.diagnostics,
     }
     return RunResult("identify", tel, summary,
-                     extra={"model": model_doc, "id_result": result,
-                            "dataset": dataset})
+                     extra={"model": model_doc, "id_result": result})
 
 
 def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:

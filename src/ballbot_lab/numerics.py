@@ -42,15 +42,10 @@ def _as_matrix(M, name):
 
 @dataclass
 class ContinuousSS:
-    """Continuous-time state space dx/dt = A x + B u, y = C x + D u.
-
-    C defaults to the identity and D to zero: every state is measured.
-    """
+    """Continuous-time state space dx/dt = A x + B u; every state is measured."""
 
     A: np.ndarray
     B: np.ndarray
-    C: np.ndarray = None
-    D: np.ndarray = None
 
     def __post_init__(self):
         self.A = _as_matrix(self.A, "A")
@@ -60,14 +55,6 @@ class ContinuousSS:
             raise ValueError("A must be square")
         if self.B.shape[0] != n:
             raise ValueError("B row count must match A")
-        if self.C is None:
-            self.C = np.eye(n)
-        if self.D is None:
-            self.D = np.zeros((self.C.shape[0], self.B.shape[1]))
-        self.C = _as_matrix(self.C, "C")
-        self.D = _as_matrix(self.D, "D")
-        if self.C.shape[1] != n or self.D.shape != (self.C.shape[0], self.B.shape[1]):
-            raise ValueError("C/D dimensions inconsistent with A/B")
 
     @property
     def n_states(self):
@@ -85,8 +72,6 @@ class DiscreteSS:
     A_d: np.ndarray
     B_d: np.ndarray
     Ts: float
-    C_d: np.ndarray = None
-    D_d: np.ndarray = None
 
     def __post_init__(self):
         self.A_d = _as_matrix(self.A_d, "A_d")
@@ -96,10 +81,6 @@ class DiscreteSS:
         n = self.A_d.shape[0]
         if self.A_d.shape[1] != n or self.B_d.shape[0] != n:
             raise ValueError("A_d/B_d dimensions inconsistent")
-        if self.C_d is None:
-            self.C_d = np.eye(n)
-        if self.D_d is None:
-            self.D_d = np.zeros((self.C_d.shape[0], self.B_d.shape[1]))
 
     @property
     def n_states(self):
@@ -152,7 +133,7 @@ def zoh_discretize(sys: ContinuousSS, Ts: float) -> DiscreteSS:
     aug[:n, :n] = sys.A
     aug[:n, n:] = sys.B
     E = expm(aug * Ts)
-    return DiscreteSS(E[:n, :n], E[:n, n:], Ts, sys.C.copy(), sys.D.copy())
+    return DiscreteSS(E[:n, :n], E[:n, n:], Ts)
 
 
 def solve_dare(A_d, B_d, Q, R, tol=1e-10, max_iter=100):

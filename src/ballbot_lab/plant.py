@@ -339,6 +339,3 @@ class Plant:
         if abs(xn[1]) >= TILT_ENVELOPE_DEG:
             raise PlantFellOverError(self.t, xn)
         return xn
-
-    def reset_time(self):
-        self.t = 0.0

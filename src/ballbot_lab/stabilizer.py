@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import ContinuousSS, DiscreteSS
+from .numerics import DiscreteSS
 from .plant import LinearParams, build_linear_ss
 
 __all__ = [
     "FeedbackGains", "PidState",
     "outer_reference", "pid_step", "p_step",
-    "feedback_row", "closed_loop_matrices", "reduced_closed_loop",
+    "feedback_row", "closed_loop", "closed_loop_matrices",
     "discrete_closed_loop",
 ]
 
@@ -59,10 +59,6 @@ class PidState:
     e_y_accum: float = field(default=0.0)
     e_ydot_prev: float = field(default=0.0)
 
-    def reset(self):
-        self.e_y_accum = 0.0
-        self.e_ydot_prev = 0.0
-
 
 def outer_reference(gains: FeedbackGains, x) -> float:
     """Reference ball speed from weighted state feedback (cm/s)."""
@@ -89,51 +85,46 @@ def p_step(kp: float, e_ydot: float) -> float:
     return kp * e_ydot
 
 
-def feedback_row(gains: FeedbackGains) -> np.ndarray:
+def feedback_row(gains: FeedbackGains, n_states: int = 4) -> np.ndarray:
     """Net state-to-speed-error row F = [0, k_theta, k_ydot - 1, k_thetadot].
 
     The -1 comes from the speed error e = ydot_ref - ydot; the leading zero
-    reflects k_y = 0 (position does not enter the balance loop).
+    reflects k_y = 0 (position does not enter the balance loop), so the
+    3-state (theta, ydot, thetadot) row simply drops it.
     """
-    return np.array([0.0, gains.k_theta, gains.k_ydot - 1.0, gains.k_thetadot])
+    F = np.array([0.0, gains.k_theta, gains.k_ydot - 1.0, gains.k_thetadot])
+    if n_states == 3:
+        return F[1:]
+    if n_states != 4:
+        raise ValueError("expected a 3- or 4-state system")
+    return F
+
+
+def closed_loop(A, B, gains: FeedbackGains):
+    """Plant + outer feedback + inner P gain: (A + kp B F, kp B).
+
+    The excitation enters the speed-error summation, so it is scaled by kp
+    like the feedback. The same algebra closes the continuous loop and the
+    sampled one: the digital controller holds u = kp (F x_k + d_k) over each
+    period, so closing (A_d, B_d) gives the realized transition. A 3-state
+    system (position dropped) takes the 3-state feedback row.
+    """
+    F = feedback_row(gains, A.shape[0])
+    return A + gains.kp * np.outer(B[:, 0], F), gains.kp * B
 
 
 def closed_loop_matrices(lp: LinearParams, gains: FeedbackGains):
-    """Continuous closed loop of plant + outer feedback + inner P gain.
+    """Continuous closed loop of the planar model, full and without position.
 
-    Returns (A_cl, B_cl, A_cl_reduced, B_cl_reduced) with
-    A_cl = A + B kp F and B_cl = B kp, where the external excitation enters
-    the speed-error summation. The reduced variant drops the position state,
-    which is valid because the first column of A and the first entry of F
+    Returns (A_cl, B_cl, A_cl_reduced, B_cl_reduced); dropping the position
+    state is valid because the first column of A and the first entry of F
     are both zero.
     """
     ss = build_linear_ss(lp)
-    F = feedback_row(gains)
-    A_cl = ss.A + gains.kp * np.outer(ss.B[:, 0], F)
-    B_cl = gains.kp * ss.B.copy()
-    keep = np.ix_([1, 2, 3], [1, 2, 3])
-    return A_cl, B_cl, A_cl[keep], B_cl[[1, 2, 3], :]
-
-
-def reduced_closed_loop(lp: LinearParams, gains: FeedbackGains) -> ContinuousSS:
-    """Three-state closed loop (theta, ydot, thetadot) driven by the excitation."""
-    _, _, A_r, B_r = closed_loop_matrices(lp, gains)
-    return ContinuousSS(A_r, B_r)
+    A_cl, B_cl = closed_loop(ss.A, ss.B, gains)
+    return A_cl, B_cl, A_cl[1:, 1:], B_cl[1:]
 
 
 def discrete_closed_loop(dss: DiscreteSS, gains: FeedbackGains) -> DiscreteSS:
-    """Discrete-level loop composition, matching the executed sampled loop.
-
-    The digital controller holds u = kp (F x_k + d_k) over each period, so
-    the realized transition is A_d + kp B_d F with input matrix kp B_d. For
-    a 3-state DiscreteSS the reduced feedback row is used.
-    """
-    n = dss.n_states
-    F = feedback_row(gains)
-    if n == 3:
-        F = F[1:]
-    elif n != 4:
-        raise ValueError("expected a 3- or 4-state system")
-    A = dss.A_d + gains.kp * np.outer(dss.B_d[:, 0], F)
-    B = gains.kp * dss.B_d.copy()
-    return DiscreteSS(A, B, dss.Ts)
+    """The sampled closed loop of a 3- or 4-state discrete model."""
+    return DiscreteSS(*closed_loop(dss.A_d, dss.B_d, gains), dss.Ts)

@@ -5,14 +5,15 @@ driven by the external excitation d. Fitting therefore simulates the
 parameterized CLOSED loop from d alone (output-error on the closed loop;
 the measured states never re-enter the simulation), which keeps the
 estimate unbiased because d is uncorrelated with the measurement noise.
-The fitted constants parameterize the open loop directly; the algebraic
-inverse of the composition (``extract_open_loop``, ``augment_position``)
-recovers the same open loop from closed-loop matrices.
+The fitted constants parameterize the open loop directly (the planar model
+of ``plant.build_linear_ss`` without its position state); the algebraic
+inverse of the composition (``extract_open_loop``) recovers the same open
+loop from closed-loop matrices.
 
-The candidate closed loop is composed at the discrete level, A_d + kp B_d F,
-matching the digital controller that actually ran: the controller holds its
-output over each sample period, so discretize-then-close is the exact model
-class of the recorded experiment.
+The candidate closed loop is composed at the discrete level, A_d + kp B_d F
+(``stabilizer.closed_loop``), matching the digital controller that actually
+ran: the controller holds its output over each sample period, so
+discretize-then-close is the exact model class of the recorded experiment.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ from scipy.linalg.blas import ztbsv
 
 from .errors import IdentificationFailedError
 from .numerics import ContinuousSS, nrmse_fit, zoh_discretize
-from .plant import LinearParams
+from .plant import LinearParams, build_linear_ss
 from .stabilizer import FeedbackGains, discrete_closed_loop, feedback_row
 
 __all__ = [
     "IdDataset", "IdConfig", "IdResult",
-    "reduced_open_loop", "simulate_syscl", "pe_cost", "identify",
-    "extract_open_loop", "augment_position", "validate",
+    "simulate_syscl", "pe_cost", "identify", "extract_open_loop", "validate",
 ]
 
 _CHANNELS = ("theta", "ydot", "thetadot")
@@ -46,7 +46,6 @@ class IdDataset:
     theta: np.ndarray
     ydot: np.ndarray
     thetadot: np.ndarray
-    y: np.ndarray = None  # optional; not used by the fit
 
     def __post_init__(self):
         self.d = np.asarray(self.d, dtype=float)
@@ -71,7 +70,6 @@ class IdDataset:
         return IdDataset(
             Ts=self.Ts, d=self.d[a:b], theta=self.theta[a:b],
             ydot=self.ydot[a:b], thetadot=self.thetadot[a:b],
-            y=None if self.y is None else np.asarray(self.y)[a:b],
         )
 
     def measured_matrix(self) -> np.ndarray:
@@ -121,18 +119,6 @@ class IdResult:
         return LinearParams.from_array(self.p_hat, r=r)
 
 
-def reduced_open_loop(p):
-    """Three-state open loop (theta, ydot, thetadot) for a parameter vector."""
-    p = np.asarray(p, dtype=float)
-    A = np.array([
-        [0.0, 0.0, 1.0],
-        [p[0], p[1], p[6]],
-        [p[3], p[4], p[7]],
-    ])
-    B = np.array([[0.0], [p[2]], [p[5]]])
-    return A, B
-
-
 def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     """Predicted (theta, ydot, thetadot) of the closed loop driven by d.
 
@@ -151,7 +137,9 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     n = d.size
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            dss = zoh_discretize(ContinuousSS(*reduced_open_loop(p)), Ts)
+            # the planar model without its position state
+            full = build_linear_ss(LinearParams.from_array(p))
+            dss = zoh_discretize(ContinuousSS(full.A[1:, 1:], full.B[1:]), Ts)
             cl = discrete_closed_loop(dss, gains)
     except (ValueError, OverflowError, np.linalg.LinAlgError):
         return None  # includes a non-finite transition (DiscreteSS rejects it)
@@ -340,29 +328,9 @@ def extract_open_loop(A_cl, B_cl, gains: FeedbackGains):
         raise ValueError("kp = 0: loop composition not invertible")
     A_cl = np.asarray(A_cl, dtype=float)
     B_cl = np.asarray(B_cl, dtype=float).reshape(A_cl.shape[0], -1)
-    F = feedback_row(gains)
-    if A_cl.shape[0] == 3:
-        F = F[1:]
-    elif A_cl.shape[0] != 4:
-        raise ValueError("expected a 3- or 4-state closed loop")
-    A = A_cl - B_cl @ F.reshape(1, -1)
+    A = A_cl - B_cl @ feedback_row(gains, A_cl.shape[0]).reshape(1, -1)
     B = B_cl / gains.kp
     return A, B
-
-
-def augment_position(reduced: ContinuousSS) -> ContinuousSS:
-    """Re-attach the position integrator to a (theta, ydot, thetadot) model.
-
-    Position is the integral of the second reduced state; the new first
-    column is zero, so the added eigenvalue is exactly zero.
-    """
-    if reduced.n_states != 3:
-        raise ValueError("expected the reduced 3-state system")
-    A = np.zeros((4, 4))
-    A[0, 2] = 1.0
-    A[1:, 1:] = reduced.A
-    B = np.vstack([np.zeros((1, reduced.n_inputs)), reduced.B])
-    return ContinuousSS(A, B)
 
 
 def validate(p_hat, holdout: IdDataset, gains: FeedbackGains) -> dict:

@@ -342,15 +342,17 @@ class TestAbortTruncation:
 
     # Call 11 fails on the y plane of tick 5; call 12 on the mirror plane of
     # tick 5, after the y plane has already stepped. Either way ticks 0-4 are
-    # the completed ones, and their states are the logged rows 1-5.
+    # the completed ones, their states are the logged rows 1-5, and every
+    # final state is the state after tick 4 (returned[0::2][4] for the y
+    # plane): the y step of the aborted tick is not part of the run.
     @pytest.mark.parametrize("fail_on", [11, 12])
     def test_balance_summary_covers_completed_ticks(self, monkeypatch, fail_on):
         returned = fall_on_call(monkeypatch, fail_on)
         res = run_balance(quiet_config(), duration=1.0)
         tel, m = res.telemetry, res.summary["metrics"]
         assert len(tel) == self.LOGGED_TICKS
-        assert m["final_theta_x_deg"] == returned[0::2][-1][1]
-        assert m["final_theta_y_deg"] == returned[1::2][-1][1] == tel[-1]["theta_y_deg"]
+        assert m["final_theta_x_deg"] == returned[0::2][4][1] == tel[-1]["theta_x_deg"]
+        assert m["final_theta_y_deg"] == returned[1::2][4][1] == tel[-1]["theta_y_deg"]
         assert m["max_abs_theta_deg"] == max(np.max(np.abs(tel["theta_x_deg"][1:])),
                                              np.max(np.abs(tel["theta_y_deg"][1:])))
         assert m["balanced_after_10s"] is False
@@ -360,14 +362,29 @@ class TestAbortTruncation:
         returned = fall_on_call(monkeypatch, fail_on)
         res = run_lqr(quiet_config(), duration=1.0)
         m = res.summary["metrics"]
-        y_state = returned[0::2][-1]
-        if fail_on == 11:
-            assert np.array_equal(y_state, [res.telemetry[-1][c] for c in
-                                            ("y_cm", "theta_x_deg", "ydot_cms",
-                                             "thetadot_x_degs")])
+        y_state = returned[0::2][4]
+        assert np.array_equal(y_state, [res.telemetry[-1][c] for c in
+                                        ("y_cm", "theta_x_deg", "ydot_cms",
+                                         "thetadot_x_degs")])
         assert m["final_y_cm"] == y_state[0]
         assert m["final_theta_x_deg"] == y_state[1]
         assert m["theta_settle_time_s"] is None
+
+    # Call 1 fails on the y plane of tick 0, call 2 on the mirror plane of
+    # tick 0 after the y plane has stepped: no tick completes, so every
+    # final state is the logged initial state.
+    @pytest.mark.parametrize("fail_on", [1, 2])
+    @pytest.mark.parametrize("runner, finals", [
+        (run_balance, {"final_theta_x_deg": 2.0, "final_theta_y_deg": 2.0}),
+        (run_lqr, {"final_y_cm": 0.0, "final_theta_x_deg": 2.0}),
+    ], ids=["balance", "lqr"])
+    def test_first_tick_abort_reports_initial_state(self, monkeypatch, fail_on,
+                                                    runner, finals):
+        fall_on_call(monkeypatch, fail_on)
+        res = runner(quiet_config(theta0_deg=2.0), duration=1.0)
+        assert res.summary["aborted"]
+        assert len(res.telemetry) == 1
+        assert {k: res.summary["metrics"][k] for k in finals} == finals
 
     @pytest.mark.parametrize("fail_on", [11, 12])
     def test_track_summary_covers_completed_ticks(self, monkeypatch, fail_on):

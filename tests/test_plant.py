@@ -105,8 +105,6 @@ class TestBuildLinearSS:
         assert_allclose(ss.A[2, 1], 2.725)
         assert_allclose(ss.A[2, 2], -151.183)
         assert_allclose(ss.B[3, 0], -0.28)
-        assert_allclose(ss.C, np.eye(4))
-        assert_allclose(ss.D, np.zeros((4, 1)))
 
     def test_first_column_zero(self):
         ss = build_linear_ss(LinearParams.reference())

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballbot_lab.numerics import eigenvalues, zoh_discretize
+from ballbot_lab.numerics import DiscreteSS, eigenvalues, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
-from ballbot_lab.stabilizer import (FeedbackGains, PidState,
+from ballbot_lab.stabilizer import (FeedbackGains, PidState, closed_loop,
                                     closed_loop_matrices, discrete_closed_loop,
                                     feedback_row, outer_reference, p_step,
-                                    pid_step, reduced_closed_loop)
+                                    pid_step)
 
 from oracles import simulate_discrete
 
@@ -84,10 +84,36 @@ class TestClosedLoop:
         assert_allclose(A_r, A_cl[1:, 1:], atol=0)
         assert_allclose(B_r, B_cl[1:, :], atol=0)
 
+    @pytest.mark.parametrize("gains", [FeedbackGains(), FeedbackGains.identification()],
+                             ids=["balancing", "identification"])
+    @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "zoh"])
+    def test_three_state_loop_is_four_state_loop_without_position(self, gains,
+                                                                   discrete):
+        # F has a zero position entry, so closing the loop without position
+        # must give the same floats as closing it with position and then
+        # dropping the position row and column
+        ss = build_linear_ss(LinearParams.reference())
+        A, B = ss.A, ss.B
+        if discrete:
+            dss = zoh_discretize(ss, 0.005)
+            A, B = dss.A_d, dss.B_d
+        A_cl, B_cl = closed_loop(A, B, gains)
+        A_r, B_r = closed_loop(A[1:, 1:], B[1:], gains)
+        assert_allclose(A_r, A_cl[1:, 1:], rtol=0, atol=0)
+        assert_allclose(B_r, B_cl[1:], rtol=0, atol=0)
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_closed_loop_rejects_other_state_counts(self, n):
+        with pytest.raises(ValueError):
+            closed_loop(np.eye(n), np.ones((n, 1)), FeedbackGains())
+        with pytest.raises(ValueError):
+            discrete_closed_loop(DiscreteSS(np.eye(n), np.ones((n, 1)), 0.005),
+                                 FeedbackGains())
+
     def test_identification_loop_is_hurwitz_with_retuned_gain(self):
         lp = LinearParams.reference()
-        sys_r = reduced_closed_loop(lp, FeedbackGains.identification())
-        assert max(e.real for e in eigenvalues(sys_r.A)) < 0
+        _, _, A_r, _ = closed_loop_matrices(lp, FeedbackGains.identification())
+        assert max(e.real for e in eigenvalues(A_r)) < 0
 
     def test_balancing_gain_set_does_not_stabilize_p_loop(self):
         # characterization: the hand-tuned balancing k_thetadot leaves the
@@ -95,8 +121,8 @@ class TestClosedLoop:
         # term was supplying that damping); this is why identification runs
         # with the retuned gain. See the README identification notes.
         lp = LinearParams.reference()
-        sys_r = reduced_closed_loop(lp, FeedbackGains())
-        assert max(e.real for e in eigenvalues(sys_r.A)) > 0
+        _, _, A_r, _ = closed_loop_matrices(lp, FeedbackGains())
+        assert max(e.real for e in eigenvalues(A_r)) > 0
 
     def test_composition_matches_componentwise_simulation(self):
         # simulating plant + outer feedback + P controller step by step must

@@ -4,18 +4,23 @@ from numpy.testing import assert_allclose
 
 from ballbot_lab.errors import IdentificationFailedError
 from ballbot_lab.excitation import MultisineSpec, sample_sequence
-from ballbot_lab.numerics import ContinuousSS, eigenvalues, zoh_discretize
+from ballbot_lab.numerics import ContinuousSS, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.stabilizer import (FeedbackGains, closed_loop_matrices,
                                     discrete_closed_loop, feedback_row)
-from ballbot_lab.sysid import (IdConfig, IdDataset, augment_position,
-                               extract_open_loop, identify, pe_cost,
-                               reduced_open_loop, simulate_syscl, validate)
+from ballbot_lab.sysid import (IdConfig, IdDataset, extract_open_loop,
+                               identify, pe_cost, simulate_syscl, validate)
 
-from oracles import eig_via_char_poly, simulate_discrete
+from oracles import simulate_discrete
 
 GAINS = FeedbackGains.identification()
 TRUTH = LinearParams.reference().as_array()
+
+
+def reduced_model(p) -> ContinuousSS:
+    """The planar model of parameters p without its position state."""
+    ss = build_linear_ss(LinearParams.from_array(p))
+    return ContinuousSS(ss.A[1:, 1:], ss.B[1:])
 
 
 def make_dataset(duration=30.0, Ts=0.005, p=None, x0=None):
@@ -23,9 +28,7 @@ def make_dataset(duration=30.0, Ts=0.005, p=None, x0=None):
     p = TRUTH if p is None else p
     spec = MultisineSpec.reference()
     d = sample_sequence(spec, Ts, duration).d[:-1]
-    A, B = reduced_open_loop(p)
-    dss = zoh_discretize(ContinuousSS(A, B), Ts)
-    cl = discrete_closed_loop(dss, GAINS)
+    cl = discrete_closed_loop(zoh_discretize(reduced_model(p), Ts), GAINS)
     X = simulate_discrete(cl.A_d, cl.B_d, np.zeros(3) if x0 is None else x0, d)
     return IdDataset(Ts=Ts, d=d, theta=X[:, 0], ydot=X[:, 1], thetadot=X[:, 2])
 
@@ -68,8 +71,7 @@ class TestSimulateSyscl:
         # response through the same filter as the forced one
         p = TRUTH.copy()
         p[3] = tilt_stiffness
-        A, B = reduced_open_loop(p)
-        cl = discrete_closed_loop(zoh_discretize(ContinuousSS(A, B), 0.005), GAINS)
+        cl = discrete_closed_loop(zoh_discretize(reduced_model(p), 0.005), GAINS)
         assert np.any(np.linalg.eigvals(cl.A_d).imag != 0) == complex_pair
         rng = np.random.default_rng(4)
         d = rng.normal(size=12_000)
@@ -89,9 +91,7 @@ class TestSimulateSyscl:
         rng = np.random.default_rng(3)
         p = TRUTH * rng.uniform(0.8, 1.2, size=8)
         d = rng.normal(size=500)
-        A, B = reduced_open_loop(p)
-        dss = zoh_discretize(ContinuousSS(A, B), 0.005)
-        cl = discrete_closed_loop(dss, GAINS)
+        cl = discrete_closed_loop(zoh_discretize(reduced_model(p), 0.005), GAINS)
         x0 = rng.normal(size=3) * 0.1
         lit = simulate_discrete(cl.A_d, cl.B_d, x0, d)
         fast = simulate_syscl(p, GAINS, d, 0.005, x0=x0)
@@ -99,8 +99,7 @@ class TestSimulateSyscl:
 
 
 def _closed_loop(p, Ts=0.005):
-    A, B = reduced_open_loop(p)
-    return discrete_closed_loop(zoh_discretize(ContinuousSS(A, B), Ts), GAINS)
+    return discrete_closed_loop(zoh_discretize(reduced_model(p), Ts), GAINS)
 
 
 def _assert_matches_literal(p, d, x0, rel=1e-12):
@@ -238,9 +237,9 @@ class TestExtractOpenLoop:
         lp = LinearParams.reference()
         _, _, A_r, B_r = closed_loop_matrices(lp, GAINS)
         A, B = extract_open_loop(A_r, B_r, GAINS)
-        A0, B0 = reduced_open_loop(lp.as_array())
-        assert np.max(np.abs(A - A0)) < 1e-12
-        assert np.max(np.abs(B - B0)) < 1e-12
+        open_loop = reduced_model(lp.as_array())
+        assert np.max(np.abs(A - open_loop.A)) < 1e-12
+        assert np.max(np.abs(B - open_loop.B)) < 1e-12
 
     def test_zero_feedback_row(self):
         g = FeedbackGains(k_y=0, k_theta=0, k_ydot=1.0, k_thetadot=0, kp=250.0)
@@ -254,29 +253,6 @@ class TestExtractOpenLoop:
     def test_kp_zero_rejected(self):
         with pytest.raises(ValueError):
             extract_open_loop(np.eye(4), np.ones((4, 1)), FeedbackGains(kp=0.0))
-
-
-class TestAugmentPosition:
-    def test_inverse_of_reduction(self):
-        ss = build_linear_ss(LinearParams.reference())
-        reduced = ContinuousSS(ss.A[1:, 1:], ss.B[1:, :])
-        full = augment_position(reduced)
-        assert_allclose(full.A, ss.A, atol=0)
-        assert_allclose(full.B, ss.B, atol=0)
-        assert full.C.shape == (4, 4)
-        assert_allclose(full.C, np.eye(4), atol=0)
-
-    def test_adds_exact_zero_eigenvalue(self):
-        ss = build_linear_ss(LinearParams.reference())
-        reduced = ContinuousSS(ss.A[1:, 1:], ss.B[1:, :])
-        full = augment_position(reduced)
-        ev_red = np.sort_complex(eig_via_char_poly(reduced.A))
-        ev_full = np.sort_complex(np.array(eigenvalues(full.A)))
-        assert min(abs(e) for e in ev_full) < 1e-12
-        remaining = sorted([e for e in ev_full if abs(e) > 1e-12],
-                           key=lambda z: (z.real, z.imag))
-        for a, b in zip(remaining, sorted(ev_red, key=lambda z: (z.real, z.imag))):
-            assert abs(a - b) < 1e-8
 
 
 class TestValidate:
