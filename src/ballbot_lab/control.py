@@ -149,74 +149,92 @@ def smooth_step(ref: SmoothStepRef, t: float) -> np.ndarray:
     return np.array([y, 0.0, 0.0, 0.0])
 
 
-def _qp_vectors(pred: DualModePredictor, cfg: MpcConfig, x0, ref):
-    """q, l, u of the tracking QP for one (x0, ref); P and A do not depend on them.
+@dataclass
+class _CondensedQp:
+    """The tracking QP in the inputs u = (u_0..u_{N-1}) alone.
 
-    The first n equality rows carry A_bar x0; the later dynamics rows are
-    zero; the tilt, speed and tilt-rate boxes come next, then the input box.
+    The predicted states are X = (x_1..x_N) = Phi x0 + Gamma u. P and A do
+    not depend on (x0, ref); q, l, u are affine in them through the maps
+    kept here, so a new (x0, ref) costs a few matrix-vector products.
     """
-    x0 = np.asarray(x0, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    n = pred.n_states
-    N = cfg.N
-    if ref.shape != (N + 1, n):
-        raise ValueError(f"reference must be ({N + 1}, {n}), got {ref.shape}")
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have {n} entries")
-    q = np.zeros(N * n + N)
-    for k in range(1, N + 1):
-        Wk = cfg.Q_N if k == N else cfg.Q
-        q[(k - 1) * n:k * n] = -2.0 * (Wk @ ref[k])
-    boxes = np.concatenate([np.tile([cfg.theta_max, cfg.ydot_max, cfg.thetadot_max], N),
-                            np.full(N, cfg.u_max)])
-    rhs = np.zeros(N * n)
-    rhs[:n] = pred.A_bar @ x0
-    return q, np.concatenate([rhs, -boxes]), np.concatenate([rhs, boxes])
+
+    Phi: np.ndarray       # (N n, n): stacked powers A_bar^k, k = 1..N
+    Gamma: np.ndarray     # (N n, N): block k, j is A_bar^(k-j) B_bar for j <= k
+    GtPx: np.ndarray      # (N, N n): Gamma' P_x
+    S: np.ndarray         # (4N, n): C Phi over N zero rows, the box shift by x0
+    box: np.ndarray       # (4N,): the box half-widths
+    P: np.ndarray
+    A: np.ndarray
+
+    def vectors(self, x0, ref):
+        """q, l, u of the QP for one (x0, ref)."""
+        x0 = np.asarray(x0, dtype=float)
+        ref = np.asarray(ref, dtype=float)
+        n = self.S.shape[1]
+        N = self.GtPx.shape[0]
+        if ref.shape != (N + 1, n):
+            raise ValueError(f"reference must be ({N + 1}, {n}), got {ref.shape}")
+        if x0.shape != (n,):
+            raise ValueError(f"x0 must have {n} entries")
+        q = self.GtPx @ (self.Phi @ x0 - ref[1:].ravel())
+        shift = self.S @ x0
+        return q, -self.box - shift, self.box - shift
+
+    def problem(self, x0, ref) -> QpProblem:
+        q, l, u = self.vectors(x0, ref)
+        return QpProblem(P=self.P, q=q, A=self.A, l=l, u=u)
+
+
+def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
+    """Eliminate the predicted states from the stacked tracking problem.
+
+    With P_x = 2 blockdiag(Q, .., Q, Q_N) and C selecting tilt, speed and
+    tilt rate, the stacked cost 1/2 X'P_x X - ref'P_x X + R u'u becomes
+    1/2 u'(Gamma'P_x Gamma + 2R I)u + (Gamma'P_x (Phi x0 - ref))'u plus a
+    constant, and the state boxes become rows C Gamma shifted by C Phi x0.
+    """
+    n, N = pred.n_states, cfg.N
+    powers = [np.eye(n)]
+    for _ in range(N):
+        powers.append(pred.A_bar @ powers[-1])
+    Phi = np.stack(powers[1:])                                   # (N, n, n)
+    AkB = np.stack([Ak @ pred.B_bar[:, 0] for Ak in powers[:N]])  # (N, n)
+    lag = np.subtract.outer(np.arange(N), np.arange(N))
+    Gamma = np.where((lag >= 0)[:, :, None], AkB[np.maximum(lag, 0)], 0.0)
+    Gamma = Gamma.transpose(0, 2, 1)                             # (N, n, N)
+    W = np.stack([cfg.Q] * (N - 1) + [cfg.Q_N])
+    GtPx = (2.0 * (W @ Gamma)).reshape(N * n, N).T
+    Gamma_flat = Gamma.reshape(N * n, N)
+    P = GtPx @ Gamma_flat + 2.0 * cfg.R * np.eye(N)
+    A = np.vstack([Gamma[:, 1:4, :].reshape(3 * N, N), np.eye(N)])
+    S = np.vstack([Phi[:, 1:4, :].reshape(3 * N, n), np.zeros((N, n))])
+    box = np.concatenate([np.tile([cfg.theta_max, cfg.ydot_max, cfg.thetadot_max], N),
+                          np.full(N, cfg.u_max)])
+    return _CondensedQp(Phi=Phi.reshape(N * n, n), Gamma=Gamma_flat, GtPx=GtPx,
+                        S=S, box=box, P=0.5 * (P + P.T), A=A)
 
 
 def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
-    """Stack the finite-horizon tracking problem into a box-constrained QP.
+    """The finite-horizon tracking problem as a box-constrained QP in u alone.
 
-    Decision vector z = (x_1..x_N, u_0..u_{N-1}). The lifted dynamics are
-    equality rows (l = u); tilt, speed, and tilt rate are boxed on every
-    predicted state (position is unconstrained); the correction input is
-    boxed on every step. The cost penalizes deviations e_k = x_k - ref_k
-    under Q (terminal Q_N) plus R u^2.
+    Decision vector z = (u_0..u_{N-1}); the predicted states x_1..x_N are
+    eliminated through the lifted dynamics, so there are no equality rows.
+    The cost penalizes deviations e_k = x_k - ref_k under Q (terminal Q_N)
+    plus R u^2. The first 3N rows box tilt, speed and tilt rate of each
+    predicted state (position is unconstrained), and the last N rows box
+    the correction input.
     """
-    q, l, u = _qp_vectors(pred, cfg, x0, ref)
-    n = pred.n_states
-    N = cfg.N
-    nz = N * n + N
-    P = np.zeros((nz, nz))
-    for k in range(1, N + 1):
-        sl = slice((k - 1) * n, k * n)
-        P[sl, sl] = 2.0 * (cfg.Q_N if k == N else cfg.Q)
-    for k in range(N):
-        j = N * n + k
-        P[j, j] = 2.0 * cfg.R
-
-    m_eq = N * n
-    A = np.zeros((m_eq + 4 * N, nz))  # 3 state boxes + 1 input box per step
-    for k in range(N):
-        rows = slice(k * n, (k + 1) * n)
-        A[rows, k * n:(k + 1) * n] = np.eye(n)
-        if k > 0:
-            A[rows, (k - 1) * n:k * n] = -pred.A_bar
-        A[rows, N * n + k] = -pred.B_bar[:, 0]
-        for i in range(3):  # theta, ydot, thetadot of x_{k+1}
-            A[m_eq + 3 * k + i, k * n + 1 + i] = 1.0
-        A[m_eq + 3 * N + k, N * n + k] = 1.0
-    return QpProblem(P=P, q=q, A=A, l=l, u=u)
+    return _condense(pred, cfg).problem(x0, ref)
 
 
 class MpcController:
     """Receding-horizon controller around one reusable QP workspace.
 
-    The QP's quadratic term and constraint matrix never change between
-    steps, so one QpSolver is set up at construction and each step only
-    refreshes q, l, u. Each solve starts cold: interior-point iterates gain
-    little from a warm start, and a cold start keeps every solve independent
-    of the last. Solver hiccups are absorbed: hitting the iteration cap
+    The condensed QP's quadratic term and constraint matrix never change
+    between steps, so its prediction maps and one QpSolver are set up at
+    construction and each step only refreshes q, l, u from them. Each solve
+    starts cold: interior-point iterates gain little from a warm start, and
+    a cold start keeps every solve independent of the last. Solver hiccups are absorbed: hitting the iteration cap
     returns the last iterate with a degraded flag, and a certified-infeasible
     problem falls back to zero correction (the inner regulator alone keeps
     the robot balanced) while the event is logged.
@@ -227,17 +245,20 @@ class MpcController:
         self.pred = pred
         self.cfg = cfg
         self.settings = settings or QpSettings()
+        self._qp = _condense(pred, cfg)
         zero_ref = np.zeros((cfg.N + 1, pred.n_states))
-        self._solver = QpSolver(build_qp(pred, cfg, np.zeros(pred.n_states), zero_ref),
+        self._solver = QpSolver(self._qp.problem(np.zeros(pred.n_states), zero_ref),
                                 self.settings)
+        self._x0 = None
         self.infeasible_events = 0
         self.degraded_events = 0
         self.last_solution: QpSolution = None
 
     def mpc_step(self, x0, ref) -> tuple:
         """Solve for the horizon and return (u_mpc, info dict)."""
-        q, l, u = _qp_vectors(self.pred, self.cfg, x0, ref)
+        q, l, u = self._qp.vectors(x0, ref)
         self._solver.update_vectors(q=q, l=l, u=u)
+        self._x0 = np.array(x0, dtype=float)
         sol = self._solver.solve()
         self.last_solution = sol
         info = {"status": sol.status, "iterations": sol.iterations,
@@ -249,12 +270,11 @@ class MpcController:
         if sol.status == "max-iter":
             self.degraded_events += 1
             info["degraded"] = True
-        n, N = self.pred.n_states, self.cfg.N
-        return float(sol.z[N * n]), info
+        return float(sol.z[0]), info
 
     def predicted_states(self) -> np.ndarray:
         """Predicted state trajectory x_1..x_N from the last solve."""
         if self.last_solution is None:
             raise RuntimeError("no solve has happened yet")
-        n, N = self.pred.n_states, self.cfg.N
-        return self.last_solution.z[:N * n].reshape(N, n)
+        X = self._qp.Phi @ self._x0 + self._qp.Gamma @ self.last_solution.z
+        return X.reshape(self.cfg.N, self.pred.n_states)

@@ -422,13 +422,15 @@ def _after_steps(tel, plane, final, abort):
     The logged states followed by ``final`` trace the whole run; dropping
     the initial state leaves the state after each tick. After an abort
     ``final`` is the last logged state already, so it is not appended again.
+    When no tick completed, the one row is the state the run started from,
+    so maxima over the rows still describe the run.
     """
     col = _STATE[plane]
     logged = tel.view(np.float64).reshape(len(tel), len(TELEMETRY_COLUMNS))
     states = logged[:, col:col + 4]
     if abort is None:
         states = np.vstack([states, final])
-    return states[1:]
+    return states[1:] if len(states) > 1 else states
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def run_balance(cfg, duration=None) -> RunResult:
     summary = _base_summary(cfg, "balance", duration, abort)
     summary["metrics"] = {
         "balanced_after_10s": held,
-        "max_abs_theta_deg": float(np.max(tilt, initial=0.0)),
+        "max_abs_theta_deg": float(np.max(tilt)),
         "final_theta_x_deg": float(states[0][1]),
         "final_theta_y_deg": float(states[1][1]),
     }
@@ -675,20 +677,19 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     # y after each completed step, scored against the reference logged at
     # the start of that tick
     target = ref_spec.amplitude
-    y_arr = y if len(y) else np.zeros(1)
-    t_arr = np.arange(len(y_arr)) * Ts
-    err = np.abs(y_arr - target)
-    tail = y_arr[t_arr >= t_arr[-1] - 5.0] if len(y_arr) > 1 else y_arr
-    tracking_cost = float(np.sum((y_arr - tel["y_ref_cm"][:len(y_arr)]) ** 2) * Ts)
+    t_arr = np.arange(len(y)) * Ts
+    err = np.abs(y - target)
+    tail = y[t_arr >= t_arr[-1] - 5.0]
+    tracking_cost = float(np.sum((y - tel["y_ref_cm"][:len(y)]) ** 2) * Ts)
     summary = _base_summary(cfg, "track", duration, abort)
     summary["metrics"] = {
         "steady_state_error_cm": float(np.mean(np.abs(tail - target))),
-        "final_y_cm": float(y_arr[-1]),
+        "final_y_cm": float(y[-1]),
         "settling_time_s": _settling_time(t_arr, err, ref_spec.t0),
-        "max_abs_theta_deg": float(np.max(np.abs(th), initial=0.0)),
-        "max_abs_ydot_cms": float(np.max(np.abs(yd), initial=0.0)),
-        "max_abs_thetadot_degs": float(np.max(np.abs(thd), initial=0.0)),
-        "max_abs_u_mpc_ticks": float(np.max(np.abs(u_raw), initial=0.0)),
+        "max_abs_theta_deg": float(np.max(np.abs(th))),
+        "max_abs_ydot_cms": float(np.max(np.abs(yd))),
+        "max_abs_thetadot_degs": float(np.max(np.abs(thd))),
+        "max_abs_u_mpc_ticks": float(np.max(np.abs(u_raw))),
         "constraint_violation_count": int(viol),
         "infeasible_event_count": controller.infeasible_events,
         "degraded_event_count": controller.degraded_events,
@@ -715,7 +716,7 @@ def over_excitation_sweep(cfg, alphas, duration=30.0):
         tel, states, abort, _ = _identification_loop(sub, duration)
         theta = _after_steps(tel, 0, states[0], abort)[:, 1]
         results.append({"alpha": sub["excitation"]["alpha"],
-                        "max_abs_theta_deg": float(np.max(np.abs(theta), initial=0.0)),
+                        "max_abs_theta_deg": float(np.max(np.abs(theta))),
                         "fell_over": abort is not None})
     usable = [r["alpha"] for r in results
               if not r["fell_over"] and r["max_abs_theta_deg"] <= 3.0]

@@ -8,13 +8,13 @@ iteration factors the reduced KKT matrix
     [[P + G' W G + delta I, A_E'], [A_E, -delta I]],   W = diag(lam / s),
 
 once and solves with it twice, for the predictor and for the corrector.
-The matrix is held in LAPACK band storage (dgbtrf/dgbtrs): a reverse
-Cuthill-McKee ordering of the fixed sparsity pattern of P and A, found once
-per solver, keeps stage-wise problems such as the MPC narrow, and each
-iteration only rebuilds the band values. The regularization delta perturbs
-the Newton direction, not the residuals, so it does not bias the solution.
-Primal infeasibility is certified by a Farkas check on the dual step, whose
-direction settles once the multipliers diverge.
+The matrix is dense and LU-factored by LAPACK (dgetrf/dgetrs): the problems
+it serves are small and dense, such as the condensed MPC with one variable
+per horizon step. G'WG is formed as A_in' D A_in over the inequality rows,
+with D summing the weights of a row's two sides. The regularization delta
+perturbs the Newton direction, not the residuals, so it does not bias the
+solution. Primal infeasibility is certified by a Farkas check on the dual
+step, whose direction settles once the multipliers diverge.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import reverse_cuthill_mckee
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 __all__ = ["QpProblem", "QpSettings", "QpSolution", "QpSolver", "solve"]
 
@@ -102,13 +100,13 @@ def _norm(*arrays) -> float:
 
 
 def _row_pattern(p: QpProblem):
-    """Equality rows, and the rows with a finite upper / lower side."""
+    """Rows of one mask: equality rows, rows with a finite upper / lower side."""
     eq = np.isfinite(p.l) & np.isfinite(p.u) & (p.u - p.l <= 1e-12)
-    return eq, ~eq & np.isfinite(p.u), ~eq & np.isfinite(p.l)
+    return np.stack([eq, ~eq & np.isfinite(p.u), ~eq & np.isfinite(p.l)])
 
 
 class QpSolver:
-    """Workspace owning the banded KKT structure for one problem.
+    """Workspace owning the KKT structure for one problem.
 
     P and A are fixed for the solver's life; `update_vectors` swaps q, l, u
     between solves, which is the receding-horizon pattern. The solver keeps
@@ -121,7 +119,7 @@ class QpSolver:
         self._structure()
 
     def _structure(self):
-        """Split the rows, order the KKT pattern, and map entries to the band."""
+        """Split the rows and assemble the fixed part of the KKT matrix."""
         p = self.prob
         n = p.n
         self._pattern = _row_pattern(p)
@@ -131,65 +129,37 @@ class QpSolver:
         self._g_sign = np.concatenate([np.ones(up.sum()), -np.ones(lo.sum())])
         self._AE = p.A[self._eq_rows]
         self._G = self._g_sign[:, None] * p.A[self._g_rows]
-        nk = n + self._eq_rows.size
-        diag = np.arange(nk)
-        Pi, Pj = np.nonzero(p.P)
-        Ei, Ej = np.nonzero(self._AE)
-        ci = np.concatenate([Pi, n + Ei, Ej, diag])
-        cj = np.concatenate([Pj, Ej, n + Ei, diag])
-        cv = np.concatenate([p.P[Pi, Pj], self._AE[Ei, Ej], self._AE[Ei, Ej],
-                             np.where(diag < n, _DELTA, -_DELTA)])
-        # G'WG = sum_r w_r g_r g_r': one entry per pair of nonzeros in a row
-        pr, pi, pj = [], [], []
-        for r, g in enumerate(self._G):
-            cols = np.flatnonzero(g)
-            pr.append(np.full(cols.size ** 2, r))
-            pi.append(np.repeat(cols, cols.size))
-            pj.append(np.tile(cols, cols.size))
-        pr, pi, pj = (np.concatenate(a) if a else np.zeros(0, int)
-                      for a in (pr, pi, pj))
-        self._pair_row = pr
-        self._pair_val = self._G[pr, pi] * self._G[pr, pj]
-        rows = np.concatenate([ci, pi])
-        cols = np.concatenate([cj, pj])
-        pattern = coo_matrix((np.ones(rows.size), (rows, cols)), shape=(nk, nk)).tocsr()
-        self._perm = reverse_cuthill_mckee(pattern, symmetric_mode=True)
-        iperm = np.empty(nk, dtype=int)
-        iperm[self._perm] = np.arange(nk)
-        I, J = iperm[rows], iperm[cols]
-        self._bw = int(np.max(np.abs(I - J)))
-        ldab = 3 * self._bw + 1
-        # LAPACK band storage: entry (I, J) lives at ab[2 bw + I - J, J]
-        self._band_idx = 2 * self._bw + I - J + J * ldab
-        self._band_shape = (nk, ldab)
-        self._vals = np.concatenate([cv, self._pair_val])
-        self._n_const = cv.size
+        # G'WG = A_in' diag(d) A_in, d summing the weights of both sides of a row
+        in_rows, self._g_in = np.unique(self._g_rows, return_inverse=True)
+        self._A_in = p.A[in_rows]
+        n_eq = self._eq_rows.size
+        self._kkt = np.asfortranarray(np.block([
+            [p.P + _DELTA * np.eye(n), self._AE.T],
+            [self._AE, -_DELTA * np.eye(n_eq)]]))
         # the starting point's KKT matrix (w = 1) depends on P and A only
         self._factor(np.ones(self._G.shape[0]))
         self._lu0 = (self._lu, self._piv)
 
     def _factor(self, w):
         """LU-factor the reduced KKT matrix for the weights w = lam / s."""
-        self._vals[self._n_const:] = w[self._pair_row] * self._pair_val
-        nk, ldab = self._band_shape
-        ab = np.bincount(self._band_idx, self._vals, nk * ldab).reshape(nk, ldab).T
-        self._lu, self._piv, info = dgbtrf(ab, self._bw, self._bw, overwrite_ab=1)
+        n = self.prob.n
+        d = np.bincount(self._g_in, w, self._A_in.shape[0])
+        kkt = self._kkt.copy(order="F")
+        kkt[:n, :n] += self._A_in.T @ (d[:, None] * self._A_in)
+        self._lu, self._piv, info = dgetrf(kkt, overwrite_a=1)
         if info != 0:
-            raise np.linalg.LinAlgError(f"banded KKT factorization failed (info={info})")
+            raise np.linalg.LinAlgError(f"KKT factorization failed (info={info})")
 
     def _kkt_solve(self, rhs):
-        x, info = dgbtrs(self._lu, self._bw, self._bw, rhs[self._perm], self._piv,
-                         overwrite_b=1)
+        x, info = dgetrs(self._lu, self._piv, rhs)
         if info != 0:
-            raise np.linalg.LinAlgError(f"banded KKT solve failed (info={info})")
-        out = np.empty_like(x)
-        out[self._perm] = x
-        return out
+            raise np.linalg.LinAlgError(f"KKT solve failed (info={info})")
+        return x
 
     def update_vectors(self, q=None, l=None, u=None):
         """Swap the linear term and bounds; P and A stay as they are.
 
-        The banded structure was built for the current equality rows and
+        The KKT structure was built for the current equality rows and
         finite bound sides, so that pattern must not change.
         """
         p = self.prob
@@ -201,7 +171,7 @@ class QpSolver:
             p.u = np.asarray(u, dtype=float).ravel()
         if np.any(p.l > p.u):
             raise ValueError("need l <= u elementwise")
-        if any(np.any(a != b) for a, b in zip(_row_pattern(p), self._pattern)):
+        if not np.array_equal(_row_pattern(p), self._pattern):
             raise ValueError("equality rows and finite bound sides must not change")
 
     def _newton(self, r_d, r_e, r_i, r_c, s, lam, w):

@@ -3,8 +3,9 @@
 Each helper is deliberately implemented along a different algorithmic path
 than the library code it checks: plain series summation instead of
 scaling-and-squaring, characteristic-polynomial root finding instead of QR,
-brute-force active-set enumeration instead of operator splitting, and
-literal step-by-step recursions instead of lifted or modal forms.
+brute-force active-set enumeration instead of an interior-point method,
+literal step-by-step recursions instead of lifted or modal forms, and the
+stacked MPC problem (states kept as variables) instead of the condensed one.
 """
 
 import itertools
@@ -109,6 +110,43 @@ def enumerate_box_qp(P, q, lo, hi):
         if best is None or obj < best[0]:
             best = (obj, z.copy())
     return best
+
+
+def stacked_tracking_qp(A_bar, B_bar, Q, Q_N, R, boxes, x0, ref):
+    """The MPC tracking QP with x_1..x_N kept as decision variables.
+
+    z = (x_1..x_N, u_0..u_{N-1}); the lifted dynamics x_{k+1} = A_bar x_k +
+    B_bar u_k are equality rows, the tilt, speed and tilt-rate boxes
+    (boxes[:3]) act on every predicted state and boxes[3] on every input.
+    The cost is sum_k (x_k - ref_k)'W_k(x_k - ref_k) + R u_k^2 without its
+    constant. Returns P, q, A, l, u.
+    """
+    A_bar = np.asarray(A_bar, dtype=float)
+    b = np.asarray(B_bar, dtype=float).reshape(-1)
+    ref = np.asarray(ref, dtype=float)
+    n = A_bar.shape[0]
+    N = ref.shape[0] - 1
+    nz = N * n + N
+    P = np.zeros((nz, nz))
+    q = np.zeros(nz)
+    A = np.zeros((N * n + 4 * N, nz))
+    rhs = np.zeros(N * n)
+    rhs[:n] = A_bar @ np.asarray(x0, dtype=float)
+    for k in range(N):
+        W = Q_N if k == N - 1 else Q
+        xs = slice(k * n, (k + 1) * n)
+        P[xs, xs] = 2.0 * W
+        q[xs] = -2.0 * (W @ ref[k + 1])
+        P[N * n + k, N * n + k] = 2.0 * R
+        A[xs, xs] = np.eye(n)
+        if k > 0:
+            A[xs, (k - 1) * n:k * n] = -A_bar
+        A[xs, N * n + k] = -b
+        for i in range(3):
+            A[N * n + 3 * k + i, k * n + 1 + i] = 1.0
+        A[N * n + 3 * N + k, N * n + k] = 1.0
+    box = np.concatenate([np.tile(boxes[:3], N), np.full(N, boxes[3])])
+    return P, q, A, np.concatenate([rhs, -box]), np.concatenate([rhs, box])
 
 
 def fd_jacobian(f, x0, h=1e-5):

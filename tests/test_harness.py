@@ -109,6 +109,11 @@ class TestBalance:
         assert res.telemetry[0]["theta_x_deg"] == 50.0
         assert res.telemetry[0]["t_s"] == 0.0
 
+    def test_beyond_envelope_reports_the_starting_tilt(self):
+        # no tick completes, so the max tilt is the tilt the run started from
+        res = run_balance(quiet_config(theta0_deg=50.0), duration=2.0)
+        assert res.summary["metrics"]["max_abs_theta_deg"] == 50.0
+
     def test_summary_written_for_aborted_runs(self):
         cfg = quiet_config(theta0_deg=50.0)
         res = run_balance(cfg, duration=2.0)
@@ -385,6 +390,25 @@ class TestAbortTruncation:
         assert res.summary["aborted"]
         assert len(res.telemetry) == 1
         assert {k: res.summary["metrics"][k] for k in finals} == finals
+
+    @pytest.mark.parametrize("fail_on", [1, 2])
+    def test_track_first_tick_abort_reports_starting_tick(self, monkeypatch,
+                                                          fail_on):
+        # no tick completes: the maxima and the final read the state tick 0
+        # started from, with the MPC input of that tick
+        cfg = load_config()
+        cfg["reference"]["t0"] = 0.0
+        fall_on_call(monkeypatch, fail_on)
+        res = run_track(cfg, duration=1.0)
+        tel, m = res.telemetry, res.summary["metrics"]
+        assert res.summary["aborted"]
+        assert len(tel) == 1
+        assert m["final_y_cm"] == tel[0]["y_cm"]
+        for key, col in (("max_abs_theta_deg", "theta_x_deg"),
+                         ("max_abs_ydot_cms", "ydot_cms"),
+                         ("max_abs_thetadot_degs", "thetadot_x_degs")):
+            assert m[key] == abs(tel[0][col])
+        assert m["max_abs_u_mpc_ticks"] == abs(tel[0]["u_mpc_raw_ticks"]) > 0.0
 
     @pytest.mark.parametrize("fail_on", [11, 12])
     def test_track_summary_covers_completed_ticks(self, monkeypatch, fail_on):

@@ -95,7 +95,7 @@ class TestOptimalityStructure:
 class TestWarmStart:
     def test_resolve_in_few_iterations(self):
         # the interior-point solver carries no iterate from one solve to the
-        # next; a re-solve reuses only the cached ordering and band map, so
+        # next; a re-solve reuses only the fixed part of the KKT matrix, so
         # it must repeat the cold solve exactly and stay within a few
         # iterations, also after a vector update
         rng = np.random.default_rng(5)
@@ -129,10 +129,11 @@ class TestWarmStart:
         assert_allclose(solver.prob.q, 2.0 * q, atol=0)
 
 
-class TestBandedKkt:
-    def test_band_solve_matches_dense_kkt(self):
+class TestDenseKkt:
+    def test_kkt_solve_matches_numpy_solve(self):
         # equality rows, one- and two-sided boxes, a free row and a coupled
-        # row: the permuted band storage must reproduce the dense matrix
+        # row: the KKT matrix formed from A_in and the summed weights of each
+        # row's two sides must solve like the literal [[P + G'WG, A_E'], ..]
         rng = np.random.default_rng(3)
         n = 6
         M = rng.normal(size=(n, n))
