@@ -233,11 +233,13 @@ class MpcController:
     The condensed QP's quadratic term and constraint matrix never change
     between steps, so its prediction maps and one QpSolver are set up at
     construction and each step only refreshes q, l, u from them. Each solve
-    starts cold: interior-point iterates gain little from a warm start, and
-    a cold start keeps every solve independent of the last. Solver hiccups are absorbed: hitting the iteration cap
-    returns the last iterate with a degraded flag, and a certified-infeasible
-    problem falls back to zero correction (the inner regulator alone keeps
-    the robot balanced) while the event is logged.
+    starts cold and independent of the last: when the unconstrained optimum
+    already meets every box (the region where the MPC law is the LQ law) it
+    is returned at 0 iterations, otherwise the interior-point iterations run
+    from their fixed start. Solver hiccups are absorbed: hitting the
+    iteration cap returns the last iterate with a degraded flag, and a
+    certified-infeasible problem falls back to zero correction (the inner
+    regulator alone keeps the robot balanced) while the event is logged.
     """
 
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,

@@ -1,9 +1,12 @@
 """Convex QP solver for  minimize 1/2 z'Pz + q'z  s.t.  l <= Az <= u.
 
-Mehrotra predictor-corrector interior-point method. Rows with l == u are
-equalities A_E z = b; the finite sides of the other rows become one-sided
-inequalities Gz + s = h with slacks s > 0 and multipliers lam > 0. Each
-iteration factors the reduced KKT matrix
+Rows with l == u are equalities A_E z = b; the finite sides of the other
+rows become one-sided inequalities Gz + s = h. A solve first tries the
+minimizer on A_E z = b alone, from a KKT matrix factored once per solver:
+when it meets every inequality exactly it is the optimum, returned at 0
+iterations. Otherwise a Mehrotra predictor-corrector interior-point method
+runs, with slacks s > 0 and multipliers lam > 0. Each iteration factors
+the reduced KKT matrix
 
     [[P + G' W G + delta I, A_E'], [A_E, -delta I]],   W = diag(lam / s),
 
@@ -136,7 +139,10 @@ class QpSolver:
         self._kkt = np.asfortranarray(np.block([
             [p.P + _DELTA * np.eye(n), self._AE.T],
             [self._AE, -_DELTA * np.eye(n_eq)]]))
-        # the starting point's KKT matrix (w = 1) depends on P and A only
+        # the KKT matrices of the equality-constrained minimizer (w = 0) and
+        # of the starting point (w = 1) depend on P and A only
+        self._factor(np.zeros(self._G.shape[0]))
+        self._lu_free = (self._lu, self._piv)
         self._factor(np.ones(self._G.shape[0]))
         self._lu0 = (self._lu, self._piv)
 
@@ -184,11 +190,41 @@ class QpSolver:
         ds = -(r_c + s * dlam) / lam
         return dz, sol[n:], ds, dlam
 
+    def _residuals(self, z, yE, s, lam, b, h):
+        """KKT residuals, their norms and the gap, and the stopping test."""
+        p, st, AE, G = self.prob, self.settings, self._AE, self._G
+        Pz, AEty, Gtl, Gz, AEz = p.P @ z, AE.T @ yE, G.T @ lam, G @ z, AE @ z
+        r_d = Pz + p.q + AEty + Gtl
+        r_e = AEz - b
+        r_i = Gz + s - h
+        r_prim, r_dual, gap = _norm(r_e, r_i), _norm(r_d), float(s @ lam)
+        done = (r_prim <= st.eps_abs + st.eps_rel * _norm(AEz, b, Gz, s)
+                and r_dual <= st.eps_abs + st.eps_rel * _norm(Pz, p.q, AEty, Gtl)
+                and gap <= st.eps_abs + st.eps_rel * max(abs(z @ Pz), abs(p.q @ z)))
+        return r_d, r_e, r_i, r_prim, r_dual, gap, done
+
     def solve(self) -> QpSolution:
         p, st = self.prob, self.settings
         n, AE, G = p.n, self._AE, self._G
         b = p.l[self._eq_rows]
         h = np.where(self._g_sign > 0, p.u[self._g_rows], -p.l[self._g_rows])
+        # the minimizer on A_E z = b alone, refined once against the
+        # unregularized KKT, is the optimum when it meets every box exactly
+        # and passes the stopping test with zero multipliers (a singular P
+        # gives a huge point that fails the dual test)
+        self._lu, self._piv = self._lu_free
+        sol = self._kkt_solve(np.concatenate([-p.q, b]))
+        z, yE = sol[:n], sol[n:]
+        sol = self._kkt_solve(np.concatenate([-p.q - p.P @ z - AE.T @ yE, b - AE @ z]))
+        z, yE = z + sol[:n], yE + sol[n:]
+        s = h - self._g_sign * (p.A @ z)[self._g_rows]
+        if (s >= 0).all():
+            lam = np.zeros_like(s)
+            *_, r_prim, r_dual, _, done = self._residuals(z, yE, s, lam, b, h)
+            if done:
+                return QpSolution(
+                    z=z, y=self._full_dual(yE, lam), status="solved", iterations=0,
+                    primal_residual=r_prim, dual_residual=r_dual, objective=p.objective(z))
         mI = max(h.size, 1)  # averages s * lam; no inequalities gives mu = 0
         # start from the minimizer of 1/2 z'Pz + q'z + 1/2 |Gz - h|^2 on
         # A_E z = b, with the slacks and multipliers shifted inside the cone
@@ -203,14 +239,8 @@ class QpSolver:
         status, iters = "max-iter", st.max_iter
         y_prev = None
         for it in range(st.max_iter + 1):
-            Pz, AEty, Gtl, Gz, AEz = p.P @ z, AE.T @ yE, G.T @ lam, G @ z, AE @ z
-            r_d = Pz + p.q + AEty + Gtl
-            r_e = AEz - b
-            r_i = Gz + s - h
-            r_prim, r_dual, gap = _norm(r_e, r_i), _norm(r_d), float(s @ lam)
-            if (r_prim <= st.eps_abs + st.eps_rel * _norm(AEz, b, Gz, s)
-                    and r_dual <= st.eps_abs + st.eps_rel * _norm(Pz, p.q, AEty, Gtl)
-                    and gap <= st.eps_abs + st.eps_rel * max(abs(z @ Pz), abs(p.q @ z))):
+            r_d, r_e, r_i, r_prim, r_dual, gap, done = self._residuals(z, yE, s, lam, b, h)
+            if done:
                 status, iters = "solved", it
                 break
             # on an infeasible problem the duals diverge along a Farkas

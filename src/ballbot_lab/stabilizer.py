@@ -60,10 +60,14 @@ class PidState:
     e_ydot_prev: float = field(default=0.0)
 
 
-def outer_reference(gains: FeedbackGains, x) -> float:
-    """Reference ball speed from weighted state feedback (cm/s)."""
-    x = np.asarray(x, dtype=float)
-    return float(gains.outer_vector() @ x)
+def outer_reference(gains, x) -> float:
+    """Reference ball speed from weighted state feedback (cm/s).
+
+    ``gains`` is a FeedbackGains or its ``outer_vector()``; a tick loop
+    passes the vector, built once per experiment.
+    """
+    k = gains.outer_vector() if isinstance(gains, FeedbackGains) else gains
+    return float(k @ np.asarray(x, dtype=float))
 
 
 def pid_step(state: PidState, e_ydot: float, gains: FeedbackGains, Ts: float) -> float:

@@ -162,6 +162,28 @@ class TestBuildQp:
             binding += bool(np.any((Az > prob.u - 1e-6) | (Az < prob.l + 1e-6)))
         assert binding >= 5
 
+    def test_unconstrained_exit_matches_stacked_formulation(self, pred):
+        # small states and previews whose unconstrained optimum meets every
+        # box: the controller returns it at 0 iterations, inside the boxes,
+        # and it is the tight stacked solution
+        cfg = MpcConfig()
+        rng = np.random.default_rng(43)
+        for _ in range(20):
+            x0 = rng.uniform(-1.0, 1.0, 4) * [2.0, 0.5, 2.0, 3.0]
+            spec = SmoothStepRef(t0=rng.uniform(-2.0, 3.0),
+                                 amplitude=rng.uniform(-10.0, 10.0), T_rise=2.0)
+            ref = np.stack([smooth_step(spec, 0.1 * j) for j in range(cfg.N + 1)])
+            ctrl = MpcController(pred, cfg)
+            u, info = ctrl.mpc_step(x0, ref)
+            assert info["status"] == "solved" and info["iterations"] == 0
+            prob, _, stacked = self._both_forms(pred, cfg, x0, ref)
+            z = ctrl.last_solution.z
+            Az = prob.A @ z
+            assert np.all(prob.l <= Az) and np.all(Az <= prob.u)
+            assert stacked.status == "solved"
+            assert_allclose(z, stacked.z[4 * cfg.N:], rtol=0, atol=1e-6)
+            assert u == z[0]
+
     @pytest.mark.xfail(strict=True, reason=(
         "with several boxes binding, the dense normal-equations KKT cannot "
         "reach eps=1e-12: the dual residual stalls near 1e-9 and the solve "
@@ -213,7 +235,7 @@ class TestMpcController:
     def test_capped_solve_is_flagged_degraded(self, pred):
         ctrl = MpcController(pred, MpcConfig(), QpSettings(max_iter=2))
         ref = np.zeros((41, 4))
-        ref[:, 0] = np.linspace(0, 10, 41)
+        ref[:, 0] = np.linspace(0, 50, 41)  # a ramp that puts a box in play
         u, info = ctrl.mpc_step(np.zeros(4), ref)
         assert info["status"] == "max-iter"
         assert info["iterations"] == 2

@@ -226,10 +226,23 @@ class TestTrack:
         assert m["degraded_event_count"] == 0
         assert m["infeasible_event_count"] == 0
 
+    def test_unconstrained_solves_counted(self):
+        # default config (noise on), 80 solves: from 3.3 s to 5.7 s the
+        # 4 s preview of the rising step puts a box in play (25 solves);
+        # every other solve returns its unconstrained optimum at once
+        m = run_track(load_config(), duration=8.0).summary["metrics"]
+        assert m["unconstrained_solve_count"] == 55
+        assert m["solver_iterations_max"] > 0
+
     def test_capped_solves_reported(self, monkeypatch):
         capped = functools.partial(MpcController, settings=QpSettings(max_iter=2))
         monkeypatch.setattr(harness, "MpcController", capped)
-        res = run_track(quiet_config(), duration=1.0)
+        cfg = quiet_config()
+        # a step from t = 0 puts a box in play on every solve, so none is
+        # returned unconstrained before the cap
+        cfg["reference"]["t0"] = 0.0
+        cfg["reference"]["amplitude"] = 50.0
+        res = run_track(cfg, duration=1.0)
         m = res.summary["metrics"]
         assert m["solver_iterations_max"] == 2
         assert m["degraded_event_count"] == 10  # every solve of 1 s at 10 Hz

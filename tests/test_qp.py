@@ -169,6 +169,90 @@ class TestDenseKkt:
             solver.update_vectors(l=[0.0, -1.0], u=[1.0, np.inf])
 
 
+def interior_qp(rng, n, n_eq=0):
+    """Random QP whose equality-constrained minimizer lies inside its boxes.
+
+    Returns the problem, the minimizer and its equality multipliers from the
+    literal KKT system; the inequality rows are the identity, two random
+    two-sided rows and a random row with only an upper side, each with a
+    margin around the minimizer.
+    """
+    M = rng.normal(size=(n, n))
+    P = M @ M.T + (0.1 + rng.uniform()) * np.eye(n)
+    q = rng.normal(scale=3.0, size=n)
+    AE = rng.normal(size=(n_eq, n))
+    b = rng.normal(size=n_eq)
+    K = np.block([[P, AE.T], [AE, np.zeros((n_eq, n_eq))]])
+    sol = np.linalg.solve(K, np.concatenate([-q, b]))
+    z_star, y_star = sol[:n], sol[n:]
+    G = np.vstack([np.eye(n), rng.normal(size=(3, n))])
+    Gz = G @ z_star
+    l = Gz - rng.uniform(0.1, 2.0, size=Gz.size)
+    u = Gz + rng.uniform(0.1, 2.0, size=Gz.size)
+    l[-1] = -np.inf
+    prob = QpProblem(P=P, q=q, A=np.vstack([AE, G]),
+                     l=np.concatenate([b, l]), u=np.concatenate([b, u]))
+    return prob, z_star, y_star
+
+
+class TestUnconstrainedExit:
+    """A minimizer that meets every box is returned before any iteration."""
+
+    @staticmethod
+    def _check_exit(prob, sol, z_star, n_eq=0):
+        assert sol.status == "solved"
+        assert sol.iterations == 0
+        assert np.max(np.abs(sol.z - z_star)) <= 1e-12 * np.max(np.abs(z_star))
+        # the boxes hold exactly; equality rows to rounding
+        Az = prob.A @ sol.z
+        assert np.all(prob.l[n_eq:] <= Az[n_eq:]) and np.all(Az[n_eq:] <= prob.u[n_eq:])
+        assert_allclose(Az[:n_eq], prob.l[:n_eq], rtol=1e-12, atol=1e-12)
+
+    def test_interior_box_minimizer(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            prob, z_star, _ = interior_qp(rng, n=int(rng.integers(1, 7)))
+            assert_allclose(z_star, np.linalg.solve(prob.P, -prob.q), rtol=1e-12)
+            sol = solve(prob)
+            self._check_exit(prob, sol, z_star)
+            assert np.all(sol.y == 0)
+
+    def test_interior_minimizer_with_equality_rows(self):
+        rng = np.random.default_rng(32)
+        for _ in range(20):
+            n = int(rng.integers(2, 7))
+            n_eq = int(rng.integers(1, n))
+            prob, z_star, y_star = interior_qp(rng, n, n_eq)
+            sol = solve(prob)
+            self._check_exit(prob, sol, z_star, n_eq)
+            assert np.all(sol.y[n_eq:] == 0)
+            assert_allclose(sol.y[:n_eq], y_star, rtol=1e-9,
+                            atol=1e-9 * np.max(np.abs(y_star)))
+
+    def test_minimizer_just_outside_a_box_goes_to_the_iterations(self):
+        rng = np.random.default_rng(33)
+        for side in ("l", "u"):
+            prob, z_star, _ = interior_qp(rng, n=4)
+            bounds = getattr(prob, side)
+            # the first box row is 1e-12 on the wrong side of the minimizer
+            bounds[0] = z_star[0] + (1e-12 if side == "l" else -1e-12)
+            sol = solve(prob)
+            assert sol.status == "solved"
+            assert sol.iterations > 0
+
+    def test_zero_hessian_never_takes_the_exit(self):
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            n = int(rng.integers(1, 5))
+            q = rng.normal(size=n)
+            prob = QpProblem(P=np.zeros((n, n)), q=q, A=np.eye(n),
+                             l=-np.ones(n), u=np.ones(n))
+            sol = solve(prob)
+            assert sol.status == "solved"
+            assert sol.iterations > 0
+            assert_allclose(sol.z, -np.sign(q), atol=1e-6)
+
+
 class TestScalingInvariance:
     def test_minimizer_unchanged_by_common_cost_scale(self):
         rng = np.random.default_rng(9)
