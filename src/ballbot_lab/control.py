@@ -138,15 +138,14 @@ class SmoothStepRef:
             raise ValueError("T_rise must be positive")
 
 
-def smooth_step(ref: SmoothStepRef, t: float) -> np.ndarray:
-    """Reference state at time t; only the position entry is nonzero."""
-    if t < ref.t0:
-        y = 0.0
-    elif t < ref.t0 + ref.T_rise:
-        y = ref.amplitude * (1.0 - np.cos(np.pi * (t - ref.t0) / ref.T_rise)) / 2.0
-    else:
-        y = ref.amplitude
-    return np.array([y, 0.0, 0.0, 0.0])
+def smooth_step(ref: SmoothStepRef, t) -> np.ndarray:
+    """Reference state at t, one row per time if t is an array; only position is nonzero."""
+    t = np.asarray(t, dtype=float)
+    rise = ref.amplitude * (1.0 - np.cos(np.pi * (t - ref.t0) / ref.T_rise)) / 2.0
+    out = np.zeros(t.shape + (4,))
+    out[..., 0] = np.where(t < ref.t0, 0.0,
+                           np.where(t < ref.t0 + ref.T_rise, rise, ref.amplitude))
+    return out
 
 
 @dataclass
@@ -230,15 +229,14 @@ def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
 class MpcController:
     """Receding-horizon controller around one reusable QP workspace.
 
-    The condensed QP's quadratic term and constraint matrix never change
-    between steps, so its prediction maps and one QpSolver are set up at
-    construction and each step only refreshes q, l, u from them. Each solve
-    starts cold and independent of the last: when the unconstrained optimum
-    already meets every box (the region where the MPC law is the LQ law) it
-    is returned at 0 iterations, otherwise the interior-point iterations run
-    from their fixed start. Solver hiccups are absorbed: hitting the
-    iteration cap returns the last iterate with a degraded flag, and a
-    certified-infeasible problem falls back to zero correction (the inner
+    P and A of the condensed QP never change, so its prediction maps and one
+    QpSolver, which caches P^-1 A' and A P^-1 A', are set up at construction
+    and each step only refreshes q, l, u. Each solve starts cold from the
+    unconstrained optimum: when it meets every box (the region where the
+    MPC law is the LQ law) it is returned at 0 steps, otherwise dual
+    active-set steps add the rows that bind. Solver hiccups are absorbed:
+    hitting the step cap returns the last iterate with a degraded flag, and
+    a certified-infeasible problem falls back to zero correction (the inner
     regulator alone keeps the robot balanced) while the event is logged.
     """
 

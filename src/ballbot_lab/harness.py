@@ -201,11 +201,15 @@ def validate_config(cfg: dict):
             raise ConfigError(f"run.durations.{name}", "must be positive")
     if len(cfg["lqr"]["Q"]) != 4:
         raise ConfigError("lqr.Q", "must have four diagonal entries")
-    if len(cfg["mpc"]["Q"]) != 4:
-        raise ConfigError("mpc.Q", "must have four diagonal entries")
-    qn = cfg["mpc"]["Q_N"]
-    if qn is not None and len(qn) != 4:
-        raise ConfigError("mpc.Q_N", "must have four diagonal entries")
+    mpc = cfg["mpc"]
+    q_n = mpc["Q"] if mpc["Q_N"] is None else mpc["Q_N"]  # None: Q_N = Q
+    for key, w in (("Q", mpc["Q"]), ("Q_N", q_n)):
+        if len(w) != 4:
+            raise ConfigError(f"mpc.{key}", "must have four diagonal entries")
+        if min(w) < 0:  # a negative weight makes the MPC QP nonconvex
+            raise ConfigError(f"mpc.{key}", "entries must be nonnegative")
+    if mpc["R"] < 0:
+        raise ConfigError("mpc.R", "must be nonnegative")
     p = cfg["plant"]["linear"].get("p")
     if p is not None and len(p) != 8:
         raise ConfigError("plant.linear.p", "must have eight entries")
@@ -636,6 +640,9 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     filt = design_butterworth2(cfg["mpc"]["filter_fc_hz"], 1.0 / Ts)
     latency = cfg["run"]["latency_mpc_periods"]
     K = lqr.K
+    n_ticks = int(round(duration / Ts))
+    y_ref = smooth_step(ref_spec, np.arange(n_ticks) * Ts)[:, 0]
+    preview_lag = np.arange(mpc_cfg.N + 1) * mpc_cfg.Ts_mpc
     # u_lqr_y_ticks, u_mpc_raw_ticks, u_mpc_filt_ticks, y_ref_cm are adjacent
     mpc_cols = slice(_COL["u_lqr_y_ticks"], _COL["y_ref_cm"] + 1)
     u_mpc_raw = 0.0
@@ -647,9 +654,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         nonlocal u_mpc_raw, pending, clamped
         t = k * Ts
         if k % m == 0:
-            preview = np.stack([smooth_step(ref_spec, t + j * mpc_cfg.Ts_mpc)
-                                for j in range(mpc_cfg.N + 1)])
-            u_new, info = controller.mpc_step(xm0, preview)
+            u_new, info = controller.mpc_step(xm0, smooth_step(ref_spec, t + preview_lag))
             iter_counts.append(info["iterations"])
             # a solve stopped at its cap may return an input off the box
             u_box = min(max(u_new, -mpc_cfg.u_max), mpc_cfg.u_max)
@@ -662,12 +667,11 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
                 pending = u_box
         u_mpc_filt = filt.step(u_mpc_raw)
         u_lqr_y = -(K @ xm0)[0]
-        row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt, smooth_step(ref_spec, t)[0])
+        row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt, y_ref[k])
         return u_lqr_y + u_mpc_filt, -(K @ xm1)[0]
 
     states = [np.zeros(4), np.zeros(4)]
-    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
-                           Ts, control)
+    tel, abort = _simulate(_make_planes(cfg), states, n_ticks, Ts, control)
 
     # the tracking plane after each completed tick, with that tick's MPC input
     y, th, yd, thd = _after_steps(tel, 0, states[0], abort).T
@@ -698,7 +702,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         "clamped_event_count": clamped,
         "solver_iterations_mean": float(np.mean(iter_counts)) if iter_counts else 0.0,
         "solver_iterations_max": int(np.max(iter_counts)) if iter_counts else 0,
-        # solves whose unconstrained optimum met every box (0 iterations)
+        # solves whose unconstrained optimum met every box (0 steps)
         "unconstrained_solve_count": iter_counts.count(0),
         "tracking_cost": tracking_cost,
     }

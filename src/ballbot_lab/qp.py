@@ -1,23 +1,30 @@
 """Convex QP solver for  minimize 1/2 z'Pz + q'z  s.t.  l <= Az <= u.
 
-Rows with l == u are equalities A_E z = b; the finite sides of the other
-rows become one-sided inequalities Gz + s = h. A solve first tries the
-minimizer on A_E z = b alone, from a KKT matrix factored once per solver:
-when it meets every inequality exactly it is the optimum, returned at 0
-iterations. Otherwise a Mehrotra predictor-corrector interior-point method
-runs, with slacks s > 0 and multipliers lam > 0. Each iteration factors
-the reduced KKT matrix
+Rows with l == u are equalities; the other rows are boxes with one or two
+finite sides. The method is chosen from P alone, once per solver.
+
+A positive definite P takes the dual active-set method of Goldfarb &
+Idnani (1983) on the cached S = A P^-1 A' and H = P^-1 A'. It starts from
+the minimizer on the equality rows, which enter first and never leave; a
+start that meets every box exactly is the optimum (0 steps). Each step adds
+the most violated row or, on a partial step, drops the active row whose
+multiplier would change sign: one k x k solve on the k active rows of S. A
+violated row that depends on the active set with no multiplier left to
+drop certifies infeasibility. z is recomputed from the final active set.
+
+Any other P (singular, such as P = 0) takes a Mehrotra predictor-corrector
+interior-point method with slacks s > 0 and multipliers lam > 0 on the
+one-sided rows Gz + s = h. Each iteration LU-factors (LAPACK dgetrf) the
+dense reduced KKT matrix
 
     [[P + G' W G + delta I, A_E'], [A_E, -delta I]],   W = diag(lam / s),
 
 once and solves with it twice, for the predictor and for the corrector.
-The matrix is dense and LU-factored by LAPACK (dgetrf/dgetrs): the problems
-it serves are small and dense, such as the condensed MPC with one variable
-per horizon step. G'WG is formed as A_in' D A_in over the inequality rows,
-with D summing the weights of a row's two sides. The regularization delta
-perturbs the Newton direction, not the residuals, so it does not bias the
-solution. Primal infeasibility is certified by a Farkas check on the dual
-step, whose direction settles once the multipliers diverge.
+G'WG is formed as A_in' D A_in over the inequality rows, with D summing the
+weights of a row's two sides. The regularization delta perturbs the Newton
+direction, not the residuals, so it does not bias the solution. Primal
+infeasibility is certified by a Farkas check on the dual step, whose
+direction settles once the multipliers diverge.
 """
 
 from __future__ import annotations
@@ -25,13 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 __all__ = ["QpProblem", "QpSettings", "QpSolution", "QpSolver", "solve"]
 
 _DELTA = 1e-9      # KKT regularization
 _STEP = 0.99       # fraction of the step to the boundary of s, lam > 0
 _DUAL_BIG = 1e3    # dual size, relative to the data, that triggers the Farkas check
+_DEPENDENT = 1e-10  # relative size read as rounding in the active-set steps
 
 
 @dataclass
@@ -58,6 +66,8 @@ class QpProblem:
             raise ValueError("A, l, u dimensions inconsistent")
         if np.any(self.l > self.u):
             raise ValueError("need l <= u elementwise")
+        if n and np.linalg.eigvalsh(self.P)[0] < -1e-12 * max(1.0, np.max(np.abs(self.P))):
+            raise ValueError("P must be positive semidefinite")
 
     @property
     def n(self):
@@ -109,7 +119,7 @@ def _row_pattern(p: QpProblem):
 
 
 class QpSolver:
-    """Workspace owning the KKT structure for one problem.
+    """Workspace owning the factors of P and the KKT structure for one problem.
 
     P and A are fixed for the solver's life; `update_vectors` swaps q, l, u
     between solves, which is the receding-horizon pattern. The solver keeps
@@ -122,7 +132,8 @@ class QpSolver:
         self._structure()
 
     def _structure(self):
-        """Split the rows and assemble the fixed part of the KKT matrix."""
+        """Split the rows, assemble the fixed part of the KKT matrix and, for
+        a positive definite P, cache H = P^-1 A' and S = A P^-1 A'."""
         p = self.prob
         n = p.n
         self._pattern = _row_pattern(p)
@@ -139,12 +150,15 @@ class QpSolver:
         self._kkt = np.asfortranarray(np.block([
             [p.P + _DELTA * np.eye(n), self._AE.T],
             [self._AE, -_DELTA * np.eye(n_eq)]]))
-        # the KKT matrices of the equality-constrained minimizer (w = 0) and
-        # of the starting point (w = 1) depend on P and A only
-        self._factor(np.zeros(self._G.shape[0]))
-        self._lu_free = (self._lu, self._piv)
+        # the interior-point start's KKT matrix (w = 1) depends on P and A only
         self._factor(np.ones(self._G.shape[0]))
         self._lu0 = (self._lu, self._piv)
+        chol, info = dpotrf(p.P)
+        self._chol = chol if info == 0 else None
+        if info == 0:
+            self._H = dpotrs(chol, p.A.T)[0]
+            S = p.A @ self._H
+            self._S = 0.5 * (S + S.T)
 
     def _factor(self, w):
         """LU-factor the reduced KKT matrix for the weights w = lam / s."""
@@ -204,27 +218,15 @@ class QpSolver:
         return r_d, r_e, r_i, r_prim, r_dual, gap, done
 
     def solve(self) -> QpSolution:
+        if self._chol is not None:
+            return self._dual_active_set()
+        return self._interior_point()
+
+    def _interior_point(self) -> QpSolution:
         p, st = self.prob, self.settings
         n, AE, G = p.n, self._AE, self._G
         b = p.l[self._eq_rows]
         h = np.where(self._g_sign > 0, p.u[self._g_rows], -p.l[self._g_rows])
-        # the minimizer on A_E z = b alone, refined once against the
-        # unregularized KKT, is the optimum when it meets every box exactly
-        # and passes the stopping test with zero multipliers (a singular P
-        # gives a huge point that fails the dual test)
-        self._lu, self._piv = self._lu_free
-        sol = self._kkt_solve(np.concatenate([-p.q, b]))
-        z, yE = sol[:n], sol[n:]
-        sol = self._kkt_solve(np.concatenate([-p.q - p.P @ z - AE.T @ yE, b - AE @ z]))
-        z, yE = z + sol[:n], yE + sol[n:]
-        s = h - self._g_sign * (p.A @ z)[self._g_rows]
-        if (s >= 0).all():
-            lam = np.zeros_like(s)
-            *_, r_prim, r_dual, _, done = self._residuals(z, yE, s, lam, b, h)
-            if done:
-                return QpSolution(
-                    z=z, y=self._full_dual(yE, lam), status="solved", iterations=0,
-                    primal_residual=r_prim, dual_residual=r_dual, objective=p.objective(z))
         mI = max(h.size, 1)  # averages s * lam; no inequalities gives mu = 0
         # start from the minimizer of 1/2 z'Pz + q'z + 1/2 |Gz - h|^2 on
         # A_E z = b, with the slacks and multipliers shifted inside the cone
@@ -271,6 +273,80 @@ class QpSolver:
             z=z, y=self._full_dual(yE, lam), status=status, iterations=iters,
             primal_residual=r_prim, dual_residual=r_dual, objective=p.objective(z),
         )
+
+    def _dual_active_set(self) -> QpSolution:
+        """Goldfarb-Idnani steps from z0 = -P^-1 q on the cached S and H."""
+        p, st, S = self.prob, self.settings, self._S
+        z0 = -dpotrs(self._chol, p.q)[0]
+        Az = p.A @ z0
+        eq = self._pattern[0]
+        # bounds of the rows that may still enter (active rows are masked),
+        # exact until the first step: a start that meets them is the optimum
+        lo, hi = np.where(eq, -np.inf, p.l), np.where(eq, np.inf, p.u)
+        # the active rows, their sides (+1 upper, -1 lower, 0 equality) and multipliers
+        W, side, y = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
+        todo = list(self._eq_rows)      # equality rows enter first, uncounted
+        status, steps, row, lo_w = "solved", 0, None, None
+        while True:
+            if row is None:
+                if todo:
+                    row, sd = todo.pop(0), 0.0
+                    b = p.l[row]
+                    d = 1.0 if Az[row] >= b else -1.0
+                else:
+                    viol = np.maximum(Az - hi, lo - Az)
+                    if viol.size == 0 or viol.max() <= 0:
+                        break
+                    row = int(viol.argmax())
+                    d = sd = 1.0 if Az[row] > hi[row] else -1.0
+                    b = p.u[row] if d > 0 else p.l[row]
+                    if lo_w is None:  # from now on, forgive rounding-level violations
+                        lo_w = np.where(eq, -np.inf, p.l - st.eps_abs - st.eps_rel * np.abs(p.l))
+                        hi_w = np.where(eq, np.inf, p.u + st.eps_abs + st.eps_rel * np.abs(p.u))
+                        lo, hi = lo_w.copy(), hi_w.copy()
+                yi = 0.0
+            if sd and steps == st.max_iter:
+                status = "max-iter"
+                break
+            # y_W moves by -t rho while y_row grows by d t, keeping A_W z = b_W
+            r = np.linalg.solve(S[W[:, None], W], S[W, row])
+            rho = d * r
+            schur = S[row, row] - S[row, W] @ r
+            v = max(d * (Az[row] - b), 0.0)
+            t1 = v / schur if schur > _DEPENDENT * S[row, row] else np.inf
+            # inequality multipliers that shrink along the step (not by rounding)
+            t2, cand = np.inf, np.flatnonzero(side * rho > _DEPENDENT * np.abs(rho).max(initial=0.0))
+            if cand.size:
+                ratios = y[cand] / rho[cand]
+                k = int(ratios.argmin())
+                t2, j = max(ratios[k], 0.0), cand[k]
+            if t1 == t2 == np.inf:  # the row depends on the active set
+                if v <= st.eps_abs + st.eps_rel * abs(b):
+                    row = None      # and holds to rounding: it never binds
+                    continue
+                status = "primal-infeasible"
+                break
+            t = min(t1, t2)
+            Az -= t * (d * S[row] - rho @ S[W])
+            y, yi = y - t * rho, yi + d * t
+            steps += sd != 0
+            if t1 <= t2:            # full step: the row enters
+                W, side, y = np.append(W, row), np.append(side, sd), np.append(y, yi)
+                lo[row], hi[row] = -np.inf, np.inf
+                row = None
+            else:                   # partial step: row W[j] leaves
+                lo[W[j]], hi[W[j]] = lo_w[W[j]], hi_w[W[j]]
+                W, side, y = np.delete(W, j), np.delete(side, j), np.delete(y, j)
+        z, y = z0, np.zeros(p.m)
+        if W.size:  # the exact solution on the final active set
+            y[W] = np.linalg.solve(S[W[:, None], W],
+                                   p.A[W] @ z0 - np.where(side > 0, p.u[W], p.l[W]))
+            z = z0 - self._H[:, W] @ y[W]
+        Az = p.A @ z
+        return QpSolution(
+            z=z, y=y, status=status, iterations=steps,
+            primal_residual=float(np.max(np.maximum(Az - p.u, p.l - Az), initial=0.0)),
+            dual_residual=_norm(p.P @ z + p.q + p.A.T @ y), objective=p.objective(z))
 
     @staticmethod
     def _max_step(s, ds, lam, dlam):

@@ -185,22 +185,24 @@ def _simulate_literal(A_cl, B_cl, d, x0):
 def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
     """p -> normalized output errors, stacked channel by channel.
 
-    The measured matrix and the channel scales are built once per fit. The
-    function returns None for a divergent candidate, including one whose
-    squared residual norm overflows; such a candidate is never accepted.
+    The measured channels (as contiguous rows) and their scales are built
+    once per fit, so each call subtracts row from row. The function returns
+    None for a divergent candidate, including one whose squared residual
+    norm overflows; such a candidate is never accepted.
     """
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
     if np.any(var <= 0):
         raise ValueError("a measured channel is constant; cost undefined")
-    scales = np.sqrt(len(dataset) * var)
+    scales = np.sqrt(len(dataset) * var)[:, None]
+    x0, meas_rows = meas[0].copy(), np.ascontiguousarray(meas.T)
 
     def residuals(p):
-        pred = simulate_syscl(p, gains, dataset.d, dataset.Ts, x0=meas[0])
+        pred = simulate_syscl(p, gains, dataset.d, dataset.Ts, x0=x0)
         if pred is None:
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            r = ((pred - meas) / scales).ravel(order="F")
+            r = ((pred.T - meas_rows) / scales).ravel()
             if not math.isfinite(r @ r):
                 return None
         return r

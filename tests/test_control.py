@@ -184,10 +184,6 @@ class TestBuildQp:
             assert_allclose(z, stacked.z[4 * cfg.N:], rtol=0, atol=1e-6)
             assert u == z[0]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "with several boxes binding, the dense normal-equations KKT cannot "
-        "reach eps=1e-12: the dual residual stalls near 1e-9 and the solve "
-        "runs to its iteration cap"))
     def test_tight_solve_with_many_binding_boxes(self, pred):
         cfg = MpcConfig()
         rng = np.random.default_rng(41)
@@ -327,6 +323,28 @@ class TestSmoothStep:
         assert smooth_step(ref, 7.0)[0] == 20.0
         assert smooth_step(ref, 100.0)[0] == 20.0
         assert_allclose(smooth_step(ref, 8.3)[1:], np.zeros(3), atol=0)
+
+    def test_array_of_times_is_bitwise_the_stacked_rows(self):
+        # the MPC preview built in one call, against the per-time rows and
+        # against the per-phase formula evaluated on scalars
+        def literal(ref, t):
+            if t < ref.t0:
+                return 0.0
+            if t < ref.t0 + ref.T_rise:
+                return ref.amplitude * (1.0 - np.cos(np.pi * (t - ref.t0) / ref.T_rise)) / 2.0
+            return ref.amplitude
+
+        for ref in (SmoothStepRef(t0=5.0, amplitude=20.0, T_rise=2.0),
+                    SmoothStepRef(t0=0.35, amplitude=-7.3, T_rise=1.3)):
+            for k in range(0, 2000, 20):
+                t = k * 0.005
+                preview = smooth_step(ref, t + np.arange(41) * 0.1)
+                rows = np.stack([smooth_step(ref, t + j * 0.1) for j in range(41)])
+                assert preview.shape == (41, 4)
+                assert np.array_equal(preview, rows)
+                assert np.array_equal(preview[:, 0],
+                                      [literal(ref, t + j * 0.1) for j in range(41)])
+                assert not preview[:, 1:].any()
 
     def test_monotone_rise(self):
         ref = SmoothStepRef(t0=1.0, amplitude=20.0, T_rise=2.0)

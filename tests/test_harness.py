@@ -69,6 +69,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(p)
 
+    @pytest.mark.parametrize("mpc", [{"R": -5.0}, {"Q": [1000.0, -1.0, 0.0, 0.0]},
+                                     {"Q_N": [1000.0, 0.0, 0.0, -1e-3]}])
+    def test_negative_mpc_weights_rejected(self, mpc):
+        # a negative weight makes the MPC cost nonconvex; the QP would
+        # return a stationary point, not a minimizer
+        with pytest.raises(ConfigError) as exc:
+            load_config(overrides={"mpc": mpc})
+        assert f"mpc.{next(iter(mpc))}" in str(exc.value)
+
 
 class TestBalance:
     def test_zero_tilt_stays_zero(self):

@@ -51,6 +51,17 @@ class TestBasics:
         with pytest.raises(ValueError):
             QpProblem(P=[[1.0]], q=[0.0], A=[[1.0]], l=[2.0], u=[1.0])
 
+    def test_indefinite_hessian_rejected(self):
+        with pytest.raises(ValueError):
+            QpProblem(P=[[1.0, 0.0], [0.0, -1e-6]], q=[0.0, 0.0],
+                      A=np.eye(2), l=[-1.0, -1.0], u=[1.0, 1.0])
+        # a rank-3 Gram matrix has rounding-level negative eigenvalues; it passes
+        G = np.random.default_rng(1).normal(size=(3, 6))
+        P = G.T @ G
+        P = 0.5 * (P + P.T)
+        assert np.linalg.eigvalsh(P)[0] < 0
+        QpProblem(P=P, q=np.zeros(6), A=np.zeros((0, 6)), l=[], u=[])
+
 
 class TestAgainstEnumerationOracle:
     def test_hundred_random_problems(self):
@@ -252,6 +263,158 @@ class TestUnconstrainedExit:
             assert sol.iterations > 0
             assert_allclose(sol.z, -np.sign(q), atol=1e-6)
 
+
+def kkt_violation(prob, sol):
+    """Largest violation of the optimality conditions of (z, y).
+
+    Primal feasibility, stationarity P z + q + A'y = 0, the multiplier signs
+    (positive on an upper side, negative on a lower side, free on an
+    equality row) and complementarity, each relative to the data size.
+    """
+    z, y = sol.z, sol.y
+    Az = prob.A @ z
+    box = prob.u - prob.l > 1e-12
+    up, lo = box & (y > 0), box & (y < 0)
+    compl = np.concatenate([y[up] * (prob.u - Az)[up], y[lo] * (prob.l - Az)[lo]])
+    scale = max(1.0, np.max(np.abs(prob.q)), np.max(np.abs(y), initial=0.0))
+    return max(np.max(np.maximum(Az - prob.u, prob.l - Az), initial=0.0),
+               np.max(np.abs(prob.P @ z + prob.q + prob.A.T @ y)) / scale,
+               np.max(np.abs(compl), initial=0.0) / scale)
+
+
+class TestDualActiveSet:
+    """A positive definite P is solved by the dual active-set method."""
+
+    def test_agrees_with_interior_point_and_enumeration(self):
+        rng = np.random.default_rng(2024)
+        steps = []
+        for _ in range(100):
+            prob = random_box_qp(rng)
+            solver = QpSolver(prob)
+            assert solver._chol is not None
+            sol = solver.solve()
+            ipm = QpSolver(prob)._interior_point()
+            obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
+            assert sol.status == ipm.status == "solved"
+            assert abs(sol.objective - obj_star) <= 1e-12 * max(1.0, abs(obj_star))
+            assert_allclose(sol.z, z_star, rtol=0, atol=1e-9)
+            assert_allclose(sol.z, ipm.z, rtol=0, atol=1e-6)
+            assert kkt_violation(prob, sol) <= 1e-12
+            assert sol.primal_residual <= 1e-12 and sol.dual_residual <= 1e-12
+            steps.append(sol.iterations)
+        assert max(steps) <= 2 * 6 and 0 < np.mean(steps)
+
+    def test_equality_rows_get_their_multipliers(self):
+        # equality rows plus narrow boxes that bind: the multipliers match
+        # the literal KKT system on the rows the solution holds at a bound
+        rng = np.random.default_rng(52)
+        binding = 0
+        for _ in range(30):
+            n = int(rng.integers(3, 7))
+            n_eq = int(rng.integers(1, n))
+            M = rng.normal(size=(n, n))
+            P = M @ M.T + 0.5 * np.eye(n)
+            AE = rng.normal(size=(n_eq, n))
+            b = AE @ rng.uniform(-0.2, 0.2, n)  # feasible inside the boxes
+            A = np.vstack([AE, np.eye(n)])
+            prob = QpProblem(P=P, q=rng.normal(scale=3.0, size=n), A=A,
+                             l=np.concatenate([b, np.full(n, -0.3)]),
+                             u=np.concatenate([b, np.full(n, 0.3)]))
+            sol = solve(prob)
+            assert sol.status == "solved"
+            assert kkt_violation(prob, sol) <= 1e-10
+            active = np.flatnonzero(sol.y)
+            assert set(range(n_eq)) <= set(active)
+            binding += active.size > n_eq
+            Aw = A[active]
+            K = np.block([[P, Aw.T], [Aw, np.zeros((active.size, active.size))]])
+            ref = np.linalg.solve(K, np.concatenate([-prob.q, prob.l[active] * (
+                sol.y[active] < 0) + prob.u[active] * (sol.y[active] > 0)]))
+            assert_allclose(sol.z, ref[:n], rtol=0, atol=1e-9)
+            assert_allclose(sol.y[active], ref[n:], rtol=1e-9,
+                            atol=1e-9 * np.max(np.abs(ref[n:])))
+            ipm = QpSolver(prob)._interior_point()
+            assert_allclose(sol.z, ipm.z, rtol=0, atol=1e-6)
+        assert binding >= 10
+
+    @staticmethod
+    def _with_rows(prob, rows, l, u):
+        return QpProblem(P=prob.P, q=prob.q, A=np.vstack([prob.A, rows]),
+                         l=np.concatenate([prob.l, l]), u=np.concatenate([prob.u, u]))
+
+    def test_duplicated_and_summed_rows(self):
+        # rows that repeat a box or add two of them leave the feasible set as
+        # it is; at a corner they bind together with the rows they depend on
+        rng = np.random.default_rng(53)
+        for _ in range(50):
+            prob = random_box_qp(rng, n=int(rng.integers(2, 6)))
+            n = prob.n
+            i, j = rng.choice(n, size=2, replace=False)
+            I = np.eye(n)
+            extra = self._with_rows(
+                prob, [I[i], I[j], I[i] + I[j]],
+                [prob.l[i], prob.l[j], prob.l[i] + prob.l[j]],
+                [prob.u[i], prob.u[j], prob.u[i] + prob.u[j]])
+            obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
+            sol = solve(extra, QpSettings(max_iter=20))
+            assert sol.status == "solved"
+            assert sol.iterations < 20
+            assert_allclose(sol.z, z_star, rtol=0, atol=1e-9)
+            assert kkt_violation(extra, sol) <= 1e-12
+            # a sum row whose lower side lies beyond the two upper sides
+            infeasible = self._with_rows(extra, [I[i] + I[j]],
+                                         [prob.u[i] + prob.u[j] + 0.5], [np.inf])
+            sol = solve(infeasible, QpSettings(max_iter=20))
+            assert sol.status == "primal-infeasible"
+            assert sol.iterations < 20
+
+    def test_summed_general_rows_agree_with_interior_point(self):
+        # general rows, the third the sum of the first two: once it depends
+        # on the active set, only multipliers that really shrink may leave;
+        # rounding noise in the others must not, or an infeasible problem
+        # comes back "solved"
+        rng = np.random.default_rng(1)
+        statuses = []
+        for _ in range(200):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(3, 8))
+            M = rng.normal(size=(n, n))
+            A = rng.normal(size=(m, n))
+            A[2] = A[0] + A[1]
+            l = rng.uniform(-2.0, 0.0, m)
+            u = l + rng.uniform(0.0, 2.0, m)
+            l[rng.uniform(size=m) < 0.3] = -np.inf
+            u[rng.uniform(size=m) < 0.3] = np.inf
+            prob = QpProblem(P=M @ M.T + 0.5 * np.eye(n), q=rng.normal(scale=5.0, size=n),
+                             A=A, l=l, u=u)
+            sol = solve(prob)
+            ipm = QpSolver(prob, QpSettings(eps_abs=1e-10, eps_rel=1e-10))._interior_point()
+            assert sol.status == ipm.status
+            if sol.status == "solved":
+                assert kkt_violation(prob, sol) <= 1e-9
+            statuses.append(sol.status)
+        assert 20 <= statuses.count("primal-infeasible") <= 180
+
+    def test_equality_row_repeated_as_a_box_row(self):
+        rng = np.random.default_rng(54)
+        for _ in range(30):
+            n = int(rng.integers(2, 6))
+            M = rng.normal(size=(n, n))
+            P = M @ M.T + 0.5 * np.eye(n)
+            a = rng.normal(size=n)
+            base = QpProblem(P=P, q=rng.normal(scale=3.0, size=n),
+                             A=np.vstack([a, np.eye(n)]),
+                             l=np.concatenate([[0.1], np.full(n, -1.0)]),
+                             u=np.concatenate([[0.1], np.full(n, 1.0)]))
+            plain = solve(base)
+            # a box on the same row that holds there, one whose upper side
+            # is the equality's value, and one that excludes it
+            for lo, hi, status in ((-0.5, 0.4, "solved"), (-1.0, 0.1, "solved"),
+                                   (0.2, 0.6, "primal-infeasible")):
+                sol = solve(self._with_rows(base, [a], [lo], [hi]), QpSettings(max_iter=20))
+                assert sol.status == status
+                assert sol.iterations < 20
+                if status == "solved":
+                    assert_allclose(sol.z, plain.z, rtol=0, atol=1e-12)
 
 class TestScalingInvariance:
     def test_minimizer_unchanged_by_common_cost_scale(self):

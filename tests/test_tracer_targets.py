@@ -79,11 +79,10 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
         "zoh_discretize": 1, "design_lqr": 1, "mix_to_wheels": 1,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
     periods = ticks // 20                        # one MPC solve per 0.1 s
-    n_preview = cfg["mpc"]["N"] + 1
     assert run(harness.run_track, cfg, duration=0.5) == {
         "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1,
         "MpcController.mpc_step": periods,
-        "smooth_step": periods * n_preview + ticks,
+        "smooth_step": periods + 1,              # each preview, the logged column
         "Biquad.step": ticks, "mix_to_wheels": 1,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
     alphas = (0.5, 1.0)
