@@ -25,6 +25,7 @@ __all__ = [
     "spectral_radius",
     "design_butterworth2",
     "nrmse_fit",
+    "sum_squares",
     "rk4_step",
 ]
 
@@ -288,10 +289,17 @@ def nrmse_fit(y, yhat) -> float:
         raise ValueError("y and yhat must be 1-D sequences of equal length")
     if y.size < 2:
         raise ValueError("need at least two samples")
-    denom = np.linalg.norm(y - y.mean())
+    denom = np.sqrt(sum_squares(y - y.mean()))
     if denom == 0.0:
         raise ValueError("y is constant; fit metric undefined")
-    return 100.0 * (1.0 - np.linalg.norm(y - yhat) / denom)
+    return 100.0 * (1.0 - np.sqrt(sum_squares(y - yhat)) / denom)
+
+
+def sum_squares(v) -> float:
+    """Sum of squares in numpy's fixed-order pairwise reduction. A BLAS dot
+    (``v @ v``, ``np.linalg.norm``) splits long vectors across threads, so
+    its last bits would depend on the BLAS thread count."""
+    return float(np.sum(v * v))
 
 
 def rk4_step(f, x, u, dt: float):

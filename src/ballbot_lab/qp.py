@@ -29,7 +29,8 @@ direction settles once the multipliers diverge.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
@@ -112,10 +113,11 @@ def _norm(*arrays) -> float:
     return float(np.abs(np.concatenate(arrays)).max(initial=0.0))
 
 
-def _row_pattern(p: QpProblem):
-    """Rows of one mask: equality rows, rows with a finite upper / lower side."""
-    eq = np.isfinite(p.l) & np.isfinite(p.u) & (p.u - p.l <= 1e-12)
-    return np.stack([eq, ~eq & np.isfinite(p.u), ~eq & np.isfinite(p.l)])
+def _row_masks(p: QpProblem):
+    """Masks of the finite lower sides, the finite upper sides and the
+    equality rows, end to end in one array."""
+    lo, up = np.isfinite(p.l), np.isfinite(p.u)
+    return np.concatenate([lo, up, lo & up & (p.u - p.l <= 1e-12)])
 
 
 class QpSolver:
@@ -127,7 +129,7 @@ class QpSolver:
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
-        self.prob = replace(problem)
+        self.prob = copy.copy(problem)
         self.settings = settings or QpSettings()
         self._structure()
 
@@ -136,8 +138,10 @@ class QpSolver:
         a positive definite P, cache H = P^-1 A' and S = A P^-1 A'."""
         p = self.prob
         n = p.n
-        self._pattern = _row_pattern(p)
-        eq, up, lo = self._pattern
+        self._masks = _row_masks(p)
+        lo, up, self._eq = self._masks.reshape(3, -1)
+        eq = self._eq
+        up, lo = up & ~eq, lo & ~eq
         self._eq_rows = np.flatnonzero(eq)
         self._g_rows = np.concatenate([np.flatnonzero(up), np.flatnonzero(lo)])
         self._g_sign = np.concatenate([np.ones(up.sum()), -np.ones(lo.sum())])
@@ -189,9 +193,9 @@ class QpSolver:
             p.l = np.asarray(l, dtype=float).ravel()
         if u is not None:
             p.u = np.asarray(u, dtype=float).ravel()
-        if np.any(p.l > p.u):
+        if (p.l > p.u).any():
             raise ValueError("need l <= u elementwise")
-        if not np.array_equal(_row_pattern(p), self._pattern):
+        if not (_row_masks(p) == self._masks).all():
             raise ValueError("equality rows and finite bound sides must not change")
 
     def _newton(self, r_d, r_e, r_i, r_c, s, lam, w):
@@ -279,7 +283,7 @@ class QpSolver:
         p, st, S = self.prob, self.settings, self._S
         z0 = -dpotrs(self._chol, p.q)[0]
         Az = p.A @ z0
-        eq = self._pattern[0]
+        eq = self._eq
         # bounds of the rows that may still enter (active rows are masked),
         # exact until the first step: a start that meets them is the optimum
         lo, hi = np.where(eq, -np.inf, p.l), np.where(eq, np.inf, p.u)

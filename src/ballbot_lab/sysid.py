@@ -14,6 +14,9 @@ The candidate closed loop is composed at the discrete level, A_d + kp B_d F
 (``stabilizer.closed_loop``), matching the digital controller that actually
 ran: the controller holds its output over each sample period, so
 discretize-then-close is the exact model class of the recorded experiment.
+
+The Levenberg-Marquardt Jacobian is exact, built from the candidate's modal
+form rather than differenced (``_jacobian_fn``).
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import numpy as np
 from scipy.linalg.blas import ztbsv
 
 from .errors import IdentificationFailedError
-from .numerics import ContinuousSS, nrmse_fit, zoh_discretize
+from .numerics import ContinuousSS, expm, nrmse_fit, sum_squares, zoh_discretize
 from .plant import LinearParams, build_linear_ss
-from .stabilizer import FeedbackGains, discrete_closed_loop, feedback_row
+from .stabilizer import (FeedbackGains, closed_loop, discrete_closed_loop,
+                         feedback_row)
 
 __all__ = [
     "IdDataset", "IdConfig", "IdResult",
@@ -35,6 +39,7 @@ __all__ = [
 ]
 
 _CHANNELS = ("theta", "ydot", "thetadot")
+_DEFECTIVE_COND = 1e9  # cond V above which the eigenbasis is near-defective
 
 
 @dataclass
@@ -151,23 +156,36 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
         return None
     if np.max(np.abs(lam)) > 1.05:
         return None  # would overflow over thousands of samples
-    cond = np.linalg.cond(V)
-    if not np.isfinite(cond) or cond > 1e9:
+    if _near_defective(V):
         return _simulate_literal(A_cl, B_cl, d, x0)
     Z = np.empty((3, n), dtype=complex)
     Z[:, 0] = np.linalg.solve(V, x0.astype(complex))
     np.outer(np.linalg.solve(V, B_cl.astype(complex)), d[:-1], out=Z[:, 1:])
-    # LAPACK band storage: row 0 the unit diagonal, row 1 the sub-diagonal.
-    # Fortran order, or f2py copies the band on every call; Z[i] is a
-    # contiguous complex row, so the solve overwrites it in place.
     band = np.ones((2, n), dtype=complex, order="F")
     for i in range(3):
-        band[1] = -lam[i]
-        ztbsv(1, band, Z[i], lower=1, diag=1, overwrite_x=1)
+        _modal_solve(band, lam[i], Z[i])
     out = (V @ Z).real.T
     if not np.all(np.isfinite(out)):
         return None
     return out
+
+
+def _near_defective(V) -> bool:
+    cond = np.linalg.cond(V)
+    return not np.isfinite(cond) or cond > _DEFECTIVE_COND
+
+
+def _modal_solve(band, lam, z):
+    """z[k] <- lam z[k-1] + z[k] over the whole record: one forward solve of
+    the unit lower-bidiagonal system with -lam below the diagonal.
+
+    `band` is its (2, n) complex LAPACK band storage, row 0 the unit
+    diagonal and row 1 the sub-diagonal (set here); Fortran order, or f2py
+    copies it on every call. z must be a contiguous complex row, so the solve
+    overwrites it in place.
+    """
+    band[1] = -lam
+    ztbsv(1, band, z, lower=1, diag=1, overwrite_x=1)
 
 
 def _simulate_literal(A_cl, B_cl, d, x0):
@@ -182,13 +200,27 @@ def _simulate_literal(A_cl, B_cl, d, x0):
     return X
 
 
+def _augmented(p) -> np.ndarray:
+    """X = [[A, B], [0, 0]] of the planar model without its position state."""
+    full = build_linear_ss(LinearParams.from_array(p))
+    X = np.zeros((4, 4))
+    X[:3, :3] = full.A[1:, 1:]
+    X[:3, 3] = full.B[1:, 0]
+    return X
+
+
+# X is affine in p, so dX/dp_j is the unit entry that p_j occupies
+_DX = [_augmented(e) - _augmented(np.zeros(8)) for e in np.eye(8)]
+
+
 def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
-    """p -> normalized output errors, stacked channel by channel.
+    """(p -> normalized output errors stacked channel by channel, p -> their
+    Jacobian).
 
     The measured channels (as contiguous rows) and their scales are built
-    once per fit, so each call subtracts row from row. The function returns
-    None for a divergent candidate, including one whose squared residual
-    norm overflows; such a candidate is never accepted.
+    once per fit, so each call subtracts row from row. The residual function
+    returns None for a divergent candidate, including one whose squared
+    residual norm overflows; such a candidate is never accepted.
     """
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
@@ -203,11 +235,121 @@ def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
             return None
         with np.errstate(over="ignore", invalid="ignore"):
             r = ((pred.T - meas_rows) / scales).ravel()
-            if not math.isfinite(r @ r):
+            if not math.isfinite(sum_squares(r)):
                 return None
         return r
 
-    return residuals
+    return residuals, _jacobian_fn(gains, dataset.d, dataset.Ts, x0, scales[:, 0])
+
+
+def _jacobian_fn(gains: FeedbackGains, d, Ts: float, x0, scales):
+    """p -> the exact (3N x 8) Jacobian of the residuals, or None.
+
+    Model derivatives: exp of the 36 x 36 block upper-triangular matrix with
+    X Ts on its nine diagonal blocks and dX/dp_j Ts in block (0, j+1) holds
+    exp(X Ts) in block (0, 0) and its derivative along p_j in block (0, j+1)
+    (Van Loan 1978, "Computing integrals involving the matrix exponential");
+    the loop closes each block, as the composition is linear in (A_d, B_d).
+
+    Mode derivatives: with A_cl = V diag(lam) V^-1 and M_j = V^-1 dA_cl V,
+    dlam = diag(M_j), dV = V C_j with (C_j)_ik = (M_j)_ik / (lam_k - lam_i)
+    off the diagonal (zero on it, which fixes the eigenvector scaling), and
+    so dc0 = -C_j c0, dw = V^-1 dB_cl - C_j w (Magnus 1985, "On
+    differentiating eigenvalues and eigenvectors").
+
+    Each mode z_i = c0_i h_i + w_i f_i, with h_i its impulse response and f_i
+    its response to d; dz_i/dlam_i = g_i obeys g[k] = lam g[k-1] + z[k-1],
+    the same solve on z shifted by one sample. So the derivative of output
+    channel c is Re sum_i (a_h h_i + a_f f_i + a_g g_i) with
+    a_h = dV_ci c0_i + V_ci dc0_i, a_f = dV_ci w_i + V_ci dw_i and
+    a_g = V_ci dlam_i. A conjugate pair is solved once and doubled, and J' is
+    one real product of the (24 x 6K) coefficients over the channel scales
+    with the (6K x N) Re/Im rows of the K kept modes' h, f, g.
+
+    None for a divergent candidate or a near-defective eigenbasis.
+    """
+    n = d.size
+    forcing = np.zeros(n, dtype=complex)
+    forcing[1:] = d[:-1]
+    band = np.ones((2, n), dtype=complex, order="F")
+    big = np.zeros((36, 36))
+    for j, dX in enumerate(_DX, start=1):
+        big[:4, 4 * j:4 * j + 4] = dX * Ts
+
+    def jacobian(p):
+        X = _augmented(p) * Ts
+        for b in range(9):
+            big[4 * b:4 * b + 4, 4 * b:4 * b + 4] = X
+        try:
+            E = expm(big)
+            blocks = [closed_loop(E[:3, 4 * b:4 * b + 3], E[:3, 4 * b + 3:4 * b + 4], gains)
+                      for b in range(9)]
+            lam, V = np.linalg.eig(blocks[0][0])
+        except (ValueError, np.linalg.LinAlgError):
+            return None
+        B_cl = blocks[0][1]
+        dA = np.array([a for a, _ in blocks[1:]])          # (8, 3, 3)
+        dB = np.array([b[:, 0] for _, b in blocks[1:]])    # (8, 3)
+        if np.max(np.abs(lam)) > 1.05 or _near_defective(V):
+            return None
+        lam, V = lam.astype(complex), V.astype(complex)
+        Vinv = np.linalg.inv(V)
+        c0, w = Vinv @ x0, Vinv @ B_cl[:, 0]
+        M = Vinv @ dA @ V
+        dlam = np.diagonal(M, axis1=1, axis2=2)
+        gap = lam[None, :] - lam[:, None]
+        np.fill_diagonal(gap, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            C = M / gap
+            dV = V @ C
+            dc0 = -(C @ c0)
+            dw = dB @ Vinv.T - C @ w
+            keep = np.flatnonzero(lam.imag >= 0)
+            weight = np.where(lam.imag[keep] > 0, 2.0, 1.0)
+            basis = np.empty((keep.size, 3, 2, n))  # mode, (h, f, g), (Re, Im)
+            seqs = np.empty((3, n), dtype=complex)
+            h, f, g = seqs
+            for m, i in enumerate(keep):
+                k = _normal_length(lam[i], n)
+                h[:] = 0.0
+                h[0] = 1.0
+                _modal_solve(band[:, :k], lam[i], h[:k])
+                f[:] = forcing
+                _modal_solve(band, lam[i], f)
+                g[0] = 0.0
+                np.multiply(h[:-1], c0[i], out=g[1:])
+                g[1:] += w[i] * f[:-1]
+                _modal_solve(band, lam[i], g)
+                basis[m, :, 0] = seqs.real
+                basis[m, :, 1] = seqs.imag
+            Vk, dVk = V[:, keep], dV[:, :, keep]
+            coef = np.stack([dVk * c0[keep] + Vk * dc0[:, None, keep],
+                             dVk * w[keep] + Vk * dw[:, None, keep],
+                             Vk * dlam[:, None, keep]], axis=-1)  # j, c, mode, h/f/g
+            coef *= weight[:, None] / scales[:, None, None]
+            coef = np.stack([coef.real, -coef.imag], axis=-1).reshape(24, -1)
+            Jt = (coef @ basis.reshape(coef.shape[1], n)).reshape(8, 3 * n)
+        if not np.all(np.isfinite(Jt)):
+            return None
+        return Jt.T
+
+    return jacobian
+
+
+def _normal_length(lam, n) -> int:
+    """Samples of lam^k before it falls below e^-708 (about the smallest
+    normal double); at most n.
+
+    The impulse response is left at zero past that point: rounding would
+    hold lam^k at the smallest subnormal for |lam| > 1/2, and every product
+    with a subnormal takes the processor's slow path.
+    """
+    r = abs(lam)
+    if r >= 1.0:
+        return n
+    if r == 0.0:
+        return 1
+    return min(n, int(-708.0 / math.log(r)) + 1)
 
 
 def pe_cost(p, dataset: IdDataset, gains: FeedbackGains) -> float:
@@ -217,10 +359,10 @@ def pe_cost(p, dataset: IdDataset, gains: FeedbackGains) -> float:
     with the sample variance of its measurement; a prediction stuck at the
     channel mean scores about 1 per channel. Divergent candidates get +inf.
     """
-    r = _residual_fn(dataset, gains)(p)
+    r = _residual_fn(dataset, gains)[0](p)
     if r is None:
         return float("inf")
-    return float(r @ r)
+    return sum_squares(r)
 
 
 def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdResult:
@@ -229,10 +371,12 @@ def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdRe
     Start 0 is the configured initial guess; the remaining starts perturb it
     by log-uniform factors in [0.5, 1.5] per parameter (seeded, so the whole
     procedure is deterministic). The damping factor shrinks tenfold on every
-    accepted step and grows tenfold on rejection; iteration stops when an
-    accepted step improves the cost by less than the relative tolerance.
+    accepted step and grows tenfold on rejection. A start converges when an
+    accepted step improves the cost by less than the relative tolerance; one
+    that stalls (25 rejections in a row, or damping past 1e12) or has no
+    Jacobian (a near-defective eigenbasis) ends unconverged.
     """
-    residuals = _residual_fn(dataset, gains)
+    residuals, jacobian = _residual_fn(dataset, gains)
     lo, hi = config.parameter_bounds
     rng = np.random.default_rng(config.seed)
     starts = [config.initial_guess.copy()]
@@ -244,7 +388,7 @@ def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdRe
     diagnostics = {"starts": []}
     for si, p0 in enumerate(starts):
         p, cost, iters, converged = _levenberg_marquardt(
-            p0, residuals, lo, hi, config)
+            p0, residuals, jacobian, lo, hi, config)
         diagnostics["starts"].append(
             {"start": si, "cost": cost, "iterations": iters, "converged": converged})
         if not math.isfinite(cost):
@@ -259,21 +403,21 @@ def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdRe
                     iterations=iters, start_index=si, diagnostics=diagnostics)
 
 
-def _levenberg_marquardt(p0, residuals, lo, hi, config: IdConfig):
+def _levenberg_marquardt(p0, residuals, jacobian, lo, hi, config: IdConfig):
     p = p0.copy()
     r = residuals(p)
     if r is None:
         return p, float("inf"), 0, False
-    cost = float(r @ r)
+    cost = sum_squares(r)
     lam = config.lm_lambda0
     converged = False
     it = 0
     for it in range(1, config.max_iterations + 1):
-        J = _jacobian(p, r, residuals)
+        J = jacobian(p)
         if J is None:
             break
-        JtJ = J.T @ J
-        Jtr = J.T @ r
+        JtJ, Jtr = J.T @ J, J.T @ r
+        del J  # 2.3 MB at fit length; not held while the next one is built
         diag = np.diag(JtJ).copy()
         diag[diag <= 0] = 1e-30
         accepted = False
@@ -286,38 +430,20 @@ def _levenberg_marquardt(p0, residuals, lo, hi, config: IdConfig):
             trial = np.clip(p + step, lo, hi)
             r_trial = residuals(trial)
             if r_trial is not None:
-                cost_trial = float(r_trial @ r_trial)
+                cost_trial = sum_squares(r_trial)
                 if cost_trial < cost:
                     rel_drop = (cost - cost_trial) / max(cost, 1e-300)
                     p, r, cost = trial, r_trial, cost_trial
                     lam = max(lam / 10.0, 1e-12)
                     accepted = True
-                    if rel_drop < config.lm_tolerance:
-                        converged = True
+                    converged = rel_drop < config.lm_tolerance
                     break
             lam *= 10.0
             if lam > 1e12:
                 break
-        if not accepted:
-            converged = True  # stalled at a (local) minimum
-            break
-        if converged:
+        if not accepted or converged:
             break
     return p, cost, it, converged
-
-
-def _jacobian(p, r0, residuals):
-    """Forward finite differences with a relative step of 1e-6."""
-    J = np.empty((r0.size, 8))
-    for j in range(8):
-        h = 1e-6 * max(abs(p[j]), 1e-3)
-        pj = p.copy()
-        pj[j] += h
-        rj = residuals(pj)
-        if rj is None:
-            return None
-        J[:, j] = (rj - r0) / h
-    return J
 
 
 def extract_open_loop(A_cl, B_cl, gains: FeedbackGains):

@@ -1,7 +1,14 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import ballbot_lab
+from ballbot_lab import sysid
 from ballbot_lab.errors import IdentificationFailedError
 from ballbot_lab.excitation import MultisineSpec, sample_sequence
 from ballbot_lab.numerics import ContinuousSS, zoh_discretize
@@ -11,7 +18,7 @@ from ballbot_lab.stabilizer import (FeedbackGains, closed_loop_matrices,
 from ballbot_lab.sysid import (IdConfig, IdDataset, extract_open_loop,
                                identify, pe_cost, simulate_syscl, validate)
 
-from oracles import simulate_discrete
+from oracles import fd_jacobian, simulate_discrete
 
 GAINS = FeedbackGains.identification()
 TRUTH = LinearParams.reference().as_array()
@@ -221,6 +228,129 @@ class TestIdentify:
         with pytest.raises(ValueError):
             IdConfig(initial_guess=TRUTH,
                      parameter_bounds=(TRUTH + 1.0, TRUTH + 2.0))
+
+
+def noisy_dataset(duration=20.0, seed=0):
+    """Closed-loop data from x0 != 0 with white noise on every channel, so
+    the residuals, the free response and the scales are all non-trivial."""
+    ds = make_dataset(duration=duration, x0=np.array([0.3, -0.2, 1.5]))
+    rng = np.random.default_rng(seed)
+    return IdDataset(Ts=ds.Ts, d=ds.d,
+                     theta=ds.theta + 0.01 * rng.normal(size=len(ds)),
+                     ydot=ds.ydot + 0.01 * rng.normal(size=len(ds)),
+                     thetadot=ds.thetadot + 0.1 * rng.normal(size=len(ds)))
+
+
+def _with(index, value):
+    p = TRUTH.copy()
+    p[index] = value
+    return p
+
+
+class TestModalJacobian:
+    """The LM Jacobian from modal sensitivities against central differences."""
+
+    @pytest.mark.parametrize("p, n_real", [
+        (TRUTH, 1),
+        (TRUTH * 1.3, 1),
+        (TRUTH * np.random.default_rng(11).uniform(0.7, 1.3, size=8), 1),
+        (_with(3, 100.0), 3),
+        # real mode 0.69: its impulse response underflows within the record
+        (_with(1, 0.5 * TRUTH[1]), 1),
+    ], ids=["truth", "offset", "random", "three-real", "underflowing-mode"])
+    def test_matches_central_differences(self, p, n_real):
+        lam = np.linalg.eigvals(_closed_loop(p).A_d)
+        assert np.sum(lam.imag == 0) == n_real
+        ds = noisy_dataset()
+        residuals, jacobian = sysid._residual_fn(ds, GAINS)
+        J = jacobian(p)
+        # relative steps: differentiate along p * s at s = 1
+        J_fd = fd_jacobian(lambda s: residuals(p * s), np.ones(8), h=1e-6) / p
+        assert J.shape == (3 * len(ds), 8)
+        err = np.linalg.norm(J - J_fd, axis=0) / np.linalg.norm(J_fd, axis=0)
+        assert np.max(err) <= 1e-5
+
+    @pytest.mark.parametrize("lam", [0.3, 0.69, -0.9, 0.99 + 0.05j])
+    def test_impulse_response_cut_where_it_leaves_the_normal_range(self, lam):
+        k = sysid._normal_length(lam, 10**6)
+        assert abs(lam) ** (k - 1) >= np.exp(-708.0) > abs(lam) ** k
+        assert sysid._normal_length(lam, 5) == 5
+
+    def test_impulse_response_of_unit_and_zero_modes(self):
+        assert sysid._normal_length(1.0, 7) == 7
+        assert sysid._normal_length(1.02j, 7) == 7
+        assert sysid._normal_length(0.0, 7) == 1
+
+    def test_near_defective_basis_ends_the_start_unconverged(self, monkeypatch):
+        ds = noisy_dataset(duration=5.0)
+        monkeypatch.setattr(sysid, "_DEFECTIVE_COND", 1.0)
+        assert sysid._residual_fn(ds, GAINS)[1](TRUTH * 1.1) is None
+        res = identify(ds, GAINS, IdConfig(initial_guess=TRUTH * 1.1,
+                                           multistart_count=1))
+        assert res.diagnostics["starts"] == [
+            {"start": 0, "cost": res.final_cost, "iterations": 1,
+             "converged": False}]
+        assert_allclose(res.p_hat, TRUTH * 1.1, rtol=0)
+
+    def test_at_most_two_simulations_per_lm_iteration(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return simulate_syscl(*args, **kwargs)
+
+        monkeypatch.setattr(sysid, "simulate_syscl", counting)
+        ds = noisy_dataset(duration=20.0)
+        res = identify(ds, GAINS, IdConfig(initial_guess=TRUTH * 1.3,
+                                           multistart_count=3))
+        iterations = sum(s["iterations"] for s in res.diagnostics["starts"])
+        assert iterations >= 10
+        assert len(calls) <= 2 * iterations
+
+
+class TestLmStopping:
+    def test_a_stalled_start_is_not_converged(self):
+        # no step ever lowers the cost: every trial is rejected until the
+        # damping passes its cap, and that is a stall, not convergence
+        r0 = np.array([1.0, -2.0, 0.5])
+        J = np.arange(24.0).reshape(3, 8) / 10.0
+        cfg = IdConfig(initial_guess=TRUTH.copy())
+        p, cost, iters, converged = sysid._levenberg_marquardt(
+            TRUTH.copy(), lambda p: r0.copy(), lambda p: J, *cfg.parameter_bounds, cfg)
+        assert converged is False
+        assert iters == 1
+        assert cost == float(r0 @ r0)
+        assert_allclose(p, TRUTH, rtol=0)
+
+    def test_a_small_relative_drop_is_converged(self):
+        res = identify(noisy_dataset(duration=10.0), GAINS,
+                       IdConfig(initial_guess=TRUTH * 1.05, multistart_count=1))
+        assert res.converged is True
+
+
+SRC = Path(ballbot_lab.__file__).resolve().parents[1]
+
+
+def test_identify_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the LM accepts and stops on cost comparisons in the last bits, so a
+    # threaded BLAS reduction there would move p_hat with the thread count.
+    # The default 120 s run, not a shorter one: its 12,000-sample holdout is
+    # long enough for a BLAS dot in the fit rates to be split across threads
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "ballbot_lab.cli", "identify", "--seed", "0",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert sorted(outputs[0]) == ["identified_model.json", "identify_summary.json",
+                                  "identify_telemetry.csv"]
+    assert outputs[0] == outputs[1]
 
 
 class TestExtractOpenLoop:
