@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy 2 loads it lazily: load it with the lab, not in a run
 
 from . import sysid
 from .control import (MpcConfig, MpcController, SmoothStepRef,

@@ -4,7 +4,8 @@ Rows with l == u are equalities; the other rows are boxes with one or two
 finite sides. The method is chosen from P alone, once per solver.
 
 A positive definite P takes the dual active-set method of Goldfarb &
-Idnani (1983) on the cached S = A P^-1 A' and H = P^-1 A'. It starts from
+Idnani (1983) on the cached P^-1 (from the inverted Cholesky factor),
+S = A P^-1 A' and H = P^-1 A'. It starts from
 the minimizer on the equality rows, which enter first and never leave; a
 start that meets every box exactly is the optimum (0 steps). Each step adds
 the most violated row or, on a partial step, drops the active row whose
@@ -14,12 +15,13 @@ drop certifies infeasibility. z is recomputed from the final active set.
 
 Any other P (singular, such as P = 0) takes a Mehrotra predictor-corrector
 interior-point method with slacks s > 0 and multipliers lam > 0 on the
-one-sided rows Gz + s = h. Each iteration LU-factors (LAPACK dgetrf) the
-dense reduced KKT matrix
+one-sided rows Gz + s = h. Each iteration assembles the dense reduced KKT
+matrix
 
     [[P + G' W G + delta I, A_E'], [A_E, -delta I]],   W = diag(lam / s),
 
-once and solves with it twice, for the predictor and for the corrector.
+once and solves with it twice (``np.linalg.solve``), for the predictor and
+for the corrector.
 G'WG is formed as A_in' D A_in over the inequality rows, with D summing the
 weights of a row's two sides. The regularization delta perturbs the Newton
 direction, not the residuals, so it does not bias the solution. Primal
@@ -33,7 +35,6 @@ import copy
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs, dpotrf, dpotrs
 
 __all__ = ["QpProblem", "QpSettings", "QpSolution", "QpSolver", "solve"]
 
@@ -135,7 +136,7 @@ class QpSolver:
 
     def _structure(self):
         """Split the rows, assemble the fixed part of the KKT matrix and, for
-        a positive definite P, cache H = P^-1 A' and S = A P^-1 A'."""
+        a positive definite P, cache P^-1, H = P^-1 A' and S = A P^-1 A'."""
         p = self.prob
         n = p.n
         self._masks = _row_masks(p)
@@ -151,34 +152,30 @@ class QpSolver:
         in_rows, self._g_in = np.unique(self._g_rows, return_inverse=True)
         self._A_in = p.A[in_rows]
         n_eq = self._eq_rows.size
-        self._kkt = np.asfortranarray(np.block([
+        self._kkt0 = np.block([
             [p.P + _DELTA * np.eye(n), self._AE.T],
-            [self._AE, -_DELTA * np.eye(n_eq)]]))
-        # the interior-point start's KKT matrix (w = 1) depends on P and A only
-        self._factor(np.ones(self._G.shape[0]))
-        self._lu0 = (self._lu, self._piv)
-        chol, info = dpotrf(p.P)
-        self._chol = chol if info == 0 else None
-        if info == 0:
-            self._H = dpotrs(chol, p.A.T)[0]
-            S = p.A @ self._H
-            self._S = 0.5 * (S + S.T)
+            [self._AE, -_DELTA * np.eye(n_eq)]])
+        try:  # the Cholesky factor exists iff P is positive definite
+            self._chol = np.linalg.cholesky(p.P)
+        except np.linalg.LinAlgError:
+            self._chol = None
+            return
+        L_inv = np.linalg.inv(self._chol)
+        self._P_inv = L_inv.T @ L_inv
+        self._H = self._P_inv @ p.A.T
+        S = p.A @ self._H
+        self._S = 0.5 * (S + S.T)
 
     def _factor(self, w):
-        """LU-factor the reduced KKT matrix for the weights w = lam / s."""
+        """Assemble the reduced KKT matrix for the weights w = lam / s
+        (``_kkt_solve`` factors it; the name is the traced ``qp.factor``)."""
         n = self.prob.n
         d = np.bincount(self._g_in, w, self._A_in.shape[0])
-        kkt = self._kkt.copy(order="F")
-        kkt[:n, :n] += self._A_in.T @ (d[:, None] * self._A_in)
-        self._lu, self._piv, info = dgetrf(kkt, overwrite_a=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"KKT factorization failed (info={info})")
+        self._kkt = self._kkt0.copy()
+        self._kkt[:n, :n] += self._A_in.T @ (d[:, None] * self._A_in)
 
     def _kkt_solve(self, rhs):
-        x, info = dgetrs(self._lu, self._piv, rhs)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"KKT solve failed (info={info})")
-        return x
+        return np.linalg.solve(self._kkt, rhs)
 
     def update_vectors(self, q=None, l=None, u=None):
         """Swap the linear term and bounds; P and A stay as they are.
@@ -234,7 +231,7 @@ class QpSolver:
         mI = max(h.size, 1)  # averages s * lam; no inequalities gives mu = 0
         # start from the minimizer of 1/2 z'Pz + q'z + 1/2 |Gz - h|^2 on
         # A_E z = b, with the slacks and multipliers shifted inside the cone
-        self._lu, self._piv = self._lu0
+        self._factor(np.ones(G.shape[0]))
         sol = self._kkt_solve(np.concatenate([G.T @ h - p.q, b]))
         z, yE = sol[:n], sol[n:]
         s = h - G @ z
@@ -281,7 +278,7 @@ class QpSolver:
     def _dual_active_set(self) -> QpSolution:
         """Goldfarb-Idnani steps from z0 = -P^-1 q on the cached S and H."""
         p, st, S = self.prob, self.settings, self._S
-        z0 = -dpotrs(self._chol, p.q)[0]
+        z0 = -(self._P_inv @ p.q)
         Az = p.A @ z0
         eq = self._eq
         # bounds of the rows that may still enter (active rows are masked),

@@ -67,7 +67,7 @@ def outer_reference(gains, x) -> float:
     passes the vector, built once per experiment.
     """
     k = gains.outer_vector() if isinstance(gains, FeedbackGains) else gains
-    return float(k @ np.asarray(x, dtype=float))
+    return float(np.dot(k, x))
 
 
 def pid_step(state: PidState, e_ydot: float, gains: FeedbackGains, Ts: float) -> float:

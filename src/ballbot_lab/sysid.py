@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.blas import ztbsv
 
 from .errors import IdentificationFailedError
 from .numerics import ContinuousSS, expm, nrmse_fit, sum_squares, zoh_discretize
@@ -182,8 +181,11 @@ def _modal_solve(band, lam, z):
     `band` is its (2, n) complex LAPACK band storage, row 0 the unit
     diagonal and row 1 the sub-diagonal (set here); Fortran order, or f2py
     copies it on every call. z must be a contiguous complex row, so the solve
-    overwrites it in place.
+    overwrites it in place. scipy is imported here, on the first fit, so
+    the commands that fit nothing never load it.
     """
+    from scipy.linalg.blas import ztbsv
+
     band[1] = -lam
     ztbsv(1, band, z, lower=1, diag=1, overwrite_x=1)
 

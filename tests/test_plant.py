@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 from ballbot_lab.errors import MassMatrixSingularError, PlantFellOverError
 from ballbot_lab.numerics import eigenvalues, zoh_discretize
@@ -164,6 +164,22 @@ class TestSensor:
         for _ in range(50):
             assert_allclose(a.measure(x), b.measure(x), atol=0)
 
+    def test_noise_blocks_are_the_per_call_stream(self):
+        # the noise is drawn in blocks and read one draw at a time: exactly
+        # the draws of one rng.standard_normal() call per noise term, across
+        # block boundaries and with one or two noisy channels
+        x = np.array([0.3, -1.2, 2.5, 0.7])
+        for spec in (SensorSpec(0.05, 0.2, 0.0, 0.005), SensorSpec(0.0, 0.2, 0.0, 0.005)):
+            s = Sensor(spec, np.random.default_rng(5))
+            ref = np.random.default_rng(5)
+            got, want = [], []
+            for _ in range(5000):
+                got.append(s.measure(x))
+                theta = x[1] + (spec.sigma_theta * ref.standard_normal()
+                                if spec.sigma_theta else 0.0)
+                want.append([x[0], theta, x[2], x[3] + spec.sigma_thetadot * ref.standard_normal()])
+            assert_array_equal(got, want)
+
     def test_velocity_counter_dithers_unbiased(self):
         # constant slow velocity: individual readings are coarse, but the
         # running average converges on the true value
@@ -179,11 +195,18 @@ class TestSensor:
 
 class TestPlant:
     def test_linear_step_is_discrete_update(self):
+        # A_d x as one BLAS call plus B_d u on Python floats gives exactly
+        # the vector expression, over many states and inputs
         plant = Plant("linear")
         d = zoh_discretize(plant.ss, 0.005)
         x = np.array([1.0, 0.5, -0.2, 0.1])
         xn = plant.step(x, 3.0, 0.005)
         assert_allclose(xn, d.A_d @ x + d.B_d[:, 0] * 3.0, atol=0)
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            x = rng.normal(scale=[10.0, 5.0, 20.0, 50.0])
+            u = float(rng.normal(scale=100.0))
+            assert_array_equal(plant.step(x, u, 0.005), d.A_d @ x + d.B_d[:, 0] * u)
 
     def test_equilibrium_fixed_point(self):
         for mode in ("linear", "nonlinear"):

@@ -416,6 +416,43 @@ class TestDualActiveSet:
                 if status == "solved":
                     assert_allclose(sol.z, plain.z, rtol=0, atol=1e-12)
 
+
+class TestCholeskyInverse:
+    """The active-set path multiplies by P^-1 built once from the inverted
+    Cholesky factor; LAPACK's Cholesky solve (dpotrs) is the oracle."""
+
+    def test_agrees_with_lapack_cholesky_solves(self):
+        from scipy.linalg.lapack import dpotrf, dpotrs
+
+        def close(x, ref):
+            return np.max(np.abs(x - ref), initial=0.0) <= 1e-13 * np.max(np.abs(ref), initial=1.0)
+
+        rng = np.random.default_rng(55)
+        for _ in range(200):
+            n = int(rng.integers(1, 41))
+            M = rng.normal(size=(n, n))
+            P = M @ M.T / n + rng.uniform(0.5, 2.0) * np.eye(n)
+            A = np.vstack([np.eye(n), rng.normal(size=(2, n))])
+            l = np.concatenate([rng.uniform(-2.0, -0.1, size=n), [-1.0, -np.inf]])
+            u = np.concatenate([rng.uniform(0.1, 2.0, size=n), [1.0, 0.5]])
+            prob = QpProblem(P=P, q=rng.normal(scale=3.0, size=n), A=A, l=l, u=u)
+            chol, info = dpotrf(P)
+            assert info == 0
+            z0 = -dpotrs(chol, prob.q)[0]
+            H = dpotrs(chol, A.T)[0]
+            solver = QpSolver(prob)
+            assert close(-solver._P_inv @ prob.q, z0)
+            assert close(solver._H, H)
+            assert close(solver._S, 0.5 * (A @ H + (A @ H).T))
+            # the solution on the final active set, rebuilt from the oracle
+            sol = solver.solve()
+            assert sol.status == "solved"
+            W = np.flatnonzero(sol.y)
+            b = np.where(sol.y[W] > 0, u[W], l[W])
+            S_W = A[W] @ H[:, W]
+            assert close(sol.z, z0 - H[:, W] @ np.linalg.solve(S_W, A[W] @ z0 - b))
+
+
 class TestScalingInvariance:
     def test_minimizer_unchanged_by_common_cost_scale(self):
         rng = np.random.default_rng(9)
