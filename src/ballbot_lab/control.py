@@ -235,9 +235,10 @@ class MpcController:
     unconstrained optimum: when it meets every box (the region where the
     MPC law is the LQ law) it is returned at 0 steps, otherwise dual
     active-set steps add the rows that bind. Solver hiccups are absorbed:
-    hitting the step cap returns the last iterate with a degraded flag, and
-    a certified-infeasible problem falls back to zero correction (the inner
-    regulator alone keeps the robot balanced) while the event is logged.
+    a solve that hits the step cap (degraded; its dual iterate may violate
+    rows that have not entered) or is certified infeasible falls back to
+    zero correction, and the inner regulator alone keeps the robot balanced
+    while the event is counted.
     """
 
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,
@@ -263,14 +264,15 @@ class MpcController:
         self.last_solution = sol
         info = {"status": sol.status, "iterations": sol.iterations,
                 "degraded": False, "infeasible": False}
+        if sol.status == "solved":
+            return float(sol.z[0]), info
         if sol.status == "primal-infeasible":
             self.infeasible_events += 1
             info["infeasible"] = True
-            return 0.0, info
-        if sol.status == "max-iter":
+        else:
             self.degraded_events += 1
             info["degraded"] = True
-        return float(sol.z[0]), info
+        return 0.0, info
 
     def predicted_states(self) -> np.ndarray:
         """Predicted state trajectory x_1..x_N from the last solve."""

@@ -209,8 +209,8 @@ def validate_config(cfg: dict):
             raise ConfigError(f"mpc.{key}", "must have four diagonal entries")
         if min(w) < 0:  # a negative weight makes the MPC QP nonconvex
             raise ConfigError(f"mpc.{key}", "entries must be nonnegative")
-    if mpc["R"] < 0:
-        raise ConfigError("mpc.R", "must be nonnegative")
+    if mpc["R"] <= 0:  # R > 0 makes the condensed Hessian positive definite
+        raise ConfigError("mpc.R", "must be positive")
     p = cfg["plant"]["linear"].get("p")
     if p is not None and len(p) != 8:
         raise ConfigError("plant.linear.p", "must have eight entries")

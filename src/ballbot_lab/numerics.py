@@ -245,18 +245,6 @@ class Biquad:
         self.z2 = self.b2 * x - self.a2 * y
         return y
 
-    def reset(self):
-        self.z1 = 0.0
-        self.z2 = 0.0
-
-    def gain_at(self, f_hz: float, fs: float) -> float:
-        """Magnitude of the frequency response at f_hz for sample rate fs."""
-        w = 2.0 * np.pi * f_hz / fs
-        z = np.exp(1j * w)
-        num = self.b0 + self.b1 / z + self.b2 / z ** 2
-        den = 1.0 + self.a1 / z + self.a2 / z ** 2
-        return abs(num / den)
-
 
 def design_butterworth2(fc: float, fs: float) -> Biquad:
     """Second-order Butterworth low-pass via the prewarped bilinear transform.

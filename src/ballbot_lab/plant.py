@@ -30,7 +30,6 @@ __all__ = [
     "DEG", "RAD",
     "LinearParams", "PhysicalParams", "SensorSpec", "Sensor", "Plant",
     "build_linear_ss", "nonlinear_dynamics", "linearize", "mix_to_wheels",
-    "mechanical_energy",
 ]
 
 DEG = math.pi / 180.0   # radians per degree
@@ -186,15 +185,6 @@ def nonlinear_dynamics(pp: PhysicalParams, x, tau: float) -> np.ndarray:
     return np.array([x[2], x[3], ydd, thdd * RAD])
 
 
-def mechanical_energy(pp: PhysicalParams, x) -> float:
-    """Kinetic plus potential energy of the frictionless model (test aid)."""
-    x = np.asarray(x, dtype=float)
-    th = x[1] * DEG
-    qd = np.array([x[2], x[3] * DEG])
-    M = pp.mass_matrix(th)
-    return 0.5 * qd @ M @ qd + pp.ell * pp.g * math.cos(th)
-
-
 def linearize(pp: PhysicalParams) -> LinearParams:
     """Closed-form Jacobian of the nonlinear model at the upright equilibrium.
 
@@ -298,9 +288,6 @@ class Sensor:
             y = x[0]
             ydot = x[2]
         return np.array([y, theta, ydot, thetadot])
-
-    def reset(self):
-        self._prev_counts = None
 
 
 class Plant:

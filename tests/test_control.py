@@ -10,7 +10,7 @@ from ballbot_lab.numerics import spectral_radius, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.qp import QpProblem, QpSettings, solve
 
-from oracles import literal_lift, stacked_tracking_qp
+from oracles import InteriorPointQp, literal_lift, stacked_tracking_qp
 
 TS = 0.005
 Q_LQR = np.diag([20.0, 100.0, 10.0, 50.0])
@@ -141,8 +141,10 @@ class TestBuildQp:
         condensed = build_qp(pred, cfg, x0, ref)
         P, q, A, l, u = stacked_tracking_qp(pred.A_bar, pred.B_bar, cfg.Q,
                                             cfg.Q_N, cfg.R, boxes, x0, ref)
+        # Q weights only the position, so the stacked P is singular and the
+        # interior-point oracle solves it
         return (condensed, solve(condensed, tight),
-                solve(QpProblem(P=P, q=q, A=A, l=l, u=u), tight))
+                InteriorPointQp(QpProblem(P=P, q=q, A=A, l=l, u=u), tight).solve())
 
     def test_condensed_matches_stacked_formulation(self, pred):
         # states near the boxes and smooth-step previews, as the controller
@@ -237,7 +239,7 @@ class TestMpcController:
         assert info["iterations"] == 2
         assert info["degraded"] and not info["infeasible"]
         assert ctrl.degraded_events == 1
-        assert np.isfinite(u)
+        assert u == 0.0  # a capped dual iterate may leave a box: no correction
 
     def test_step_reference_pushes_toward_target_within_tilt_box(self, pred):
         ctrl = MpcController(pred, MpcConfig())

@@ -70,10 +70,11 @@ class TestConfig:
             load_config(p)
 
     @pytest.mark.parametrize("mpc", [{"R": -5.0}, {"Q": [1000.0, -1.0, 0.0, 0.0]},
-                                     {"Q_N": [1000.0, 0.0, 0.0, -1e-3]}])
-    def test_negative_mpc_weights_rejected(self, mpc):
+                                     {"Q_N": [1000.0, 0.0, 0.0, -1e-3]}, {"R": 0.0}])
+    def test_nonpositive_mpc_weights_rejected(self, mpc):
         # a negative weight makes the MPC cost nonconvex; the QP would
-        # return a stationary point, not a minimizer
+        # return a stationary point, not a minimizer. R = 0 takes away the
+        # strict convexity (P >= 2R I) that the dual active-set method needs
         with pytest.raises(ConfigError) as exc:
             load_config(overrides={"mpc": mpc})
         assert f"mpc.{next(iter(mpc))}" in str(exc.value)

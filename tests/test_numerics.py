@@ -11,7 +11,7 @@ from ballbot_lab.numerics import (ContinuousSS,
                                   spectral_radius, zoh_discretize)
 from ballbot_lab.plant import LinearParams, build_linear_ss
 
-from oracles import eig_via_char_poly, expm_series
+from oracles import biquad_gain, eig_via_char_poly, expm_series
 
 
 class TestZohDiscretize:
@@ -140,16 +140,16 @@ class TestButterworth:
     def test_dc_gain_exact(self):
         f = design_butterworth2(1.0, 200.0)
         assert abs(f.b0 + f.b1 + f.b2 - (1.0 + f.a1 + f.a2)) < 1e-15
-        assert abs(f.gain_at(0.0, 200.0) - 1.0) < 1e-12
+        assert abs(biquad_gain(f, 0.0, 200.0) - 1.0) < 1e-12
 
     def test_minus_3db_at_cutoff(self):
         f = design_butterworth2(1.0, 200.0)
-        db = 20 * math.log10(f.gain_at(1.0, 200.0))
+        db = 20 * math.log10(biquad_gain(f, 1.0, 200.0))
         assert abs(db - (-3.01)) < 0.1
 
     def test_rolloff_at_decade(self):
         f = design_butterworth2(1.0, 200.0)
-        assert 20 * math.log10(f.gain_at(10.0, 200.0)) <= -38.0
+        assert 20 * math.log10(biquad_gain(f, 10.0, 200.0)) <= -38.0
 
     def test_stability(self):
         f = design_butterworth2(1.0, 200.0)
@@ -190,12 +190,6 @@ class TestBiquadStep:
         for _ in range(9999):
             total += f.step(0.0)
         assert abs(total - 1.0) < 1e-9
-
-    def test_reset(self):
-        f = design_butterworth2(1.0, 200.0)
-        f.step(5.0)
-        f.reset()
-        assert f.step(0.0) == 0.0
 
 
 class TestNrmseFit:

@@ -8,10 +8,9 @@ from ballbot_lab.errors import MassMatrixSingularError, PlantFellOverError
 from ballbot_lab.numerics import eigenvalues, zoh_discretize
 from ballbot_lab.plant import (DEG, RAD, LinearParams, PhysicalParams, Plant,
                                Sensor, SensorSpec, build_linear_ss, linearize,
-                               mechanical_energy, mix_to_wheels,
-                               nonlinear_dynamics)
+                               mix_to_wheels, nonlinear_dynamics)
 
-from oracles import fd_jacobian
+from oracles import fd_jacobian, mechanical_energy
 
 
 @pytest.fixture
@@ -153,7 +152,7 @@ class TestSensor:
     def test_position_quantization_floors_toward_zero(self):
         s = Sensor(SensorSpec(0, 0, 0.05, 0.005), np.random.default_rng(0))
         assert s.measure(np.array([0.123, 0, 0, 0]))[0] == pytest.approx(0.10)
-        s.reset()
+        s = Sensor(SensorSpec(0, 0, 0.05, 0.005), np.random.default_rng(0))
         assert s.measure(np.array([-0.123, 0, 0, 0]))[0] == pytest.approx(-0.10)
 
     def test_seed_determinism(self):

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from ballbot_lab.qp import QpProblem, QpSettings, QpSolver, solve
 
-from oracles import enumerate_box_qp
+from oracles import InteriorPointQp, enumerate_box_qp
 
 
 def random_box_qp(rng, n=None):
@@ -60,7 +60,12 @@ class TestBasics:
         P = G.T @ G
         P = 0.5 * (P + P.T)
         assert np.linalg.eigvalsh(P)[0] < 0
-        QpProblem(P=P, q=np.zeros(6), A=np.zeros((0, 6)), l=[], u=[])
+        # such a singular problem is valid, but the solver needs P's
+        # Cholesky factor, as it does for P = 0
+        for P in (P, np.zeros((6, 6))):
+            prob = QpProblem(P=P, q=np.zeros(6), A=np.zeros((0, 6)), l=[], u=[])
+            with pytest.raises(ValueError, match="positive definite"):
+                QpSolver(prob)
 
 
 class TestAgainstEnumerationOracle:
@@ -105,10 +110,10 @@ class TestOptimalityStructure:
 
 class TestWarmStart:
     def test_resolve_in_few_iterations(self):
-        # the interior-point solver carries no iterate from one solve to the
-        # next; a re-solve reuses only the fixed part of the KKT matrix, so
-        # it must repeat the cold solve exactly and stay within a few
-        # iterations, also after a vector update
+        # the solver carries no iterate from one solve to the next; a
+        # re-solve reuses only P^-1, H and S, so it must repeat the cold
+        # solve exactly and stay within a few steps, also after a vector
+        # update
         rng = np.random.default_rng(5)
         prob = random_box_qp(rng, n=5)
         solver = QpSolver(prob)
@@ -143,8 +148,9 @@ class TestWarmStart:
 class TestDenseKkt:
     def test_kkt_solve_matches_numpy_solve(self):
         # equality rows, one- and two-sided boxes, a free row and a coupled
-        # row: the KKT matrix formed from A_in and the summed weights of each
-        # row's two sides must solve like the literal [[P + G'WG, A_E'], ..]
+        # row: the interior-point oracle's KKT matrix, formed from A_in and
+        # the summed weights of each row's two sides, must solve like the
+        # literal [[P + G'WG, A_E'], ..]
         rng = np.random.default_rng(3)
         n = 6
         M = rng.normal(size=(n, n))
@@ -153,20 +159,20 @@ class TestDenseKkt:
                        [[0.0, 1.0, 1.0, 0.0, 0.0, 0.0]]])
         l = np.array([-1.0, 0.3, -np.inf, -2.0, -np.inf, -1.0, -0.5, 0.7])
         u = np.array([1.0, 0.3, 2.0, np.inf, np.inf, 1.5, 4.0, 0.7])
-        solver = QpSolver(QpProblem(P=P, q=np.zeros(n), A=A, l=l, u=u))
+        solver = InteriorPointQp(QpProblem(P=P, q=np.zeros(n), A=A, l=l, u=u))
         eq = [1, 7]
         up = [0, 2, 5, 6]
         lo = [0, 3, 5, 6]
         G = np.vstack([A[up], -A[lo]])
-        assert_allclose(solver._G, G, atol=0)
-        assert_allclose(solver._AE, A[eq], atol=0)
+        assert_allclose(solver.G, G, atol=0)
+        assert_allclose(solver.AE, A[eq], atol=0)
         w = rng.uniform(0.01, 100.0, size=G.shape[0])
         delta = 1e-9
         K = np.block([[P + G.T @ np.diag(w) @ G + delta * np.eye(n), A[eq].T],
                       [A[eq], -delta * np.eye(len(eq))]])
         rhs = rng.normal(size=n + len(eq))
-        solver._factor(w)
-        x = solver._kkt_solve(rhs)
+        solver.assemble(w)
+        x = solver.kkt_solve(rhs)
         ref = np.linalg.solve(K, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
 
@@ -176,6 +182,16 @@ class TestDenseKkt:
                                     l=[1.0, -1.0], u=[1.0, 1.0]))
         solver.update_vectors(l=[2.0, -3.0], u=[2.0, 0.5])
         assert_allclose(solver.solve().z, [2.0, 0.0], atol=1e-8)
+        # a finite side that turns infinite keeps the equality rows as they are
+        solver.update_vectors(q=[0.0, -1.0], u=[2.0, np.inf])
+        fresh = QpSolver(QpProblem(P=np.eye(2), q=[0.0, -1.0], A=np.eye(2),
+                                   l=[2.0, -3.0], u=[2.0, np.inf])).solve()
+        sol = solver.solve()
+        assert sol.status == fresh.status == "solved"
+        assert sol.iterations == fresh.iterations
+        assert_allclose(sol.z, [2.0, 1.0], atol=1e-8)
+        assert_allclose(sol.z, fresh.z, atol=0)
+        assert_allclose(sol.y, fresh.y, atol=0)
         with pytest.raises(ValueError):
             solver.update_vectors(l=[0.0, -1.0], u=[1.0, np.inf])
 
@@ -258,7 +274,7 @@ class TestUnconstrainedExit:
             q = rng.normal(size=n)
             prob = QpProblem(P=np.zeros((n, n)), q=q, A=np.eye(n),
                              l=-np.ones(n), u=np.ones(n))
-            sol = solve(prob)
+            sol = InteriorPointQp(prob).solve()
             assert sol.status == "solved"
             assert sol.iterations > 0
             assert_allclose(sol.z, -np.sign(q), atol=1e-6)
@@ -290,10 +306,8 @@ class TestDualActiveSet:
         steps = []
         for _ in range(100):
             prob = random_box_qp(rng)
-            solver = QpSolver(prob)
-            assert solver._chol is not None
-            sol = solver.solve()
-            ipm = QpSolver(prob)._interior_point()
+            sol = solve(prob)
+            ipm = InteriorPointQp(prob).solve()
             obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
             assert sol.status == ipm.status == "solved"
             assert abs(sol.objective - obj_star) <= 1e-12 * max(1.0, abs(obj_star))
@@ -333,7 +347,7 @@ class TestDualActiveSet:
             assert_allclose(sol.z, ref[:n], rtol=0, atol=1e-9)
             assert_allclose(sol.y[active], ref[n:], rtol=1e-9,
                             atol=1e-9 * np.max(np.abs(ref[n:])))
-            ipm = QpSolver(prob)._interior_point()
+            ipm = InteriorPointQp(prob).solve()
             assert_allclose(sol.z, ipm.z, rtol=0, atol=1e-6)
         assert binding >= 10
 
@@ -387,7 +401,7 @@ class TestDualActiveSet:
             prob = QpProblem(P=M @ M.T + 0.5 * np.eye(n), q=rng.normal(scale=5.0, size=n),
                              A=A, l=l, u=u)
             sol = solve(prob)
-            ipm = QpSolver(prob, QpSettings(eps_abs=1e-10, eps_rel=1e-10))._interior_point()
+            ipm = InteriorPointQp(prob, QpSettings(eps_abs=1e-10, eps_rel=1e-10)).solve()
             assert sol.status == ipm.status
             if sol.status == "solved":
                 assert kkt_violation(prob, sol) <= 1e-9
@@ -483,7 +497,6 @@ class TestStatuses:
 
 class TestSettingsValidation:
     def test_bad_settings(self):
-        for bad in ({"eps_abs": 0.0}, {"eps_rel": -1e-8}, {"eps_prim_inf": 0.0},
-                    {"max_iter": 0}):
+        for bad in ({"eps_abs": 0.0}, {"eps_rel": -1e-8}, {"max_iter": 0}):
             with pytest.raises(ValueError):
                 QpSettings(**bad)

@@ -17,6 +17,7 @@ from ballbot_lab import harness
 from ballbot_lab.control import MpcController
 from ballbot_lab.numerics import Biquad
 from ballbot_lab.plant import Plant, Sensor
+from ballbot_lab.qp import QpSolver
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -47,7 +48,7 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
         "outer_reference", "pid_step", "p_step", "mix_to_wheels", "smooth_step",
         "sample_sequence", "design_lqr", "build_predictor", "zoh_discretize")]
     counted += [(MpcController, "mpc_step"), (Biquad, "step"), (Plant, "step"),
-                (Sensor, "measure")]
+                (Sensor, "measure"), (QpSolver, "_factor")]
     targets = {(tracer.resolve_owner(owner), attr)
                for owner, attr, _layer in tracer.TARGETS}
     assert set(counted) <= targets
@@ -82,6 +83,7 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
     assert run(harness.run_track, cfg, duration=0.5) == {
         "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1,
         "MpcController.mpc_step": periods,
+        "QpSolver._factor": 1,                   # once, for the one solver
         "smooth_step": periods + 1,              # each preview, the logged column
         "Biquad.step": ticks, "mix_to_wheels": 1,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
