@@ -192,6 +192,8 @@ def validate_config(cfg: dict):
     ts = cfg["run"]["Ts_inner"]
     if ts <= 0:
         raise ConfigError("run.Ts_inner", "must be positive")
+    if cfg["plant"]["sensor"]["Ts_sensor"] != ts:  # the sensor is read once per tick
+        raise ConfigError("plant.sensor.Ts_sensor", "must equal run.Ts_inner")
     ratio = cfg["mpc"]["Ts_mpc"] / ts
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ConfigError("mpc.Ts_mpc", "must be an integral multiple of run.Ts_inner")
@@ -330,18 +332,8 @@ def write_telemetry_csv(path, telemetry, cfg_hash: str):
 
 def write_summary_json(path, summary: dict):
     with Path(path).open("w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_default)
+        json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    raise TypeError(f"cannot serialize {type(obj)}")
 
 
 def _base_summary(cfg, name, duration, abort) -> dict:
@@ -657,7 +649,8 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         if k % m == 0:
             u_new, info = controller.mpc_step(xm0, smooth_step(ref_spec, t + preview_lag))
             iter_counts.append(info["iterations"])
-            # a solve stopped at its cap may return an input off the box
+            # a capped solve applies 0; this catches a solved input that
+            # overshoots u_max within the solver's tolerance
             u_box = min(max(u_new, -mpc_cfg.u_max), mpc_cfg.u_max)
             clamped += u_box != u_new
             if latency == 0:

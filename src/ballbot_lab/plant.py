@@ -310,8 +310,6 @@ class Plant:
             self._dss = None
         else:
             self.pp = physical_params if physical_params is not None else PhysicalParams.reference()
-            self.lp = linearize(self.pp)
-            self.ss = build_linear_ss(self.lp)
         self.t = 0.0
 
     def discrete(self, dt: float) -> DiscreteSS:

@@ -1,17 +1,17 @@
 """Strictly convex QP solver for  minimize 1/2 z'Pz + q'z  s.t.  l <= Az <= u.
 
-P must be positive definite; rows with l == u are equalities, the other
-rows are boxes with one or two finite sides.
+P must be positive definite and every row a box with l < u, one side of
+which may be infinite.
 
 The method is the dual active-set method of Goldfarb & Idnani (1983) on
 the cached P^-1 (from the inverted Cholesky factor), S = A P^-1 A' and
-H = P^-1 A'. It starts from the minimizer on the equality rows, which enter
-first and never leave; a start that meets every box exactly is the optimum
-(0 steps). Each step adds the most violated row or, on a partial step,
-drops the active row whose multiplier would change sign: one k x k solve
-on the k active rows of S. A violated row that depends on the active set
-with no multiplier left to drop certifies infeasibility. z is recomputed
-from the final active set.
+H = P^-1 A'. It starts from the unconstrained minimizer z0 = -P^-1 q; a
+start that meets every box exactly is the optimum (0 steps). Each step
+adds the most violated row or, on a partial step, drops the active row
+whose multiplier would change sign: one k x k solve on the k active rows
+of S. A violated row that depends on the active set with no multiplier
+left to drop certifies infeasibility. z is recomputed from the final
+active set.
 """
 
 from __future__ import annotations
@@ -95,11 +95,6 @@ def _norm(*arrays) -> float:
     return float(np.abs(np.concatenate(arrays)).max(initial=0.0))
 
 
-def _equality_rows(p: QpProblem):
-    """Mask of the rows with l == u (to 1e-12)."""
-    return np.isfinite(p.l) & (p.u - p.l <= 1e-12)
-
-
 class QpSolver:
     """Workspace owning P^-1, H = P^-1 A' and S = A P^-1 A' for one problem.
 
@@ -111,8 +106,7 @@ class QpSolver:
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
         self.prob = copy.copy(problem)
         self.settings = settings or QpSettings()
-        self._eq = _equality_rows(self.prob)
-        self._eq_rows = np.flatnonzero(self._eq)
+        self.update_vectors()  # checks the rows
         self._factor()
 
     def _factor(self):
@@ -132,53 +126,41 @@ class QpSolver:
     def update_vectors(self, q=None, l=None, u=None):
         """Swap the linear term and bounds; P and A stay as they are.
 
-        The equality rows enter first and never leave, so which rows are
-        equalities must not change.
+        Rejected bounds leave the solver's problem as it was.
         """
         p = self.prob
-        if q is not None:
-            p.q = np.asarray(q, dtype=float).ravel()
-        if l is not None:
-            p.l = np.asarray(l, dtype=float).ravel()
-        if u is not None:
-            p.u = np.asarray(u, dtype=float).ravel()
-        if (p.l > p.u).any():
-            raise ValueError("need l <= u elementwise")
-        if not (_equality_rows(p) == self._eq).all():
-            raise ValueError("equality rows must not change")
+        q = p.q if q is None else np.asarray(q, dtype=float).ravel()
+        l = p.l if l is None else np.asarray(l, dtype=float).ravel()
+        u = p.u if u is None else np.asarray(u, dtype=float).ravel()
+        if (l >= u).any():
+            raise ValueError("QpSolver takes box rows only: need l < u elementwise")
+        p.q, p.l, p.u = q, l, u
 
     def solve(self) -> QpSolution:
         """Goldfarb-Idnani steps from z0 = -P^-1 q on the cached S and H."""
         p, st, S = self.prob, self.settings, self._S
         z0 = -(self._P_inv @ p.q)
         Az = p.A @ z0
-        eq = self._eq
         # bounds of the rows that may still enter (active rows are masked),
         # exact until the first step: a start that meets them is the optimum
-        lo, hi = np.where(eq, -np.inf, p.l), np.where(eq, np.inf, p.u)
-        # the active rows, their sides (+1 upper, -1 lower, 0 equality) and multipliers
+        lo, hi = p.l, p.u
+        # the active rows, their sides (+1 upper, -1 lower) and multipliers
         W, side, y = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
-        todo = list(self._eq_rows)      # equality rows enter first, uncounted
         status, steps, row, lo_w = "solved", 0, None, None
         while True:
             if row is None:
-                if todo:
-                    row, sd = todo.pop(0), 0.0
-                    b = p.l[row]
-                    d = 1.0 if Az[row] >= b else -1.0
-                else:
-                    viol = np.maximum(Az - hi, lo - Az)
-                    if viol.size == 0 or viol.max() <= 0:
-                        break
-                    row = int(viol.argmax())
-                    d = sd = 1.0 if Az[row] > hi[row] else -1.0
-                    b = p.u[row] if d > 0 else p.l[row]
-                    if lo_w is None:  # from now on, forgive rounding-level violations
-                        lo_w = np.where(eq, -np.inf, p.l - st.eps_abs - st.eps_rel * np.abs(p.l))
-                        hi_w = np.where(eq, np.inf, p.u + st.eps_abs + st.eps_rel * np.abs(p.u))
-                        lo, hi = lo_w.copy(), hi_w.copy()
+                viol = np.maximum(Az - hi, lo - Az)
+                if viol.size == 0 or viol.max() <= 0:
+                    break
+                row = int(viol.argmax())
+                d = 1.0 if Az[row] > hi[row] else -1.0
+                b = p.u[row] if d > 0 else p.l[row]
+                if lo_w is None:  # from now on, forgive rounding-level violations
+                    lo_w = p.l - st.eps_abs - st.eps_rel * np.abs(p.l)
+                    hi_w = p.u + st.eps_abs + st.eps_rel * np.abs(p.u)
+                    lo, hi = lo_w.copy(), hi_w.copy()
                 yi = 0.0
-            if sd and steps == st.max_iter:
+            if steps == st.max_iter:
                 status = "max-iter"
                 break
             # y_W moves by -t rho while y_row grows by d t, keeping A_W z = b_W
@@ -187,7 +169,7 @@ class QpSolver:
             schur = S[row, row] - S[row, W] @ r
             v = max(d * (Az[row] - b), 0.0)
             t1 = v / schur if schur > _DEPENDENT * S[row, row] else np.inf
-            # inequality multipliers that shrink along the step (not by rounding)
+            # multipliers that shrink along the step (not by rounding)
             t2, cand = np.inf, np.flatnonzero(side * rho > _DEPENDENT * np.abs(rho).max(initial=0.0))
             if cand.size:
                 ratios = y[cand] / rho[cand]
@@ -202,9 +184,9 @@ class QpSolver:
             t = min(t1, t2)
             Az -= t * (d * S[row] - rho @ S[W])
             y, yi = y - t * rho, yi + d * t
-            steps += sd != 0
+            steps += 1
             if t1 <= t2:            # full step: the row enters
-                W, side, y = np.append(W, row), np.append(side, sd), np.append(y, yi)
+                W, side, y = np.append(W, row), np.append(side, d), np.append(y, yi)
                 lo[row], hi[row] = -np.inf, np.inf
                 row = None
             else:                   # partial step: row W[j] leaves

@@ -93,8 +93,6 @@ class IdConfig:
     def __post_init__(self):
         if self.initial_guess is None:
             raise ValueError("initial_guess is required")
-        if isinstance(self.initial_guess, LinearParams):
-            self.initial_guess = self.initial_guess.as_array()
         self.initial_guess = np.asarray(self.initial_guess, dtype=float)
         if self.initial_guess.shape != (8,):
             raise ValueError("initial_guess must have eight entries")

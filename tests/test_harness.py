@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from ballbot_lab import cli, harness
-from ballbot_lab.control import MpcController
+from ballbot_lab.control import MpcController, design_lqr
 from ballbot_lab.errors import ConfigError, PlantFellOverError
 from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
                                  config_hash, load_config, run_balance,
                                  run_identify, run_lqr, run_track,
                                  over_excitation_sweep, write_telemetry_csv)
-from ballbot_lab.plant import Plant
+from ballbot_lab.numerics import zoh_discretize
+from ballbot_lab.plant import Plant, PhysicalParams, build_linear_ss, linearize
 from ballbot_lab.qp import QpSettings
 
 
@@ -78,6 +79,23 @@ class TestConfig:
         with pytest.raises(ConfigError) as exc:
             load_config(overrides={"mpc": mpc})
         assert f"mpc.{next(iter(mpc))}" in str(exc.value)
+
+    def test_sensor_period_must_equal_inner_tick(self, tmp_path):
+        # the sensor is read once per tick, so any other Ts_sensor would
+        # scale every measured velocity by Ts_inner / Ts_sensor
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"run": {"Ts_inner": 0.01}}))
+        with pytest.raises(ConfigError) as exc:
+            load_config(p)
+        assert "plant.sensor.Ts_sensor" in str(exc.value)
+        assert cli.main(["track", "--config", str(p), "--out", str(tmp_path)]) == 2
+        # both at 10 ms: the measured velocity integrates to the measured travel
+        cfg = load_config(overrides={"run": {"Ts_inner": 0.01, "theta0_deg": 8.0},
+                                     "plant": {"sensor": {"Ts_sensor": 0.01}}})
+        tel = run_lqr(cfg, duration=3.0).telemetry
+        travel = tel["y_meas_cm"][-1] - tel["y_meas_cm"][0]
+        assert abs(travel) >= 0.4  # eight trackball counts or more
+        assert abs(np.sum(tel["ydot_meas_cms"][1:]) * 0.01 - travel) <= 1e-9
 
 
 class TestBalance:
@@ -464,6 +482,23 @@ class TestAbortTruncation:
         cost = np.sum((after["y_cm"] - during["y_ref_cm"]) ** 2) * 0.005
         assert m["tracking_cost"] == pytest.approx(cost, rel=1e-12, abs=0.0)
         assert cost > 0.0
+
+
+class TestNonlinearPlant:
+    def test_track_and_lqr_run_on_the_rigid_body_model(self):
+        cfg = load_config(overrides={"plant": {"mode": "nonlinear"}})
+        runs = [(run_track(cfg, duration=2.0), run_lqr(cfg, duration=2.0))
+                for _ in range(2)]
+        track, lqr = runs[0]
+        assert not track.summary["aborted"] and not lqr.summary["aborted"]
+        assert len(track.telemetry) == len(lqr.telemetry) == 400
+        # designed on the ZOH of the linearized reference rigid body
+        dss = zoh_discretize(build_linear_ss(linearize(PhysicalParams.reference())),
+                             cfg["run"]["Ts_inner"])
+        K = design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]]).K
+        assert np.array_equal(lqr.extra["lqr"].K, K)
+        for first, second in zip(runs[0], runs[1]):
+            assert first.telemetry.tobytes() == second.telemetry.tobytes()
 
 
 class TestSweep:

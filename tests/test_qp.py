@@ -33,11 +33,21 @@ class TestBasics:
         assert sol.y[0] > 0  # upper bound pushes back
 
     def test_equality_row(self):
+        # a QpProblem may pose l == u (the test oracles do); the solver
+        # takes box rows only, at construction and on every update
         prob = QpProblem(P=np.eye(2), q=[0.0, 0.0],
                          A=[[1.0, 1.0]], l=[1.0], u=[1.0])
-        sol = solve(prob)
-        assert sol.status == "solved"
-        assert_allclose(sol.z, [0.5, 0.5], atol=1e-8)
+        with pytest.raises(ValueError, match="box rows only"):
+            QpSolver(prob)
+        solver = QpSolver(QpProblem(P=np.eye(2), q=[0.0, 0.0],
+                                    A=[[1.0, 1.0]], l=[0.0], u=[1.0]))
+        for l, u in (([1.0], None), ([0.5], [0.5]), ([2.0], [1.0])):
+            with pytest.raises(ValueError, match="box rows only"):
+                solver.update_vectors(q=[1.0, 1.0], l=l, u=u)
+        # a rejected update changes nothing
+        assert_allclose(solver.prob.q, [0.0, 0.0], atol=0)
+        assert_allclose(solver.prob.l, [0.0], atol=0)
+        assert_allclose(solver.prob.u, [1.0], atol=0)
 
     def test_objective_reported(self):
         prob = QpProblem(P=[[2.0]], q=[0.0], A=[[1.0]], l=[1.0], u=[3.0])
@@ -179,13 +189,13 @@ class TestDenseKkt:
 
     def test_update_keeps_row_pattern(self):
         solver = QpSolver(QpProblem(P=np.eye(2), q=[0.0, 0.0], A=np.eye(2),
-                                    l=[1.0, -1.0], u=[1.0, 1.0]))
-        solver.update_vectors(l=[2.0, -3.0], u=[2.0, 0.5])
+                                    l=[0.5, -1.0], u=[1.5, 1.0]))
+        solver.update_vectors(l=[2.0, -3.0], u=[3.0, 0.5])
         assert_allclose(solver.solve().z, [2.0, 0.0], atol=1e-8)
-        # a finite side that turns infinite keeps the equality rows as they are
-        solver.update_vectors(q=[0.0, -1.0], u=[2.0, np.inf])
+        # a finite side that turns infinite solves like a fresh problem
+        solver.update_vectors(q=[0.0, -1.0], u=[3.0, np.inf])
         fresh = QpSolver(QpProblem(P=np.eye(2), q=[0.0, -1.0], A=np.eye(2),
-                                   l=[2.0, -3.0], u=[2.0, np.inf])).solve()
+                                   l=[2.0, -3.0], u=[3.0, np.inf])).solve()
         sol = solver.solve()
         assert sol.status == fresh.status == "solved"
         assert sol.iterations == fresh.iterations
@@ -193,73 +203,52 @@ class TestDenseKkt:
         assert_allclose(sol.z, fresh.z, atol=0)
         assert_allclose(sol.y, fresh.y, atol=0)
         with pytest.raises(ValueError):
-            solver.update_vectors(l=[0.0, -1.0], u=[1.0, np.inf])
+            solver.update_vectors(l=[3.0, -1.0], u=[3.0, np.inf])
 
 
-def interior_qp(rng, n, n_eq=0):
-    """Random QP whose equality-constrained minimizer lies inside its boxes.
+def interior_qp(rng, n):
+    """Random QP whose unconstrained minimizer lies inside its boxes.
 
-    Returns the problem, the minimizer and its equality multipliers from the
-    literal KKT system; the inequality rows are the identity, two random
-    two-sided rows and a random row with only an upper side, each with a
-    margin around the minimizer.
+    Returns the problem and the minimizer; the rows are the identity, two
+    random two-sided rows and a random row with only an upper side, each
+    with a margin around the minimizer.
     """
     M = rng.normal(size=(n, n))
     P = M @ M.T + (0.1 + rng.uniform()) * np.eye(n)
     q = rng.normal(scale=3.0, size=n)
-    AE = rng.normal(size=(n_eq, n))
-    b = rng.normal(size=n_eq)
-    K = np.block([[P, AE.T], [AE, np.zeros((n_eq, n_eq))]])
-    sol = np.linalg.solve(K, np.concatenate([-q, b]))
-    z_star, y_star = sol[:n], sol[n:]
-    G = np.vstack([np.eye(n), rng.normal(size=(3, n))])
-    Gz = G @ z_star
-    l = Gz - rng.uniform(0.1, 2.0, size=Gz.size)
-    u = Gz + rng.uniform(0.1, 2.0, size=Gz.size)
+    z_star = np.linalg.solve(P, -q)
+    A = np.vstack([np.eye(n), rng.normal(size=(3, n))])
+    Az = A @ z_star
+    l = Az - rng.uniform(0.1, 2.0, size=Az.size)
+    u = Az + rng.uniform(0.1, 2.0, size=Az.size)
     l[-1] = -np.inf
-    prob = QpProblem(P=P, q=q, A=np.vstack([AE, G]),
-                     l=np.concatenate([b, l]), u=np.concatenate([b, u]))
-    return prob, z_star, y_star
+    return QpProblem(P=P, q=q, A=A, l=l, u=u), z_star
 
 
 class TestUnconstrainedExit:
     """A minimizer that meets every box is returned before any iteration."""
 
     @staticmethod
-    def _check_exit(prob, sol, z_star, n_eq=0):
+    def _check_exit(prob, sol, z_star):
         assert sol.status == "solved"
         assert sol.iterations == 0
         assert np.max(np.abs(sol.z - z_star)) <= 1e-12 * np.max(np.abs(z_star))
-        # the boxes hold exactly; equality rows to rounding
+        # the boxes hold exactly
         Az = prob.A @ sol.z
-        assert np.all(prob.l[n_eq:] <= Az[n_eq:]) and np.all(Az[n_eq:] <= prob.u[n_eq:])
-        assert_allclose(Az[:n_eq], prob.l[:n_eq], rtol=1e-12, atol=1e-12)
+        assert np.all(prob.l <= Az) and np.all(Az <= prob.u)
 
     def test_interior_box_minimizer(self):
         rng = np.random.default_rng(31)
         for _ in range(20):
-            prob, z_star, _ = interior_qp(rng, n=int(rng.integers(1, 7)))
-            assert_allclose(z_star, np.linalg.solve(prob.P, -prob.q), rtol=1e-12)
+            prob, z_star = interior_qp(rng, n=int(rng.integers(1, 7)))
             sol = solve(prob)
             self._check_exit(prob, sol, z_star)
             assert np.all(sol.y == 0)
 
-    def test_interior_minimizer_with_equality_rows(self):
-        rng = np.random.default_rng(32)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            n_eq = int(rng.integers(1, n))
-            prob, z_star, y_star = interior_qp(rng, n, n_eq)
-            sol = solve(prob)
-            self._check_exit(prob, sol, z_star, n_eq)
-            assert np.all(sol.y[n_eq:] == 0)
-            assert_allclose(sol.y[:n_eq], y_star, rtol=1e-9,
-                            atol=1e-9 * np.max(np.abs(y_star)))
-
     def test_minimizer_just_outside_a_box_goes_to_the_iterations(self):
         rng = np.random.default_rng(33)
         for side in ("l", "u"):
-            prob, z_star, _ = interior_qp(rng, n=4)
+            prob, z_star = interior_qp(rng, n=4)
             bounds = getattr(prob, side)
             # the first box row is 1e-12 on the wrong side of the minimizer
             bounds[0] = z_star[0] + (1e-12 if side == "l" else -1e-12)
@@ -318,35 +307,35 @@ class TestDualActiveSet:
             steps.append(sol.iterations)
         assert max(steps) <= 2 * 6 and 0 < np.mean(steps)
 
-    def test_equality_rows_get_their_multipliers(self):
-        # equality rows plus narrow boxes that bind: the multipliers match
-        # the literal KKT system on the rows the solution holds at a bound
+    def test_binding_boxes_get_their_multipliers(self):
+        # narrow boxes on general rows plus the identity's boxes: the
+        # multipliers match the literal KKT system on the rows the solution
+        # holds at a bound
         rng = np.random.default_rng(52)
         binding = 0
         for _ in range(30):
             n = int(rng.integers(3, 7))
-            n_eq = int(rng.integers(1, n))
+            n_g = int(rng.integers(1, n))
             M = rng.normal(size=(n, n))
             P = M @ M.T + 0.5 * np.eye(n)
-            AE = rng.normal(size=(n_eq, n))
-            b = AE @ rng.uniform(-0.2, 0.2, n)  # feasible inside the boxes
-            A = np.vstack([AE, np.eye(n)])
+            AG = rng.normal(size=(n_g, n))
+            c = AG @ rng.uniform(-0.2, 0.2, n)  # feasible inside the boxes
+            A = np.vstack([AG, np.eye(n)])
             prob = QpProblem(P=P, q=rng.normal(scale=3.0, size=n), A=A,
-                             l=np.concatenate([b, np.full(n, -0.3)]),
-                             u=np.concatenate([b, np.full(n, 0.3)]))
+                             l=np.concatenate([c - 0.05, np.full(n, -0.3)]),
+                             u=np.concatenate([c + 0.05, np.full(n, 0.3)]))
             sol = solve(prob)
             assert sol.status == "solved"
             assert kkt_violation(prob, sol) <= 1e-10
             active = np.flatnonzero(sol.y)
-            assert set(range(n_eq)) <= set(active)
-            binding += active.size > n_eq
+            binding += active.size > 0
             Aw = A[active]
             K = np.block([[P, Aw.T], [Aw, np.zeros((active.size, active.size))]])
             ref = np.linalg.solve(K, np.concatenate([-prob.q, prob.l[active] * (
                 sol.y[active] < 0) + prob.u[active] * (sol.y[active] > 0)]))
             assert_allclose(sol.z, ref[:n], rtol=0, atol=1e-9)
             assert_allclose(sol.y[active], ref[n:], rtol=1e-9,
-                            atol=1e-9 * np.max(np.abs(ref[n:])))
+                            atol=1e-9 * np.max(np.abs(ref[n:]), initial=0.0))
             ipm = InteriorPointQp(prob).solve()
             assert_allclose(sol.z, ipm.z, rtol=0, atol=1e-6)
         assert binding >= 10
@@ -408,7 +397,7 @@ class TestDualActiveSet:
             statuses.append(sol.status)
         assert 20 <= statuses.count("primal-infeasible") <= 180
 
-    def test_equality_row_repeated_as_a_box_row(self):
+    def test_box_row_repeated(self):
         rng = np.random.default_rng(54)
         for _ in range(30):
             n = int(rng.integers(2, 6))
@@ -418,11 +407,11 @@ class TestDualActiveSet:
             base = QpProblem(P=P, q=rng.normal(scale=3.0, size=n),
                              A=np.vstack([a, np.eye(n)]),
                              l=np.concatenate([[0.1], np.full(n, -1.0)]),
-                             u=np.concatenate([[0.1], np.full(n, 1.0)]))
+                             u=np.concatenate([[0.15], np.full(n, 1.0)]))
             plain = solve(base)
-            # a box on the same row that holds there, one whose upper side
-            # is the equality's value, and one that excludes it
-            for lo, hi, status in ((-0.5, 0.4, "solved"), (-1.0, 0.1, "solved"),
+            # a wider box on the same row, one that shares its upper side,
+            # and one that excludes it
+            for lo, hi, status in ((-0.5, 0.4, "solved"), (-1.0, 0.15, "solved"),
                                    (0.2, 0.6, "primal-infeasible")):
                 sol = solve(self._with_rows(base, [a], [lo], [hi]), QpSettings(max_iter=20))
                 assert sol.status == status
