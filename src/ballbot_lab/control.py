@@ -257,9 +257,9 @@ class MpcController:
 
     def mpc_step(self, x0, ref) -> tuple:
         """Solve for the horizon and return (u_mpc, info dict)."""
-        q, l, u = self._qp.vectors(x0, ref)
-        self._solver.update_vectors(q=q, l=l, u=u)
-        self._x0 = np.array(x0, dtype=float)
+        # a copy, which predicted_states reads after the caller moves on
+        self._x0 = x0 = np.array(x0, dtype=float)
+        self._solver.update_vectors(*self._qp.vectors(x0, ref))
         sol = self._solver.solve()
         self.last_solution = sol
         info = {"status": sol.status, "iterations": sol.iterations,

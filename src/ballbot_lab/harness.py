@@ -143,9 +143,11 @@ TELEMETRY_DTYPE = np.dtype([(c, np.float64) for c in TELEMETRY_COLUMNS])
 # Column indices into the (ticks, 29) float view of the telemetry. Plane i
 # (0 = y/theta_x, 1 = x/theta_y) logs its true state at _STATE[i]:+4, its
 # measurement at _STATE[i]+4:+8, its velocity reference at _VEL_REF + i and
-# its command at _CMD + i.
+# its command at _CMD + i. The two planes' 16 state and measurement columns
+# are adjacent (_PLANES).
 _COL = {c: j for j, c in enumerate(TELEMETRY_COLUMNS)}
 _STATE = (_COL["y_cm"], _COL["x_cm"])
+_PLANES = slice(_COL["y_cm"], _COL["thetadot_y_meas_degs"] + 1)
 _VEL_REF = _COL["ydot_ref_cms"]
 _CMD = _COL["u_y_ticks"]
 _WHEELS = _COL["u1_ticks"]
@@ -373,9 +375,11 @@ def _simulate(planes, states, n_ticks: int, Ts: float, control):
     Each tick measures both planes, asks ``control(k, xm0, xm1, row)`` for
     the two planar commands (it may write its own columns into the tick's
     telemetry ``row``), logs each plane's state, measurement and command,
-    and steps both plants, the tracking plane first. ``states`` holds the
-    two initial states and is updated in place to the states after the last
-    completed tick (the initial states when the first tick aborts).
+    and steps both plants, the tracking plane first. States and
+    measurements stay lists of Python floats between the calls. ``states``
+    holds the two initial states and is updated in place to the states,
+    as lists, after the last completed tick (the initial states when the
+    first tick aborts).
 
     Returns the telemetry, cut to the logged ticks and with the wheel
     commands mixed in, and the PlantFellOverError that ended the run or
@@ -386,7 +390,7 @@ def _simulate(planes, states, n_ticks: int, Ts: float, control):
     buf = tel.view(np.float64).reshape(n_ticks, len(TELEMETRY_COLUMNS))
     buf[:, _COL["t_s"]] = np.arange(n_ticks) * Ts
     (plant0, sensor0), (plant1, sensor1) = planes
-    x0, x1 = states
+    x0, x1 = (np.asarray(x, dtype=float).tolist() for x in states)
     s0, s1 = _STATE
     n_logged, abort = n_ticks, None
     try:
@@ -395,17 +399,14 @@ def _simulate(planes, states, n_ticks: int, Ts: float, control):
             xm0 = sensor0.measure(x0)
             xm1 = sensor1.measure(x1)
             u0, u1 = control(k, xm0, xm1, row)
-            row[s0:s0 + 4] = x0
-            row[s0 + 4:s0 + 8] = xm0
-            row[s1:s1 + 4] = x1
-            row[s1 + 4:s1 + 8] = xm1
+            row[_PLANES] = x0 + xm0 + x1 + xm1
             row[_CMD] = u0
             row[_CMD + 1] = u1
             x0 = plant0.step(x0, u0, Ts)
             x1 = plant1.step(x1, u1, Ts)
     except PlantFellOverError as exc:
         n_logged, abort = k + 1, exc
-        x0, x1 = row[s0:s0 + 4].copy(), row[s1:s1 + 4].copy()
+        x0, x1 = row[s0:s0 + 4].tolist(), row[s1:s1 + 4].tolist()
     states[:] = x0, x1
     buf = buf[:n_logged]
     buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
@@ -584,9 +585,9 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     u_lqr_col = _COL["u_lqr_y_ticks"]
 
     def control(k, xm0, xm1, row):
-        u0 = -(K @ xm0)[0]
+        u0 = -K.dot(xm0)[0]
         row[u_lqr_col] = u0
-        return u0, -(K @ xm1)[0]
+        return u0, -K.dot(xm1)[0]
 
     theta0 = cfg["run"]["theta0_deg"]
     states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
@@ -635,7 +636,9 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     K = lqr.K
     n_ticks = int(round(duration / Ts))
     y_ref = smooth_step(ref_spec, np.arange(n_ticks) * Ts)[:, 0]
+    # the MPC's reference preview at each solve's tick k, k * Ts + j * Ts_mpc
     preview_lag = np.arange(mpc_cfg.N + 1) * mpc_cfg.Ts_mpc
+    previews = smooth_step(ref_spec, np.arange(0, n_ticks, m)[:, None] * Ts + preview_lag)
     # u_lqr_y_ticks, u_mpc_raw_ticks, u_mpc_filt_ticks, y_ref_cm are adjacent
     mpc_cols = slice(_COL["u_lqr_y_ticks"], _COL["y_ref_cm"] + 1)
     u_mpc_raw = 0.0
@@ -645,9 +648,8 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
 
     def control(k, xm0, xm1, row):
         nonlocal u_mpc_raw, pending, clamped
-        t = k * Ts
         if k % m == 0:
-            u_new, info = controller.mpc_step(xm0, smooth_step(ref_spec, t + preview_lag))
+            u_new, info = controller.mpc_step(xm0, previews[k // m])
             iter_counts.append(info["iterations"])
             # a capped solve applies 0; this catches a solved input that
             # overshoots u_max within the solver's tolerance
@@ -660,9 +662,9 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
                     u_mpc_raw = pending
                 pending = u_box
         u_mpc_filt = filt.step(u_mpc_raw)
-        u_lqr_y = -(K @ xm0)[0]
+        u_lqr_y = -K.dot(xm0)[0]
         row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt, y_ref[k])
-        return u_lqr_y + u_mpc_filt, -(K @ xm1)[0]
+        return u_lqr_y + u_mpc_filt, -K.dot(xm1)[0]
 
     states = [np.zeros(4), np.zeros(4)]
     tel, abort = _simulate(_make_planes(cfg), states, n_ticks, Ts, control)

@@ -269,9 +269,12 @@ class Sensor:
         self._normals = _standard_normals(rng)
         self._prev_counts = None
 
-    def measure(self, x) -> np.ndarray:
-        # Python floats: the same IEEE arithmetic as numpy scalars, cheaper
-        x = np.asarray(x, dtype=float).tolist()
+    def measure(self, x) -> list:
+        """The measured ``[y, theta, ydot, thetadot]`` of the true state ``x``.
+
+        ``x`` is a list of four floats, as ``Plant.step`` returns it: Python
+        floats do the same IEEE arithmetic as numpy scalars, cheaper.
+        """
         s = self.spec
         theta = x[1] + (s.sigma_theta * next(self._normals) if s.sigma_theta else 0.0)
         thetadot = x[3] + (s.sigma_thetadot * next(self._normals) if s.sigma_thetadot else 0.0)
@@ -287,7 +290,7 @@ class Sensor:
         else:
             y = x[0]
             ydot = x[2]
-        return np.array([y, theta, ydot, thetadot])
+        return [y, theta, ydot, thetadot]
 
 
 class Plant:
@@ -317,22 +320,34 @@ class Plant:
             raise ValueError("discrete update only defined for the linear mode")
         if self._dss is None or self._dss.Ts != dt:
             self._dss = zoh_discretize(self.ss, dt)
-            self._b = self._dss.B_d[:, 0].tolist()
+            # [A_d | B_d] row by row
+            self._rows = np.hstack([self._dss.A_d, self._dss.B_d]).tolist()
         return self._dss
 
-    def step(self, x, u: float, dt: float) -> np.ndarray:
+    def step(self, x, u: float, dt: float) -> list:
+        """The state one period ``dt`` after ``x`` under the held input ``u``.
+
+        ``x`` and the returned state are lists of four floats.
+        """
         if dt <= 0:
             raise ValueError("dt must be positive")
         if self.mode == "linear":
-            # A_d x stays one BLAS call, whose summation order sets the last
-            # bits; B_d u is added on Python floats, the same IEEE arithmetic
-            ax = np.dot(self.discrete(dt).A_d, x).tolist()
-            u, b = float(u), self._b
-            xn = [ax[0] + b[0] * u, ax[1] + b[1] * u, ax[2] + b[2] * u, ax[3] + b[3] * u]
+            # A_d x + B_d u on Python floats, summed in the order OpenBLAS's
+            # dgemv sums a 4 x 4 product, (a0 x0 + a2 x2) + (a1 x1 + a3 x3):
+            # bit for bit np.dot(A_d, x) + B_d u, which test_plant checks
+            self.discrete(dt)
+            ((a00, a01, a02, a03, b0), (a10, a11, a12, a13, b1),
+             (a20, a21, a22, a23, b2), (a30, a31, a32, a33, b3)) = self._rows
+            x0, x1, x2, x3 = x
+            u = float(u)
+            xn = [(a00 * x0 + a02 * x2) + (a01 * x1 + a03 * x3) + b0 * u,
+                  (a10 * x0 + a12 * x2) + (a11 * x1 + a13 * x3) + b1 * u,
+                  (a20 * x0 + a22 * x2) + (a21 * x1 + a23 * x3) + b2 * u,
+                  (a30 * x0 + a32 * x2) + (a31 * x1 + a33 * x3) + b3 * u]
         else:
             xn = rk4_step(lambda s, uu: nonlinear_dynamics(self.pp, s, uu),
-                          np.asarray(x, dtype=float), u, dt)
+                          np.asarray(x, dtype=float), u, dt).tolist()
         self.t += dt
         if abs(xn[1]) >= TILT_ENVELOPE_DEG:
             raise PlantFellOverError(self.t, np.asarray(xn))
-        return np.asarray(xn)
+        return xn

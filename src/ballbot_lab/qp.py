@@ -17,7 +17,8 @@ active set.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -65,6 +66,12 @@ class QpProblem:
         z = np.asarray(z, dtype=float)
         return float(0.5 * z @ self.P @ z + self.q @ z)
 
+    def __copy__(self):
+        """A problem on the same arrays; they passed the checks already."""
+        new = object.__new__(QpProblem)
+        new.__dict__.update(self.__dict__)
+        return new
+
 
 @dataclass
 class QpSettings:
@@ -81,13 +88,33 @@ class QpSettings:
 
 @dataclass
 class QpSolution:
+    """A solve's iterate and status.
+
+    The residuals and the objective are computed from ``problem`` when first
+    read; nothing on the control path reads them, so a solve does not pay
+    for them. A solver that reports its own residuals assigns them.
+    """
+
     z: np.ndarray
     y: np.ndarray
     status: str                  # "solved" | "max-iter" | "primal-infeasible"
     iterations: int
-    primal_residual: float
-    dual_residual: float
-    objective: float = field(default=float("nan"))
+    problem: QpProblem           # the P, q, A, l, u that were solved
+
+    @cached_property
+    def primal_residual(self) -> float:
+        p = self.problem
+        Az = p.A @ self.z
+        return float(np.max(np.maximum(Az - p.u, p.l - Az), initial=0.0))
+
+    @cached_property
+    def dual_residual(self) -> float:
+        p = self.problem
+        return _norm(p.P @ self.z + p.q + p.A.T @ self.y)
+
+    @cached_property
+    def objective(self) -> float:
+        return self.problem.objective(self.z)
 
 
 def _norm(*arrays) -> float:
@@ -132,7 +159,7 @@ class QpSolver:
         q = p.q if q is None else np.asarray(q, dtype=float).ravel()
         l = p.l if l is None else np.asarray(l, dtype=float).ravel()
         u = p.u if u is None else np.asarray(u, dtype=float).ravel()
-        if (l >= u).any():
+        if np.count_nonzero(l >= u):
             raise ValueError("QpSolver takes box rows only: need l < u elementwise")
         p.q, p.l, p.u = q, l, u
 
@@ -197,11 +224,8 @@ class QpSolver:
             y[W] = np.linalg.solve(S[W[:, None], W],
                                    p.A[W] @ z0 - np.where(side > 0, p.u[W], p.l[W]))
             z = z0 - self._H[:, W] @ y[W]
-        Az = p.A @ z
-        return QpSolution(
-            z=z, y=y, status=status, iterations=steps,
-            primal_residual=float(np.max(np.maximum(Az - p.u, p.l - Az), initial=0.0)),
-            dual_residual=_norm(p.P @ z + p.q + p.A.T @ y), objective=p.objective(z))
+        # update_vectors rebinds q, l, u, so a shallow copy keeps this problem
+        return QpSolution(z=z, y=y, status=status, iterations=steps, problem=copy.copy(p))
 
 
 def solve(problem: QpProblem, settings: QpSettings = None) -> QpSolution:

@@ -64,10 +64,12 @@ def outer_reference(gains, x) -> float:
     """Reference ball speed from weighted state feedback (cm/s).
 
     ``gains`` is a FeedbackGains or its ``outer_vector()``; a tick loop
-    passes the vector, built once per experiment.
+    passes the vector, built once per experiment. The 4-term dot stays one
+    BLAS call: its left-to-right fused multiply-adds round differently from
+    any order of plain float operations.
     """
     k = gains.outer_vector() if isinstance(gains, FeedbackGains) else gains
-    return float(np.dot(k, x))
+    return float(k.dot(x))
 
 
 def pid_step(state: PidState, e_ydot: float, gains: FeedbackGains, Ts: float) -> float:

@@ -332,9 +332,10 @@ class InteriorPointQp:
             alpha = min(1.0, self.STEP * self._max_step(s, ds, lam, dlam))
             z, yE = z + alpha * dz, yE + alpha * dy
             s, lam = s + alpha * ds, lam + alpha * dlam
-        return QpSolution(
-            z=z, y=self._full_dual(yE, lam), status=status, iterations=iters,
-            primal_residual=r_prim, dual_residual=r_dual, objective=p.objective(z))
+        sol = QpSolution(z=z, y=self._full_dual(yE, lam), status=status,
+                         iterations=iters, problem=p)
+        sol.primal_residual, sol.dual_residual = r_prim, r_dual
+        return sol
 
     @staticmethod
     def _max_step(s, ds, lam, dlam):

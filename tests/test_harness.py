@@ -3,9 +3,10 @@ import json
 
 import numpy as np
 import pytest
+from numpy.testing import assert_array_equal
 
 from ballbot_lab import cli, harness
-from ballbot_lab.control import MpcController, design_lqr
+from ballbot_lab.control import MpcController, SmoothStepRef, design_lqr, smooth_step
 from ballbot_lab.errors import ConfigError, PlantFellOverError
 from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
                                  config_hash, load_config, run_balance,
@@ -235,6 +236,38 @@ class TestTrack:
         res = run_track(cfg, duration=2.0)
         raw = [row["u_mpc_raw_ticks"] for row in res.telemetry]
         assert all(v == 0.0 for v in raw[:20])  # first period runs on zero
+
+    @pytest.mark.parametrize("latency", [0, 1])
+    def test_each_solve_gets_its_ticks_preview(self, monkeypatch, latency):
+        # the previews are built before the loop; solve i, at tick k = 20 i,
+        # receives exactly the preview a per-tick smooth_step would give and
+        # the measurement logged at that tick
+        cfg = load_config()
+        cfg["run"]["latency_mpc_periods"] = latency
+        cfg["reference"]["t0"] = 0.5
+        seen = []
+        step = MpcController.mpc_step
+
+        def recording_step(ctrl, x0, ref):
+            seen.append((list(x0), np.array(ref)))
+            return step(ctrl, x0, ref)
+
+        monkeypatch.setattr(MpcController, "mpc_step", recording_step)
+        res = run_track(cfg, duration=3.0)
+        ctrl = res.extra["controller"]
+        ref_spec = SmoothStepRef(t0=0.5, amplitude=cfg["reference"]["amplitude"],
+                                 T_rise=cfg["reference"]["T_rise"])
+        Ts, m = cfg["run"]["Ts_inner"], ctrl.pred.m
+        preview_lag = np.arange(ctrl.cfg.N + 1) * ctrl.cfg.Ts_mpc
+        assert len(seen) == 30
+        meas = ["y_meas_cm", "theta_x_meas_deg", "ydot_meas_cms", "thetadot_x_meas_degs"]
+        for i, (x0, ref) in enumerate(seen):
+            k = i * m
+            assert_array_equal(ref, smooth_step(ref_spec, k * Ts + preview_lag))
+            assert x0 == [res.telemetry[k][c] for c in meas]
+        # the previews cover the rise, not just the two plateaus
+        y_previews = np.array([ref[:, 0] for _, ref in seen])
+        assert np.any((y_previews > 0.0) & (y_previews < ref_spec.amplitude))
 
     def test_plane_decoupling(self):
         cfg_a = quiet_config()

@@ -194,18 +194,25 @@ class TestSensor:
 
 class TestPlant:
     def test_linear_step_is_discrete_update(self):
-        # A_d x as one BLAS call plus B_d u on Python floats gives exactly
-        # the vector expression, over many states and inputs
-        plant = Plant("linear")
-        d = zoh_discretize(plant.ss, 0.005)
-        x = np.array([1.0, 0.5, -0.2, 0.1])
-        xn = plant.step(x, 3.0, 0.005)
-        assert_allclose(xn, d.A_d @ x + d.B_d[:, 0] * 3.0, atol=0)
-        rng = np.random.default_rng(8)
-        for _ in range(1000):
-            x = rng.normal(scale=[10.0, 5.0, 20.0, 50.0])
-            u = float(rng.normal(scale=100.0))
-            assert_array_equal(plant.step(x, u, 0.005), d.A_d @ x + d.B_d[:, 0] * u)
+        # A_d x + B_d u on Python floats, summed in the order of the BLAS
+        # matrix-vector product, gives exactly the vector expression, over
+        # many states and inputs, on the truth and on models a fit can
+        # return: every constant off by 30 %, and a wrong-signed p1
+        truth = LinearParams.reference().as_array()
+        for scale in (np.ones(8), np.full(8, 1.3),
+                      np.array([-0.2, 0.18, 1, 1, 1, 1, 0.06, 1])):
+            plant = Plant("linear", linear_params=LinearParams.from_array(truth * scale))
+            d = zoh_discretize(plant.ss, 0.005)
+            x = np.array([1.0, 0.5, -0.2, 0.1])
+            xn = plant.step(x.tolist(), 3.0, 0.005)
+            assert isinstance(xn, list)
+            assert_array_equal(xn, d.A_d @ x + d.B_d[:, 0] * 3.0)
+            rng = np.random.default_rng(8)
+            for _ in range(1000):
+                x = rng.normal(scale=[10.0, 5.0, 20.0, 50.0])
+                u = float(rng.normal(scale=100.0))
+                assert_array_equal(plant.step(x.tolist(), u, 0.005),
+                                   d.A_d @ x + d.B_d[:, 0] * u)
 
     def test_equilibrium_fixed_point(self):
         for mode in ("linear", "nonlinear"):

@@ -154,6 +154,28 @@ class TestWarmStart:
             assert_allclose(now, before, atol=0)
         assert_allclose(solver.prob.q, 2.0 * q, atol=0)
 
+    def test_diagnostics_describe_their_own_solve(self):
+        # residuals and objective are computed when first read; read after
+        # the solver's next update and solve, they still equal the values
+        # computed right after their own solve
+        rng = np.random.default_rng(7)
+        prob = random_box_qp(rng, n=5)
+        solver = QpSolver(prob)
+        first = solver.solve()
+        assert first.iterations > 0
+        P, q, A, l, u = (a.copy() for a in (prob.P, prob.q, prob.A, prob.l, prob.u))
+        z, y = first.z.copy(), first.y.copy()
+        Az = A @ z
+        eager = (float(np.max(np.maximum(Az - u, l - Az), initial=0.0)),
+                 float(np.abs(P @ z + q + A.T @ y).max()),
+                 float(0.5 * z @ P @ z + q @ z))
+        solver.update_vectors(q=-3.0 * q, l=l - 0.5, u=u - 0.25)
+        second = solver.solve()
+        assert (first.primal_residual, first.dual_residual, first.objective) == eager
+        assert second.objective != first.objective
+        assert second.objective == second.problem.objective(second.z)
+        assert_allclose(second.problem.q, -3.0 * q, atol=0)
+
 
 class TestDenseKkt:
     def test_kkt_solve_matches_numpy_solve(self):

@@ -331,11 +331,8 @@ class TestLmStopping:
 SRC = Path(ballbot_lab.__file__).resolve().parents[1]
 
 
-def test_identify_outputs_do_not_depend_on_blas_threads(tmp_path):
-    # the LM accepts and stops on cost comparisons in the last bits, so a
-    # threaded BLAS reduction there would move p_hat with the thread count.
-    # The default 120 s run, not a shorter one: its 12,000-sample holdout is
-    # long enough for a BLAS dot in the fit rates to be split across threads
+def outputs_under_blas_threads(tmp_path, args):
+    """The output files, name to bytes, of one CLI run under 1 and 2 BLAS threads."""
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / threads
@@ -343,13 +340,30 @@ def test_identify_outputs_do_not_depend_on_blas_threads(tmp_path):
         env["PYTHONPATH"] = os.pathsep.join(
             [str(SRC)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
         proc = subprocess.run(
-            [sys.executable, "-m", "ballbot_lab.cli", "identify", "--seed", "0",
+            [sys.executable, "-m", "ballbot_lab.cli", *args, "--seed", "0",
              "--out", str(out)],
             env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         outputs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    return outputs
+
+
+def test_identify_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the LM accepts and stops on cost comparisons in the last bits, so a
+    # threaded BLAS reduction there would move p_hat with the thread count.
+    # The default 120 s run, not a shorter one: its 12,000-sample holdout is
+    # long enough for a BLAS dot in the fit rates to be split across threads
+    outputs = outputs_under_blas_threads(tmp_path, ["identify"])
     assert sorted(outputs[0]) == ["identified_model.json", "identify_summary.json",
                                   "identify_telemetry.csv"]
+    assert outputs[0] == outputs[1]
+
+
+def test_track_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # the track telemetry feeds last-bit differences of the QP and the
+    # BLAS dots of the regulator back through the loop; 5 s holds 50 solves
+    outputs = outputs_under_blas_threads(tmp_path, ["track", "--duration", "5"])
+    assert sorted(outputs[0]) == ["track_summary.json", "track_telemetry.csv"]
     assert outputs[0] == outputs[1]
 
 

@@ -84,7 +84,7 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
         "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1,
         "MpcController.mpc_step": periods,
         "QpSolver._factor": 1,                   # once, for the one solver
-        "smooth_step": periods + 1,              # each preview, the logged column
+        "smooth_step": 2,                        # all previews, the logged column
         "Biquad.step": ticks, "mix_to_wheels": 1,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
     alphas = (0.5, 1.0)
