@@ -20,8 +20,7 @@ from .qp import QpProblem, QpSettings, QpSolution, QpSolver
 __all__ = [
     "LqrDesign", "design_lqr",
     "DualModePredictor", "build_predictor",
-    "MpcConfig", "SmoothStepRef", "smooth_step",
-    "build_qp", "MpcController",
+    "MpcConfig", "SmoothStepRef", "smooth_step", "MpcController",
 ]
 
 
@@ -61,13 +60,6 @@ class DualModePredictor:
 
     A_bar: np.ndarray
     B_bar: np.ndarray
-    K_lqr: np.ndarray
-    m: int
-    Ts_fast: float
-
-    @property
-    def Ts(self) -> float:
-        return self.m * self.Ts_fast
 
     @property
     def n_states(self) -> int:
@@ -94,7 +86,7 @@ def build_predictor(sys_d: DiscreteSS, K_lqr, m: int = 20) -> DualModePredictor:
         S = S + A_bar
         A_bar = A_cl @ A_bar
     B_bar = S @ sys_d.B_d
-    return DualModePredictor(A_bar=A_bar, B_bar=B_bar, K_lqr=K, m=m, Ts_fast=sys_d.Ts)
+    return DualModePredictor(A_bar=A_bar, B_bar=B_bar)
 
 
 @dataclass
@@ -190,7 +182,9 @@ def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
     With P_x = 2 blockdiag(Q, .., Q, Q_N) and C selecting tilt, speed and
     tilt rate, the stacked cost 1/2 X'P_x X - ref'P_x X + R u'u becomes
     1/2 u'(Gamma'P_x Gamma + 2R I)u + (Gamma'P_x (Phi x0 - ref))'u plus a
-    constant, and the state boxes become rows C Gamma shifted by C Phi x0.
+    constant, and the state boxes become rows C Gamma shifted by C Phi x0:
+    the first 3N rows box the tilt, speed and tilt rate of each predicted
+    state (position is unconstrained), the last N rows the input.
     """
     n, N = pred.n_states, cfg.N
     powers = [np.eye(n)]
@@ -213,19 +207,6 @@ def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
                         S=S, box=box, P=0.5 * (P + P.T), A=A)
 
 
-def build_qp(pred: DualModePredictor, cfg: MpcConfig, x0, ref) -> QpProblem:
-    """The finite-horizon tracking problem as a box-constrained QP in u alone.
-
-    Decision vector z = (u_0..u_{N-1}); the predicted states x_1..x_N are
-    eliminated through the lifted dynamics, so there are no equality rows.
-    The cost penalizes deviations e_k = x_k - ref_k under Q (terminal Q_N)
-    plus R u^2. The first 3N rows box tilt, speed and tilt rate of each
-    predicted state (position is unconstrained), and the last N rows box
-    the correction input.
-    """
-    return _condense(pred, cfg).problem(x0, ref)
-
-
 class MpcController:
     """Receding-horizon controller around one reusable QP workspace.
 
@@ -243,22 +224,17 @@ class MpcController:
 
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,
                  settings: QpSettings = None):
-        self.pred = pred
         self.cfg = cfg
-        self.settings = settings or QpSettings()
         self._qp = _condense(pred, cfg)
         zero_ref = np.zeros((cfg.N + 1, pred.n_states))
         self._solver = QpSolver(self._qp.problem(np.zeros(pred.n_states), zero_ref),
-                                self.settings)
-        self._x0 = None
+                                settings)
         self.infeasible_events = 0
         self.degraded_events = 0
         self.last_solution: QpSolution = None
 
     def mpc_step(self, x0, ref) -> tuple:
         """Solve for the horizon and return (u_mpc, info dict)."""
-        # a copy, which predicted_states reads after the caller moves on
-        self._x0 = x0 = np.array(x0, dtype=float)
         self._solver.update_vectors(*self._qp.vectors(x0, ref))
         sol = self._solver.solve()
         self.last_solution = sol
@@ -273,10 +249,3 @@ class MpcController:
             self.degraded_events += 1
             info["degraded"] = True
         return 0.0, info
-
-    def predicted_states(self) -> np.ndarray:
-        """Predicted state trajectory x_1..x_N from the last solve."""
-        if self.last_solution is None:
-            raise RuntimeError("no solve has happened yet")
-        X = self._qp.Phi @ self._x0 + self._qp.Gamma @ self.last_solution.z
-        return X.reshape(self.cfg.N, self.pred.n_states)

@@ -1,8 +1,10 @@
 """Experiment executive: wires the modules into the four standard runs.
 
-Every experiment runs the same tick loop (``_simulate``) over BOTH vertical
-planes at the fast inner rate and differs only in its controller; the loop
-logs one telemetry row per tick, and each run emits a summary document.
+Every experiment has one skeleton: it resolves its duration
+(``_duration``), designs its controller (the model-based ones through
+``_design``), and runs the same tick loop (``_simulate``) over BOTH vertical
+planes at the fast inner rate from an initial tilt; the loop logs one
+telemetry row per tick, and each run emits a summary document.
 The tracking plane carries the position y and tilt theta_x; the mirror
 plane carries x and theta_y. Motor commands are mixed to the three
 omniwheels with the yaw channel pinned to zero.
@@ -37,7 +39,7 @@ from .stabilizer import (FeedbackGains, PidState, outer_reference, p_step,
 __all__ = [
     "DEFAULT_CONFIG", "load_config", "validate_config", "config_hash",
     "RunResult", "run_balance", "run_identify", "run_lqr", "run_track",
-    "over_excitation_sweep", "write_telemetry_csv", "write_summary_json",
+    "write_telemetry_csv", "write_summary_json",
     "TELEMETRY_COLUMNS", "TELEMETRY_DTYPE",
 ]
 
@@ -284,12 +286,28 @@ def _make_planes(cfg):
     return planes
 
 
-def _model_for_design(cfg, model_lp) -> LinearParams:
-    if model_lp is not None:
-        return model_lp
+def _truth_model(cfg) -> LinearParams:
+    """The truth as a linear model: the configured table, or the rigid body
+    linearized."""
     if cfg["plant"]["mode"] == "nonlinear":
         return linearize(_physical_params(cfg))
     return _truth_linear_params(cfg)
+
+
+def _design(cfg, model_lp):
+    """The ZOH model and LQR design of ``model_lp``, or of the truth if None."""
+    model = _truth_model(cfg) if model_lp is None else model_lp
+    dss = zoh_discretize(build_linear_ss(model), cfg["run"]["Ts_inner"])
+    return dss, design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
+
+
+def _duration(cfg, name, duration) -> float:
+    """Simulated seconds of a run: ``duration``, or the config's if None."""
+    if duration is None:
+        duration = cfg["run"]["durations"][name]
+    if not 0.0 < duration < np.inf:
+        raise ConfigError("duration", "must be a positive, finite number of seconds")
+    return duration
 
 
 # ---------------------------------------------------------------------------
@@ -352,45 +370,46 @@ def _base_summary(cfg, name, duration, abort) -> dict:
     }
 
 
-def _settling_time(t, err, t0):
-    """Time after t0 from which err stays below 1 for good, or None.
+def _settling_time(t, err, t0, band):
+    """Time after t0 from which err stays below band for good, or None.
 
     The first tick at or after t0 that follows the last tick where err is not
-    below 1; one linear pass instead of testing every suffix.
+    below band; one linear pass instead of testing every suffix.
     """
     start = int(np.searchsorted(t, t0))
-    outside = np.flatnonzero(~(err[start:] < 1.0))
+    outside = np.flatnonzero(~(err[start:] < band))
     idx = start + (int(outside[-1]) + 1 if outside.size else 0)
     return float(t[idx] - t0) if idx < len(t) else None
-
-
 
 
 # ---------------------------------------------------------------------------
 # the tick loop
 
-def _simulate(planes, states, n_ticks: int, Ts: float, control):
-    """Run both planes through ``n_ticks`` ticks of the digital loop.
+def _simulate(cfg, duration, theta0_deg, control):
+    """Run both planes of ``cfg`` through ``duration`` s of the digital loop.
 
-    Each tick measures both planes, asks ``control(k, xm0, xm1, row)`` for
-    the two planar commands (it may write its own columns into the tick's
-    telemetry ``row``), logs each plane's state, measurement and command,
-    and steps both plants, the tracking plane first. States and
-    measurements stay lists of Python floats between the calls. ``states``
-    holds the two initial states and is updated in place to the states,
-    as lists, after the last completed tick (the initial states when the
-    first tick aborts).
+    Both planes start at rest with tilt ``theta0_deg``. Each tick measures
+    both planes, asks ``control(k, xm0, xm1, row)`` for the two planar
+    commands (it may write its own columns into the tick's telemetry
+    ``row``), logs each plane's state, measurement and command, and steps
+    both plants, the tracking plane first. States and measurements stay
+    lists of Python floats between the calls.
 
     Returns the telemetry, cut to the logged ticks and with the wheel
-    commands mixed in, and the PlantFellOverError that ended the run or
-    None. An abort leaves its tick logged but not completed: a tracking-plane
-    step taken before the mirror plane fell is dropped.
+    commands mixed in; the two planes' states, as lists, after the last
+    completed tick (the initial states when the first tick aborts); and the
+    PlantFellOverError that ended the run or None. An abort leaves its tick
+    logged but not completed: a tracking-plane step taken before the mirror
+    plane fell is dropped.
     """
+    Ts = cfg["run"]["Ts_inner"]
+    n_ticks = int(round(duration / Ts))
     tel = np.zeros(n_ticks, dtype=TELEMETRY_DTYPE)
     buf = tel.view(np.float64).reshape(n_ticks, len(TELEMETRY_COLUMNS))
     buf[:, _COL["t_s"]] = np.arange(n_ticks) * Ts
-    (plant0, sensor0), (plant1, sensor1) = planes
-    x0, x1 = (np.asarray(x, dtype=float).tolist() for x in states)
+    (plant0, sensor0), (plant1, sensor1) = _make_planes(cfg)
+    x0 = [0.0, float(theta0_deg), 0.0, 0.0]
+    x1 = x0.copy()
     s0, s1 = _STATE
     n_logged, abort = n_ticks, None
     try:
@@ -407,11 +426,10 @@ def _simulate(planes, states, n_ticks: int, Ts: float, control):
     except PlantFellOverError as exc:
         n_logged, abort = k + 1, exc
         x0, x1 = row[s0:s0 + 4].tolist(), row[s1:s1 + 4].tolist()
-    states[:] = x0, x1
     buf = buf[:n_logged]
     buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
         mix_to_wheels(buf[:, _CMD], buf[:, _CMD + 1], 0.0))
-    return tel[:n_logged], abort
+    return tel[:n_logged], (x0, x1), abort
 
 
 def _after_steps(tel, plane, final, abort):
@@ -437,7 +455,7 @@ def _after_steps(tel, plane, final, abort):
 def run_balance(cfg, duration=None) -> RunResult:
     """Double-loop PID balancing on both planes from an initial tilt."""
     Ts = cfg["run"]["Ts_inner"]
-    duration = duration or cfg["run"]["durations"]["balance"]
+    duration = _duration(cfg, "balance", duration)
     gains = _balance_gains(cfg)
     k_outer = gains.outer_vector()
     pid0, pid1 = PidState(), PidState()
@@ -450,10 +468,7 @@ def run_balance(cfg, duration=None) -> RunResult:
         return (pid_step(pid0, r0 - xm0[2], gains, Ts),
                 pid_step(pid1, r1 - xm1[2], gains, Ts))
 
-    theta0 = cfg["run"]["theta0_deg"]
-    states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
-    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
-                           Ts, control)
+    tel, states, abort = _simulate(cfg, duration, cfg["run"]["theta0_deg"], control)
     # the larger tilt of the two planes after each completed tick
     tilt = np.maximum(np.abs(_after_steps(tel, 0, states[0], abort)[:, 1]),
                       np.abs(_after_steps(tel, 1, states[1], abort)[:, 1]))
@@ -478,8 +493,9 @@ def run_balance(cfg, duration=None) -> RunResult:
 def _identification_loop(cfg, duration):
     """The P-only loop with the multisine added on the tracking plane.
 
-    Returns the telemetry with ``d_cms`` filled, the last states, the abort
-    or None, and the sampled excitation.
+    Runs from rest for ``duration`` s. Returns the telemetry with
+    ``d_cms`` filled, the last states, the abort or None, and the sampled
+    excitation.
     """
     Ts = cfg["run"]["Ts_inner"]
     gains = _identification_gains(cfg)
@@ -499,9 +515,7 @@ def _identification_loop(cfg, duration):
         return (p_step(gains.kp, r0 - xm0[2] + d[k]),
                 p_step(gains.kp, r1 - xm1[2] + 0.0))
 
-    states = [np.zeros(4), np.zeros(4)]
-    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
-                           Ts, control)
+    tel, states, abort = _simulate(cfg, duration, 0.0, control)
     tel["d_cms"] = d[:len(tel)]
     return tel, states, abort, exc_seq
 
@@ -509,7 +523,7 @@ def _identification_loop(cfg, duration):
 def run_identify(cfg, duration=None) -> RunResult:
     """Excite the P-only loop, fit the model constants, and validate them."""
     Ts = cfg["run"]["Ts_inner"]
-    duration = duration or cfg["run"]["durations"]["identify"]
+    duration = _duration(cfg, "identify", duration)
     tel, _, abort, exc_seq = _identification_loop(cfg, duration)
     summary = _base_summary(cfg, "identify", duration, abort)
     if abort is not None:
@@ -524,7 +538,7 @@ def run_identify(cfg, duration=None) -> RunResult:
                               ydot=logged("ydot_meas_cms"),
                               thetadot=logged("thetadot_x_meas_degs"))
     fit_ds, holdout = dataset.split_halves()
-    truth = _model_for_design(cfg, None)
+    truth = _truth_model(cfg)
     id_sec = cfg["id"]
     if id_sec["initial_guess"] is not None:
         p0 = np.asarray(id_sec["initial_guess"], dtype=float)
@@ -576,11 +590,8 @@ def run_identify(cfg, duration=None) -> RunResult:
 
 def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     """Regulator-only balancing from an initial tilt; position drifts."""
-    Ts = cfg["run"]["Ts_inner"]
-    duration = duration or cfg["run"]["durations"]["lqr"]
-    design_model = _model_for_design(cfg, model_lp)
-    dss = zoh_discretize(build_linear_ss(design_model), Ts)
-    lqr = design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
+    duration = _duration(cfg, "lqr", duration)
+    _, lqr = _design(cfg, model_lp)
     K = lqr.K
     u_lqr_col = _COL["u_lqr_y_ticks"]
 
@@ -589,10 +600,7 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         row[u_lqr_col] = u0
         return u0, -K.dot(xm1)[0]
 
-    theta0 = cfg["run"]["theta0_deg"]
-    states = [np.array([0.0, theta0, 0.0, 0.0]), np.array([0.0, theta0, 0.0, 0.0])]
-    tel, abort = _simulate(_make_planes(cfg), states, int(round(duration / Ts)),
-                           Ts, control)
+    tel, states, abort = _simulate(cfg, duration, cfg["run"]["theta0_deg"], control)
     # the start time of the first tick after which |theta_x| < 0.05 deg
     settled = np.flatnonzero(np.abs(_after_steps(tel, 0, states[0], abort)[:, 1]) < 0.05)
     summary = _base_summary(cfg, "lqr", duration, abort)
@@ -610,11 +618,9 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
 def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     """Smooth-step tracking: LQR + filtered MPC correction on the y plane."""
     Ts = cfg["run"]["Ts_inner"]
-    duration = duration or cfg["run"]["durations"]["track"]
+    duration = _duration(cfg, "track", duration)
     m = int(round(cfg["mpc"]["Ts_mpc"] / Ts))
-    design_model = _model_for_design(cfg, model_lp)
-    dss = zoh_discretize(build_linear_ss(design_model), Ts)
-    lqr = design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
+    dss, lqr = _design(cfg, model_lp)
     pred = build_predictor(dss, lqr.K, m=m)
     mpc_cfg = MpcConfig(
         N=cfg["mpc"]["N"],
@@ -666,8 +672,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt, y_ref[k])
         return u_lqr_y + u_mpc_filt, -K.dot(xm1)[0]
 
-    states = [np.zeros(4), np.zeros(4)]
-    tel, abort = _simulate(_make_planes(cfg), states, n_ticks, Ts, control)
+    tel, states, abort = _simulate(cfg, duration, 0.0, control)
 
     # the tracking plane after each completed tick, with that tick's MPC input
     y, th, yd, thd = _after_steps(tel, 0, states[0], abort).T
@@ -687,7 +692,9 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     summary["metrics"] = {
         "steady_state_error_cm": float(np.mean(np.abs(tail - target))),
         "final_y_cm": float(y[-1]),
-        "settling_time_s": _settling_time(t_arr, err, ref_spec.t0),
+        # settled: within 5 % of the step's size for good
+        "settling_time_s": _settling_time(t_arr, err, ref_spec.t0,
+                                          0.05 * abs(target)),
         "max_abs_theta_deg": float(np.max(np.abs(th))),
         "max_abs_ydot_cms": float(np.max(np.abs(yd))),
         "max_abs_thetadot_degs": float(np.max(np.abs(thd))),
@@ -703,25 +710,3 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
         "tracking_cost": tracking_cost,
     }
     return RunResult("track", tel, summary, extra={"controller": controller})
-
-
-def over_excitation_sweep(cfg, alphas, duration=30.0):
-    """Largest excitation scale that keeps the loop within the tilt box.
-
-    Runs the noiseless identification loop for each scale and reports the
-    peak tilt; the usable scale is the largest one with max |theta| <= 3 deg
-    and no fall-over.
-    """
-    results = []
-    for alpha in alphas:
-        sub = copy.deepcopy(cfg)
-        sub["excitation"]["alpha"] = float(alpha)
-        sub["run"]["noise"] = False
-        tel, states, abort, _ = _identification_loop(sub, duration)
-        theta = _after_steps(tel, 0, states[0], abort)[:, 1]
-        results.append({"alpha": sub["excitation"]["alpha"],
-                        "max_abs_theta_deg": float(np.max(np.abs(theta))),
-                        "fell_over": abort is not None})
-    usable = [r["alpha"] for r in results
-              if not r["fell_over"] and r["max_abs_theta_deg"] <= 3.0]
-    return {"sweep": results, "largest_usable_alpha": max(usable) if usable else None}

@@ -22,7 +22,6 @@ __all__ = [
     "zoh_discretize",
     "solve_dare",
     "eigenvalues",
-    "spectral_radius",
     "design_butterworth2",
     "nrmse_fit",
     "sum_squares",
@@ -86,10 +85,6 @@ class DiscreteSS:
     @property
     def n_states(self):
         return self.A_d.shape[0]
-
-    @property
-    def n_inputs(self):
-        return self.B_d.shape[1]
 
 
 def expm(M):
@@ -218,10 +213,6 @@ def eigenvalues(M):
         raise ValueError("eigenvalues needs a square matrix")
     return sorted((complex(z) for z in np.linalg.eigvals(M)),
                   key=lambda z: (z.real, z.imag))
-
-
-def spectral_radius(M):
-    return max(abs(ev) for ev in eigenvalues(M))
 
 
 @dataclass

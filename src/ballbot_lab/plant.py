@@ -142,9 +142,11 @@ class PhysicalParams:
         Found offline by least-squares inversion of ``linearize`` onto the
         reference LinearParams. The rigid-body structure cannot reproduce all
         eight identified constants at once (it forces p1*p8 == p4*p7, which
-        the unconstrained identification result violates), so this set matches
-        the gravity, damping, and input channels closely and concedes the two
-        cross-damping constants; see the calibration note in the README.
+        the unconstrained identification result violates). This set matches
+        p1, p3, p4, p6 and p8 within 2.5 % and concedes three: the velocity
+        damping p2 and the cross-damping p5 and p7 come out at -0.0005,
+        -0.21 and -0.61 times the table's values. So the README's known
+        limitations hold for the linear plant only.
         """
         return cls(
             b1=18.635678321396604,

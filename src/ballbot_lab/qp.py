@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-__all__ = ["QpProblem", "QpSettings", "QpSolution", "QpSolver", "solve"]
+__all__ = ["QpProblem", "QpSettings", "QpSolution", "QpSolver"]
 
 _DEPENDENT = 1e-10  # relative size read as rounding in the active-set steps
 
@@ -226,8 +226,3 @@ class QpSolver:
             z = z0 - self._H[:, W] @ y[W]
         # update_vectors rebinds q, l, u, so a shallow copy keeps this problem
         return QpSolution(z=z, y=y, status=status, iterations=steps, problem=copy.copy(p))
-
-
-def solve(problem: QpProblem, settings: QpSettings = None) -> QpSolution:
-    """One-shot convenience wrapper around QpSolver."""
-    return QpSolver(problem, settings).solve()

@@ -13,13 +13,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import DiscreteSS
-from .plant import LinearParams, build_linear_ss
 
 __all__ = [
     "FeedbackGains", "PidState",
     "outer_reference", "pid_step", "p_step",
-    "feedback_row", "closed_loop", "closed_loop_matrices",
-    "discrete_closed_loop",
+    "feedback_row", "closed_loop", "discrete_closed_loop",
 ]
 
 
@@ -60,15 +58,14 @@ class PidState:
     e_ydot_prev: float = field(default=0.0)
 
 
-def outer_reference(gains, x) -> float:
+def outer_reference(k: np.ndarray, x) -> float:
     """Reference ball speed from weighted state feedback (cm/s).
 
-    ``gains`` is a FeedbackGains or its ``outer_vector()``; a tick loop
-    passes the vector, built once per experiment. The 4-term dot stays one
-    BLAS call: its left-to-right fused multiply-adds round differently from
-    any order of plain float operations.
+    ``k`` is ``FeedbackGains.outer_vector()``, built once per experiment.
+    The 4-term dot stays one BLAS call: its left-to-right fused
+    multiply-adds round differently from any order of plain float
+    operations.
     """
-    k = gains.outer_vector() if isinstance(gains, FeedbackGains) else gains
     return float(k.dot(x))
 
 
@@ -117,18 +114,6 @@ def closed_loop(A, B, gains: FeedbackGains):
     """
     F = feedback_row(gains, A.shape[0])
     return A + gains.kp * np.outer(B[:, 0], F), gains.kp * B
-
-
-def closed_loop_matrices(lp: LinearParams, gains: FeedbackGains):
-    """Continuous closed loop of the planar model, full and without position.
-
-    Returns (A_cl, B_cl, A_cl_reduced, B_cl_reduced); dropping the position
-    state is valid because the first column of A and the first entry of F
-    are both zero.
-    """
-    ss = build_linear_ss(lp)
-    A_cl, B_cl = closed_loop(ss.A, ss.B, gains)
-    return A_cl, B_cl, A_cl[1:, 1:], B_cl[1:]
 
 
 def discrete_closed_loop(dss: DiscreteSS, gains: FeedbackGains) -> DiscreteSS:

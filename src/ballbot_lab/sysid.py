@@ -6,9 +6,7 @@ parameterized CLOSED loop from d alone (output-error on the closed loop;
 the measured states never re-enter the simulation), which keeps the
 estimate unbiased because d is uncorrelated with the measurement noise.
 The fitted constants parameterize the open loop directly (the planar model
-of ``plant.build_linear_ss`` without its position state); the algebraic
-inverse of the composition (``extract_open_loop``) recovers the same open
-loop from closed-loop matrices.
+of ``plant.build_linear_ss`` without its position state).
 
 The candidate closed loop is composed at the discrete level, A_d + kp B_d F
 (``stabilizer.closed_loop``), matching the digital controller that actually
@@ -29,12 +27,11 @@ import numpy as np
 from .errors import IdentificationFailedError
 from .numerics import ContinuousSS, expm, nrmse_fit, sum_squares, zoh_discretize
 from .plant import LinearParams, build_linear_ss
-from .stabilizer import (FeedbackGains, closed_loop, discrete_closed_loop,
-                         feedback_row)
+from .stabilizer import FeedbackGains, closed_loop, discrete_closed_loop
 
 __all__ = [
     "IdDataset", "IdConfig", "IdResult",
-    "simulate_syscl", "pe_cost", "identify", "extract_open_loop", "validate",
+    "simulate_syscl", "identify", "validate",
 ]
 
 _CHANNELS = ("theta", "ydot", "thetadot")
@@ -217,10 +214,13 @@ def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
     """(p -> normalized output errors stacked channel by channel, p -> their
     Jacobian).
 
-    The measured channels (as contiguous rows) and their scales are built
-    once per fit, so each call subtracts row from row. The residual function
-    returns None for a divergent candidate, including one whose squared
-    residual norm overflows; such a candidate is never accepted.
+    Each channel is scaled by sqrt(N var) of its measurement, so the sum of
+    squares, the fit's cost, is the per-channel mean squared error over
+    variance: a prediction stuck at the channel mean scores about 1 per
+    channel. The measured channels (as contiguous rows) and their scales are
+    built once per fit, so each call subtracts row from row. The residual
+    function returns None for a divergent candidate, including one whose
+    squared residual norm overflows; such a candidate is never accepted.
     """
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
@@ -352,19 +352,6 @@ def _normal_length(lam, n) -> int:
     return min(n, int(-708.0 / math.log(r)) + 1)
 
 
-def pe_cost(p, dataset: IdDataset, gains: FeedbackGains) -> float:
-    """Prediction-error cost: per-channel mean squared error over variance.
-
-    Channels with different units are weighted equally by normalizing each
-    with the sample variance of its measurement; a prediction stuck at the
-    channel mean scores about 1 per channel. Divergent candidates get +inf.
-    """
-    r = _residual_fn(dataset, gains)[0](p)
-    if r is None:
-        return float("inf")
-    return sum_squares(r)
-
-
 def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdResult:
     """Fit the eight model constants by Levenberg-Marquardt with multistart.
 
@@ -444,21 +431,6 @@ def _levenberg_marquardt(p0, residuals, jacobian, lo, hi, config: IdConfig):
         if not accepted or converged:
             break
     return p, cost, it, converged
-
-
-def extract_open_loop(A_cl, B_cl, gains: FeedbackGains):
-    """Invert the loop composition: B = B_cl / kp, A = A_cl - B_cl F.
-
-    Exact algebraic inverse of closing the loop; works on the full 4-state
-    matrices or the reduced 3-state ones.
-    """
-    if gains.kp == 0:
-        raise ValueError("kp = 0: loop composition not invertible")
-    A_cl = np.asarray(A_cl, dtype=float)
-    B_cl = np.asarray(B_cl, dtype=float).reshape(A_cl.shape[0], -1)
-    A = A_cl - B_cl @ feedback_row(gains, A_cl.shape[0]).reshape(1, -1)
-    B = B_cl / gains.kp
-    return A, B
 
 
 def validate(p_hat, holdout: IdDataset, gains: FeedbackGains) -> dict:

@@ -8,7 +8,8 @@ brute-force active-set enumeration and a Mehrotra interior-point method
 problem) instead of the dual active-set method, literal step-by-step
 recursions instead of lifted or modal forms, and the stacked MPC problem
 (states kept as variables) instead of the condensed one. The plant's
-mechanical energy and the biquad's frequency response are checks that the
+mechanical energy, the biquad's frequency response and the algebraic
+inverse of the loop composition (``extract_open_loop``) are checks that the
 library itself never needs.
 """
 
@@ -169,6 +170,20 @@ def fd_jacobian(f, x0, h=1e-5):
         xm[j] -= h
         J[:, j] = (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
     return J
+
+
+def extract_open_loop(A_cl, B_cl, gains):
+    """Invert the loop composition: B = B_cl / kp, A = A_cl - B_cl F.
+
+    F = [0, k_theta, k_ydot - 1, k_thetadot], written out here rather than
+    taken from the lab; the reduced 3-state matrices drop its position entry.
+    """
+    if gains.kp == 0:
+        raise ValueError("kp = 0: loop composition not invertible")
+    A_cl = np.asarray(A_cl, dtype=float)
+    B_cl = np.asarray(B_cl, dtype=float).reshape(A_cl.shape[0], -1)
+    F = np.array([0.0, gains.k_theta, gains.k_ydot - 1.0, gains.k_thetadot])
+    return A_cl - B_cl @ F[4 - A_cl.shape[0]:].reshape(1, -1), B_cl / gains.kp
 
 
 def literal_lift(A_cl, B_d, x0, u, m):

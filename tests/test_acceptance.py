@@ -28,17 +28,16 @@ from ballbot_lab import cli
 from ballbot_lab.control import build_predictor, design_lqr
 from ballbot_lab.harness import load_config, run_identify, run_track
 from ballbot_lab.numerics import (design_butterworth2, eigenvalues,
-                                  nrmse_fit, solve_dare, spectral_radius,
-                                  zoh_discretize)
+                                  nrmse_fit, solve_dare, zoh_discretize)
 from ballbot_lab.plant import LinearParams, build_linear_ss
-from ballbot_lab.qp import QpProblem, solve as qp_solve
-from ballbot_lab.stabilizer import (FeedbackGains, closed_loop_matrices,
+from ballbot_lab.qp import QpProblem, QpSolver
+from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
                                     discrete_closed_loop, outer_reference,
                                     p_step)
-from ballbot_lab.sysid import extract_open_loop
 
 from oracles import (biquad_gain, eig_via_char_poly, enumerate_box_qp,
-                     expm_series, literal_lift, simulate_discrete)
+                     expm_series, extract_open_loop, literal_lift,
+                     simulate_discrete)
 
 TS = 0.005
 LP = LinearParams.reference()
@@ -117,7 +116,8 @@ def test_c01_open_loop_instability():
            "IS Hurwitz (next test).")
 def test_c02_identification_loop_hurwitz_as_stated():
     gains = FeedbackGains()  # kp=300, F = [0, 1.2, 0.1, 0.005]
-    _, _, A_r, _ = closed_loop_matrices(LP, gains)
+    ss = build_linear_ss(LP)
+    A_r = closed_loop(ss.A, ss.B, gains)[0][1:, 1:]
     max_re = max(e.real for e in eigenvalues(A_r))
     report("C2", max_re < 0,
            f"A_CL with published gains: max Re = {max_re:+.4f} "
@@ -129,7 +129,8 @@ def test_c02_supplementary_artifact_identification_loop_is_hurwitz():
     t0 = time.time()
     gains = FeedbackGains.identification()
     gains.k_ydot = 1.0  # the experiment default; see README
-    _, _, A_r, _ = closed_loop_matrices(LP, gains)
+    ss = build_linear_ss(LP)
+    A_r = closed_loop(ss.A, ss.B, gains)[0][1:, 1:]
     max_re = max(e.real for e in eigenvalues(A_r))
     elapsed = time.time() - t0
     report("C2*", max_re < 0,
@@ -145,8 +146,7 @@ def test_c03_composition_roundtrip_and_simulation_consistency():
     ss = build_linear_ss(LP)
     worst_rt = 0.0
     for gains in (FeedbackGains(), FeedbackGains.identification()):
-        A_cl, B_cl, _, _ = closed_loop_matrices(LP, gains)
-        A, B = extract_open_loop(A_cl, B_cl, gains)
+        A, B = extract_open_loop(*closed_loop(ss.A, ss.B, gains), gains)
         worst_rt = max(worst_rt, np.max(np.abs(A - ss.A)), np.max(np.abs(B - ss.B)))
     # componentwise loop vs composed system over 1000 steps
     gains = FeedbackGains.identification()
@@ -158,7 +158,7 @@ def test_c03_composition_roundtrip_and_simulation_consistency():
     component = np.empty((1000, 4))
     for k in range(1000):
         component[k] = x
-        u = p_step(gains.kp, outer_reference(gains, x) - x[2] + d[k])
+        u = p_step(gains.kp, outer_reference(gains.outer_vector(), x) - x[2] + d[k])
         x = dss.A_d @ x + dss.B_d[:, 0] * u
     composed = simulate_discrete(cl.A_d, cl.B_d, np.zeros(4), d)
     sim_gap = float(np.max(np.abs(component - composed)))
@@ -231,7 +231,7 @@ def test_c06_lqr_design():
     Q = np.diag([20.0, 100.0, 10.0, 50.0])
     R = np.array([[200.0]])
     P, K = solve_dare(dss.A_d, dss.B_d, Q, R)
-    rho = spectral_radius(dss.A_d - dss.B_d @ K)
+    rho = max(abs(e) for e in eigenvalues(dss.A_d - dss.B_d @ K))
     resid = dss.A_d.T @ P @ dss.A_d - P + Q - dss.A_d.T @ P @ dss.B_d @ \
         np.linalg.solve(R + dss.B_d.T @ P @ dss.B_d, dss.B_d.T @ P @ dss.A_d)
     residual = float(np.max(np.abs(resid)))
@@ -265,7 +265,7 @@ def test_c07_qp_solver_vs_enumeration_oracle():
         hi = lo + rng.uniform(0.2, 3.0, size=n)
         prob = QpProblem(P=P, q=q, A=np.eye(n), l=lo, u=hi)
         obj_star, _ = enumerate_box_qp(P, q, lo, hi)
-        sol = qp_solve(prob)
+        sol = QpSolver(prob).solve()
         assert sol.status == "solved"
         gap = abs(sol.objective - obj_star) / max(1.0, abs(obj_star))
         worst_obj = max(worst_obj, gap)

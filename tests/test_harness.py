@@ -11,7 +11,7 @@ from ballbot_lab.errors import ConfigError, PlantFellOverError
 from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
                                  config_hash, load_config, run_balance,
                                  run_identify, run_lqr, run_track,
-                                 over_excitation_sweep, write_telemetry_csv)
+                                 write_telemetry_csv)
 from ballbot_lab.numerics import zoh_discretize
 from ballbot_lab.plant import Plant, PhysicalParams, build_linear_ss, linearize
 from ballbot_lab.qp import QpSettings
@@ -257,7 +257,8 @@ class TestTrack:
         ctrl = res.extra["controller"]
         ref_spec = SmoothStepRef(t0=0.5, amplitude=cfg["reference"]["amplitude"],
                                  T_rise=cfg["reference"]["T_rise"])
-        Ts, m = cfg["run"]["Ts_inner"], ctrl.pred.m
+        Ts = cfg["run"]["Ts_inner"]
+        m = int(round(cfg["mpc"]["Ts_mpc"] / Ts))
         preview_lag = np.arange(ctrl.cfg.N + 1) * ctrl.cfg.Ts_mpc
         assert len(seen) == 30
         meas = ["y_meas_cm", "theta_x_meas_deg", "ydot_meas_cms", "thetadot_x_meas_degs"]
@@ -324,6 +325,16 @@ class TestTrack:
         assert m["max_abs_u_mpc_ticks"] == 50.0
         assert all(row["u_mpc_raw_ticks"] == 50.0 for row in res.telemetry)
 
+    @pytest.mark.parametrize("noise", [True, False], ids=["noisy", "noiseless"])
+    def test_small_step_that_is_not_reached_is_not_settled(self, noise):
+        # a 1 cm step ends about 0.9 cm short: every error stays above the
+        # 5 % band (0.05 cm), where an absolute 1 cm band read it as settled
+        cfg = quiet_config(noise=noise)
+        cfg["reference"]["amplitude"] = 1.0
+        m = run_track(cfg).summary["metrics"]
+        assert m["final_y_cm"] < 0.5
+        assert m["settling_time_s"] is None
+
     def test_track_with_identified_model(self):
         cfg = quiet_config()
         ident = run_identify(cfg, duration=40.0)
@@ -335,11 +346,11 @@ class TestTrack:
 
 class TestSettlingTime:
     @staticmethod
-    def brute_force(t, err, t0):
+    def brute_force(t, err, t0, band):
         # the definition: the first tick at or after t0 from which every
-        # remaining error is below 1
+        # remaining error is below the band
         for idx in np.nonzero(t >= t0)[0]:
-            if err[idx] < 1.0 and np.all(err[idx:] < 1.0):
+            if err[idx] < band and np.all(err[idx:] < band):
                 return float(t[idx] - t0)
         return None
 
@@ -354,8 +365,8 @@ class TestSettlingTime:
     def test_matches_brute_force(self, err, expected):
         t = np.arange(len(err)) * 0.005
         t0 = 0.05
-        got = harness._settling_time(t, err, t0)
-        assert got == self.brute_force(t, err, t0)
+        got = harness._settling_time(t, err, t0, 1.0)
+        assert got == self.brute_force(t, err, t0, 1.0)
         if expected is None:
             assert got is None
         else:
@@ -366,7 +377,9 @@ class TestSettlingTime:
         for _ in range(50):
             err = np.abs(1.0 + 0.3 * rng.standard_normal(300) - np.linspace(0, 0.5, 300))
             t = np.arange(300) * 0.005
-            assert harness._settling_time(t, err, 0.2) == self.brute_force(t, err, 0.2)
+            for band in (0.6, 1.0):
+                assert (harness._settling_time(t, err, 0.2, band)
+                        == self.brute_force(t, err, 0.2, band))
 
 
 def fall_on_call(monkeypatch, n):
@@ -536,11 +549,18 @@ class TestNonlinearPlant:
 
 class TestSweep:
     def test_over_excitation_sweep(self):
-        cfg = quiet_config()
-        out = over_excitation_sweep(cfg, alphas=(0.5, 1.0, 1.5), duration=10.0)
-        assert out["largest_usable_alpha"] >= 1.0
-        assert all(r["max_abs_theta_deg"] <= 3.0 for r in out["sweep"]
-                   if r["alpha"] <= 1.0)
+        # the noiseless identification loop at three excitation scales: the
+        # usable ones keep it upright with max |theta| <= 3 deg
+        sweep = {}
+        for alpha in (0.5, 1.0, 1.5):
+            cfg = quiet_config()
+            cfg["excitation"]["alpha"] = alpha
+            tel, states, abort, _ = harness._identification_loop(cfg, 10.0)
+            theta = harness._after_steps(tel, 0, states[0], abort)[:, 1]
+            sweep[alpha] = (float(np.max(np.abs(theta))), abort is not None)
+        usable = [a for a, (tilt, fell) in sweep.items() if not fell and tilt <= 3.0]
+        assert max(usable) >= 1.0
+        assert all(tilt <= 3.0 for a, (tilt, _) in sweep.items() if a <= 1.0)
 
 
 class TestOutputs:
@@ -618,6 +638,14 @@ class TestCli:
         assert rc == 0
         doc = json.loads((tmp_path / "identified_model.json").read_text())
         assert len(doc["p_hat"]) == 8
+
+    @pytest.mark.parametrize("duration", ["0", "-5"])
+    def test_nonpositive_duration_exits_2(self, tmp_path, duration):
+        # neither is a run length: a configuration error, before any output
+        out = tmp_path / "out"
+        rc = cli.main(["balance", "--out", str(out), "--duration", duration])
+        assert rc == 2
+        assert list(out.iterdir()) == []
 
     def test_seed_flag_changes_hash(self, tmp_path):
         rc = cli.main(["balance", "--out", str(tmp_path), "--duration", "0.5",

@@ -74,6 +74,13 @@ class TestLinearize:
         lp = linearize(pp)
         assert_allclose(lp.p1 * lp.p8, lp.p4 * lp.p7, rtol=1e-10)
 
+    def test_reference_matches_the_table_on_five_constants(self, pp):
+        # p1, p3, p4, p6 and p8 within 3 % of the reference table; the
+        # damping constants p2, p5 and p7 come out with the opposite sign
+        ratio = linearize(pp).as_array() / LinearParams.reference().as_array()
+        assert_allclose(ratio[[0, 2, 3, 5, 7]], 1.0, rtol=0, atol=0.03)
+        assert np.all(ratio[[1, 4, 6]] < 0.0)
+
     def test_random_params_roundtrip_against_fd(self):
         rng = np.random.default_rng(5)
         for _ in range(5):

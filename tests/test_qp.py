@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballbot_lab.qp import QpProblem, QpSettings, QpSolver, solve
+from ballbot_lab.qp import QpProblem, QpSettings, QpSolver
 
 from oracles import InteriorPointQp, enumerate_box_qp
 
@@ -21,13 +21,13 @@ def random_box_qp(rng, n=None):
 class TestBasics:
     def test_unconstrained_stationary_point(self):
         prob = QpProblem(P=[[1.0]], q=[-1.0], A=np.zeros((0, 1)), l=[], u=[])
-        sol = solve(prob)
+        sol = QpSolver(prob).solve()
         assert sol.status == "solved"
         assert_allclose(sol.z, [1.0], atol=1e-9)
 
     def test_active_bound(self):
         prob = QpProblem(P=[[1.0]], q=[-1.0], A=[[1.0]], l=[0.0], u=[0.5])
-        sol = solve(prob)
+        sol = QpSolver(prob).solve()
         assert sol.status == "solved"
         assert_allclose(sol.z, [0.5], atol=1e-9)
         assert sol.y[0] > 0  # upper bound pushes back
@@ -51,7 +51,7 @@ class TestBasics:
 
     def test_objective_reported(self):
         prob = QpProblem(P=[[2.0]], q=[0.0], A=[[1.0]], l=[1.0], u=[3.0])
-        sol = solve(prob)
+        sol = QpSolver(prob).solve()
         assert_allclose(sol.objective, 1.0, atol=1e-8)
 
     def test_validation_errors(self):
@@ -84,7 +84,7 @@ class TestAgainstEnumerationOracle:
         for _ in range(100):
             prob = random_box_qp(rng)
             obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             assert sol.status == "solved"
             assert sol.objective - obj_star <= 1e-6 * max(1.0, abs(obj_star))
             assert abs(sol.objective - obj_star) <= 1e-6 * max(1.0, abs(obj_star))
@@ -101,7 +101,7 @@ class TestOptimalityStructure:
         rng = np.random.default_rng(7)
         for _ in range(20):
             prob = random_box_qp(rng, n=4)
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             assert sol.status == "solved"
             Az = prob.A @ sol.z
             scale = max(1.0, np.max(np.abs(sol.y)))
@@ -134,7 +134,7 @@ class TestWarmStart:
         assert again.iterations <= 10
         assert_allclose(again.z, first.z, atol=0)
         q = 1.01 * prob.q
-        fresh = solve(QpProblem(P=prob.P, q=q, A=prob.A, l=prob.l, u=prob.u))
+        fresh = QpSolver(QpProblem(P=prob.P, q=q, A=prob.A, l=prob.l, u=prob.u)).solve()
         solver.update_vectors(q=q)
         moved = solver.solve()
         assert moved.status == "solved"
@@ -263,7 +263,7 @@ class TestUnconstrainedExit:
         rng = np.random.default_rng(31)
         for _ in range(20):
             prob, z_star = interior_qp(rng, n=int(rng.integers(1, 7)))
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             self._check_exit(prob, sol, z_star)
             assert np.all(sol.y == 0)
 
@@ -274,7 +274,7 @@ class TestUnconstrainedExit:
             bounds = getattr(prob, side)
             # the first box row is 1e-12 on the wrong side of the minimizer
             bounds[0] = z_star[0] + (1e-12 if side == "l" else -1e-12)
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             assert sol.status == "solved"
             assert sol.iterations > 0
 
@@ -317,7 +317,7 @@ class TestDualActiveSet:
         steps = []
         for _ in range(100):
             prob = random_box_qp(rng)
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             ipm = InteriorPointQp(prob).solve()
             obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
             assert sol.status == ipm.status == "solved"
@@ -346,7 +346,7 @@ class TestDualActiveSet:
             prob = QpProblem(P=P, q=rng.normal(scale=3.0, size=n), A=A,
                              l=np.concatenate([c - 0.05, np.full(n, -0.3)]),
                              u=np.concatenate([c + 0.05, np.full(n, 0.3)]))
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             assert sol.status == "solved"
             assert kkt_violation(prob, sol) <= 1e-10
             active = np.flatnonzero(sol.y)
@@ -381,7 +381,7 @@ class TestDualActiveSet:
                 [prob.l[i], prob.l[j], prob.l[i] + prob.l[j]],
                 [prob.u[i], prob.u[j], prob.u[i] + prob.u[j]])
             obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
-            sol = solve(extra, QpSettings(max_iter=20))
+            sol = QpSolver(extra, QpSettings(max_iter=20)).solve()
             assert sol.status == "solved"
             assert sol.iterations < 20
             assert_allclose(sol.z, z_star, rtol=0, atol=1e-9)
@@ -389,7 +389,7 @@ class TestDualActiveSet:
             # a sum row whose lower side lies beyond the two upper sides
             infeasible = self._with_rows(extra, [I[i] + I[j]],
                                          [prob.u[i] + prob.u[j] + 0.5], [np.inf])
-            sol = solve(infeasible, QpSettings(max_iter=20))
+            sol = QpSolver(infeasible, QpSettings(max_iter=20)).solve()
             assert sol.status == "primal-infeasible"
             assert sol.iterations < 20
 
@@ -411,7 +411,7 @@ class TestDualActiveSet:
             u[rng.uniform(size=m) < 0.3] = np.inf
             prob = QpProblem(P=M @ M.T + 0.5 * np.eye(n), q=rng.normal(scale=5.0, size=n),
                              A=A, l=l, u=u)
-            sol = solve(prob)
+            sol = QpSolver(prob).solve()
             ipm = InteriorPointQp(prob, QpSettings(eps_abs=1e-10, eps_rel=1e-10)).solve()
             assert sol.status == ipm.status
             if sol.status == "solved":
@@ -430,12 +430,13 @@ class TestDualActiveSet:
                              A=np.vstack([a, np.eye(n)]),
                              l=np.concatenate([[0.1], np.full(n, -1.0)]),
                              u=np.concatenate([[0.15], np.full(n, 1.0)]))
-            plain = solve(base)
+            plain = QpSolver(base).solve()
             # a wider box on the same row, one that shares its upper side,
             # and one that excludes it
             for lo, hi, status in ((-0.5, 0.4, "solved"), (-1.0, 0.15, "solved"),
                                    (0.2, 0.6, "primal-infeasible")):
-                sol = solve(self._with_rows(base, [a], [lo], [hi]), QpSettings(max_iter=20))
+                sol = QpSolver(self._with_rows(base, [a], [lo], [hi]),
+                               QpSettings(max_iter=20)).solve()
                 assert sol.status == status
                 assert sol.iterations < 20
                 if status == "solved":
@@ -482,10 +483,10 @@ class TestScalingInvariance:
     def test_minimizer_unchanged_by_common_cost_scale(self):
         rng = np.random.default_rng(9)
         prob = random_box_qp(rng, n=4)
-        sol1 = solve(prob)
+        sol1 = QpSolver(prob).solve()
         scaled = QpProblem(P=10.0 * prob.P, q=10.0 * prob.q,
                            A=prob.A, l=prob.l, u=prob.u)
-        sol2 = solve(scaled)
+        sol2 = QpSolver(scaled).solve()
         assert_allclose(sol1.z, sol2.z, atol=1e-6)
 
 
@@ -493,13 +494,13 @@ class TestStatuses:
     def test_primal_infeasible_certificate(self):
         prob = QpProblem(P=[[1.0]], q=[0.0],
                          A=[[1.0], [1.0]], l=[-np.inf, 1.0], u=[-1.0, np.inf])
-        sol = solve(prob)
+        sol = QpSolver(prob).solve()
         assert sol.status == "primal-infeasible"
 
     def test_max_iter_carries_best_iterate(self):
         rng = np.random.default_rng(11)
         prob = random_box_qp(rng, n=6)
-        sol = solve(prob, QpSettings(max_iter=3))
+        sol = QpSolver(prob, QpSettings(max_iter=3)).solve()
         assert sol.status == "max-iter"
         assert sol.iterations == 3
         assert np.all(np.isfinite(sol.z))

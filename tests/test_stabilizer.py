@@ -5,24 +5,24 @@ from numpy.testing import assert_allclose
 from ballbot_lab.numerics import DiscreteSS, eigenvalues, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.stabilizer import (FeedbackGains, PidState, closed_loop,
-                                    closed_loop_matrices, discrete_closed_loop,
-                                    feedback_row, outer_reference, p_step,
-                                    pid_step)
+                                    discrete_closed_loop, feedback_row,
+                                    outer_reference, p_step, pid_step)
 
 from oracles import simulate_discrete
 
 
 class TestOuterReference:
     def test_zero_state(self):
-        assert outer_reference(FeedbackGains(), np.zeros(4)) == 0.0
+        assert outer_reference(FeedbackGains().outer_vector(), np.zeros(4)) == 0.0
 
     def test_hand_value(self):
         # 0*5 + 1.2*1 + 1.1*2 + 0.005*10
-        ref = outer_reference(FeedbackGains(), np.array([5.0, 1.0, 2.0, 10.0]))
+        ref = outer_reference(FeedbackGains().outer_vector(),
+                              np.array([5.0, 1.0, 2.0, 10.0]))
         assert_allclose(ref, 3.45, rtol=1e-12)
 
     def test_linearity(self):
-        g = FeedbackGains()
+        g = FeedbackGains().outer_vector()
         x = np.array([1.0, -2.0, 0.5, 4.0])
         assert_allclose(outer_reference(g, 2 * x), 2 * outer_reference(g, x), rtol=1e-12)
 
@@ -70,17 +70,19 @@ class TestClosedLoop:
         assert_allclose(feedback_row(FeedbackGains()), [0.0, 1.2, 0.1, 0.005])
 
     def test_open_loop_when_kp_zero(self):
-        lp = LinearParams.reference()
-        g = FeedbackGains(kp=0.0)
-        A_cl, B_cl, _, _ = closed_loop_matrices(lp, g)
-        ss = build_linear_ss(lp)
+        ss = build_linear_ss(LinearParams.reference())
+        A_cl, B_cl = closed_loop(ss.A, ss.B, FeedbackGains(kp=0.0))
         assert_allclose(A_cl, ss.A, atol=0)
         assert_allclose(B_cl, np.zeros((4, 1)), atol=0)
 
     def test_reduced_is_submatrix(self):
-        lp = LinearParams.reference()
+        # position feeds neither the plant nor F, so the closed loop's
+        # position column is zero and dropping position leaves a submatrix
+        ss = build_linear_ss(LinearParams.reference())
         g = FeedbackGains.identification()
-        A_cl, B_cl, A_r, B_r = closed_loop_matrices(lp, g)
+        A_cl, B_cl = closed_loop(ss.A, ss.B, g)
+        A_r, B_r = closed_loop(ss.A[1:, 1:], ss.B[1:], g)
+        assert not A_cl[:, 0].any()
         assert_allclose(A_r, A_cl[1:, 1:], atol=0)
         assert_allclose(B_r, B_cl[1:, :], atol=0)
 
@@ -111,8 +113,8 @@ class TestClosedLoop:
                                  FeedbackGains())
 
     def test_identification_loop_is_hurwitz_with_retuned_gain(self):
-        lp = LinearParams.reference()
-        _, _, A_r, _ = closed_loop_matrices(lp, FeedbackGains.identification())
+        ss = build_linear_ss(LinearParams.reference())
+        A_r = closed_loop(ss.A, ss.B, FeedbackGains.identification())[0][1:, 1:]
         assert max(e.real for e in eigenvalues(A_r)) < 0
 
     def test_balancing_gain_set_does_not_stabilize_p_loop(self):
@@ -120,8 +122,8 @@ class TestClosedLoop:
         # plain-P loop unstable on the reference model (the PID derivative
         # term was supplying that damping); this is why identification runs
         # with the retuned gain. See the README identification notes.
-        lp = LinearParams.reference()
-        _, _, A_r, _ = closed_loop_matrices(lp, FeedbackGains())
+        ss = build_linear_ss(LinearParams.reference())
+        A_r = closed_loop(ss.A, ss.B, FeedbackGains())[0][1:, 1:]
         assert max(e.real for e in eigenvalues(A_r)) > 0
 
     def test_composition_matches_componentwise_simulation(self):
@@ -137,7 +139,7 @@ class TestClosedLoop:
         componentwise = np.empty((1000, 4))
         for k in range(1000):
             componentwise[k] = x
-            e = outer_reference(g, x) - x[2] + d[k]
+            e = outer_reference(g.outer_vector(), x) - x[2] + d[k]
             u = p_step(g.kp, e)
             x = dss.A_d @ x + dss.B_d[:, 0] * u
         composed = simulate_discrete(cl.A_d, cl.B_d, np.zeros(4), d)
@@ -152,7 +154,7 @@ class TestClosedLoop:
         d = rng.normal(size=300)
         x = np.zeros(4)
         for k in range(300):
-            e = outer_reference(g, x) - x[2] + d[k]
+            e = outer_reference(g.outer_vector(), x) - x[2] + d[k]
             x = dss.A_d @ x + dss.B_d[:, 0] * p_step(g.kp, e)
         composed = simulate_discrete(cl.A_d, cl.B_d, np.zeros(4), d)
         xc = composed[-1]
@@ -171,7 +173,7 @@ class TestPidStabilizesReferencePlant:
         x = np.array([0.0, 2.0, 0.0, 0.0])
         st = PidState()
         for k in range(int(20.0 / 0.005)):
-            e = outer_reference(g, x) - x[2]
+            e = outer_reference(g.outer_vector(), x) - x[2]
             u = pid_step(st, e, g, 0.005)
             x = dss.A_d @ x + dss.B_d[:, 0] * u
             assert abs(x[1]) < 45.0

@@ -11,14 +11,14 @@ import ballbot_lab
 from ballbot_lab import sysid
 from ballbot_lab.errors import IdentificationFailedError
 from ballbot_lab.excitation import MultisineSpec, sample_sequence
-from ballbot_lab.numerics import ContinuousSS, zoh_discretize
+from ballbot_lab.numerics import ContinuousSS, sum_squares, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
-from ballbot_lab.stabilizer import (FeedbackGains, closed_loop_matrices,
+from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
                                     discrete_closed_loop, feedback_row)
-from ballbot_lab.sysid import (IdConfig, IdDataset, extract_open_loop,
-                               identify, pe_cost, simulate_syscl, validate)
+from ballbot_lab.sysid import (IdConfig, IdDataset, identify, simulate_syscl,
+                               validate)
 
-from oracles import fd_jacobian, simulate_discrete
+from oracles import extract_open_loop, fd_jacobian, simulate_discrete
 
 GAINS = FeedbackGains.identification()
 TRUTH = LinearParams.reference().as_array()
@@ -28,6 +28,12 @@ def reduced_model(p) -> ContinuousSS:
     """The planar model of parameters p without its position state."""
     ss = build_linear_ss(LinearParams.from_array(p))
     return ContinuousSS(ss.A[1:, 1:], ss.B[1:])
+
+
+def pe_cost(p, ds, gains):
+    """The fit's cost at p: its sum of squared residuals, inf if divergent."""
+    r = sysid._residual_fn(ds, gains)[0](p)
+    return float("inf") if r is None else sum_squares(r)
 
 
 def make_dataset(duration=30.0, Ts=0.005, p=None, x0=None):
@@ -372,15 +378,15 @@ class TestExtractOpenLoop:
         lp = LinearParams.reference()
         ss = build_linear_ss(lp)
         for gains in (FeedbackGains(), GAINS):
-            A_cl, B_cl, _, _ = closed_loop_matrices(lp, gains)
-            A, B = extract_open_loop(A_cl, B_cl, gains)
+            A, B = extract_open_loop(*closed_loop(ss.A, ss.B, gains), gains)
             assert np.max(np.abs(A - ss.A)) < 1e-12
             assert np.max(np.abs(B - ss.B)) < 1e-12
 
     def test_roundtrip_reduced(self):
         lp = LinearParams.reference()
-        _, _, A_r, B_r = closed_loop_matrices(lp, GAINS)
-        A, B = extract_open_loop(A_r, B_r, GAINS)
+        ss = build_linear_ss(lp)
+        A_cl, B_cl = closed_loop(ss.A, ss.B, GAINS)
+        A, B = extract_open_loop(A_cl[1:, 1:], B_cl[1:], GAINS)
         open_loop = reduced_model(lp.as_array())
         assert np.max(np.abs(A - open_loop.A)) < 1e-12
         assert np.max(np.abs(B - open_loop.B)) < 1e-12

@@ -8,6 +8,7 @@ The tracer module is imported as it is, never modified. A second test
 counts the calls the experiments make through those names.
 """
 
+import copy
 import importlib
 from pathlib import Path
 
@@ -88,7 +89,14 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
         "Biquad.step": ticks, "mix_to_wheels": 1,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
     alphas = (0.5, 1.0)
-    assert run(harness.over_excitation_sweep, cfg, alphas, duration=0.5) == {
+
+    def sweep():  # the identification loop at each excitation scale
+        for alpha in alphas:
+            sub = copy.deepcopy(cfg)
+            sub["excitation"]["alpha"] = alpha
+            harness._identification_loop(sub, 0.5)
+
+    assert run(sweep) == {
         "sample_sequence": len(alphas), "outer_reference": 2 * ticks * len(alphas),
         "p_step": 2 * ticks * len(alphas), "mix_to_wheels": len(alphas),
         "Plant.step": 2 * ticks * len(alphas),
