@@ -414,19 +414,18 @@ def test_c11_numerics_suite():
 
 # -- criterion 12 ------------------------------------------------------------
 
-def test_c12_pipeline_determinism(tmp_path):
+def test_c12_pipeline_determinism(tmp_path, manifest_runs):
+    # the first run is the manifest's default pipeline (tests/manifest.py)
+    first = manifest_runs["pipeline"]
     t0 = time.time()
-    outs = []
-    for i in (1, 2):
-        out = tmp_path / f"run{i}"
-        rc = cli.main(["pipeline", "--out", str(out)])
-        assert rc == 0
-        outs.append(out)
+    rc = cli.main(["pipeline", "--out", str(tmp_path)])
+    assert first["exit_code"] == 0 and rc == 0
+    outs = [first["dir"], tmp_path]
     names = ["balance_telemetry.csv", "identify_telemetry.csv",
              "lqr_telemetry.csv", "track_telemetry.csv"]
     identical = all((outs[0] / n).read_bytes() == (outs[1] / n).read_bytes()
                     for n in names)
-    elapsed = time.time() - t0
+    elapsed = first["seconds"] + time.time() - t0
     ok = identical and elapsed < 300.0
     report("C12", ok, f"two default pipelines byte-identical across "
                       f"{len(names)} telemetry files: {identical}, "
