@@ -10,6 +10,7 @@ even though the open-loop plant is unstable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -145,8 +146,15 @@ class _CondensedQp:
     """The tracking QP in the inputs u = (u_0..u_{N-1}) alone.
 
     The predicted states are X = (x_1..x_N) = Phi x0 + Gamma u. P and A do
-    not depend on (x0, ref); q, l, u are affine in them through the maps
-    kept here, so a new (x0, ref) costs a few matrix-vector products.
+    not depend on (x0, ref), and the rest is linear in the parameter
+    theta = [x0; ref_1; ..; ref_N]: q, the rows' shift S x0, the
+    unconstrained optimum z0 = -P^-1 q = Z theta, and the values the rows
+    box, r = A z0 + S x0 = R theta, which must meet |r| <= box. This is the
+    parametric form explicit MPC is built on (Bemporad, Morari, Dua &
+    Pistikopoulos 2002). The last N rows box the input u = z itself, so
+    R's last N rows are Z, and one product gives both z0 and r. R keeps
+    only the columns of the theta entries that it reads: the references of
+    states that Q and Q_N do not weight drop out.
     """
 
     Phi: np.ndarray       # (N n, n): stacked powers A_bar^k, k = 1..N
@@ -156,9 +164,11 @@ class _CondensedQp:
     box: np.ndarray       # (4N,): the box half-widths
     P: np.ndarray
     A: np.ndarray
+    R: np.ndarray         # (4N, used.size): theta[used] -> r, over Z: -> z0
+    used: np.ndarray      # indices of the theta entries that R reads
 
-    def vectors(self, x0, ref):
-        """q, l, u of the QP for one (x0, ref)."""
+    def theta(self, x0, ref) -> np.ndarray:
+        """[x0; ref_1; ..; ref_N] for one x0 and reference preview ref_0..ref_N."""
         x0 = np.asarray(x0, dtype=float)
         ref = np.asarray(ref, dtype=float)
         n = self.S.shape[1]
@@ -167,13 +177,18 @@ class _CondensedQp:
             raise ValueError(f"reference must be ({N + 1}, {n}), got {ref.shape}")
         if x0.shape != (n,):
             raise ValueError(f"x0 must have {n} entries")
-        q = self.GtPx @ (self.Phi @ x0 - ref[1:].ravel())
-        shift = self.S @ x0
-        return q, -self.box - shift, self.box - shift
+        return np.concatenate((x0, ref.ravel()[n:]))
 
     def problem(self, x0, ref) -> QpProblem:
-        q, l, u = self.vectors(x0, ref)
-        return QpProblem(P=self.P, q=q, A=self.A, l=l, u=u)
+        return self.problem_at(self.theta(x0, ref))
+
+    def problem_at(self, theta) -> QpProblem:
+        """P, q, A, l, u of the QP at one theta."""
+        n = self.S.shape[1]
+        x0 = theta[:n]
+        q = self.GtPx @ (self.Phi @ x0 - theta[n:])
+        shift = self.S @ x0
+        return QpProblem(P=self.P, q=q, A=self.A, l=-self.box - shift, u=self.box - shift)
 
 
 def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
@@ -184,7 +199,8 @@ def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
     1/2 u'(Gamma'P_x Gamma + 2R I)u + (Gamma'P_x (Phi x0 - ref))'u plus a
     constant, and the state boxes become rows C Gamma shifted by C Phi x0:
     the first 3N rows box the tilt, speed and tilt rate of each predicted
-    state (position is unconstrained), the last N rows the input.
+    state (position is unconstrained), the last N rows the input. So
+    z0 = P^-1 Gamma'P_x (ref - Phi x0) and r = A z0 + S x0.
     """
     n, N = pred.n_states, cfg.N
     powers = [np.eye(n)]
@@ -199,33 +215,43 @@ def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
     GtPx = (2.0 * (W @ Gamma)).reshape(N * n, N).T
     Gamma_flat = Gamma.reshape(N * n, N)
     P = GtPx @ Gamma_flat + 2.0 * cfg.R * np.eye(N)
+    P = 0.5 * (P + P.T)
     A = np.vstack([Gamma[:, 1:4, :].reshape(3 * N, N), np.eye(N)])
     S = np.vstack([Phi[:, 1:4, :].reshape(3 * N, n), np.zeros((N, n))])
     box = np.concatenate([np.tile([cfg.theta_max, cfg.ydot_max, cfg.thetadot_max], N),
                           np.full(N, cfg.u_max)])
-    return _CondensedQp(Phi=Phi.reshape(N * n, n), Gamma=Gamma_flat, GtPx=GtPx,
-                        S=S, box=box, P=0.5 * (P + P.T), A=A)
+    Phi = Phi.reshape(N * n, n)
+    K = np.linalg.solve(P, GtPx)
+    Z = np.hstack([-K @ Phi, K])
+    R = np.vstack([A[:3 * N] @ Z, Z])
+    R[:3 * N, :n] += S[:3 * N]
+    used = np.flatnonzero(R.any(axis=0))
+    return _CondensedQp(Phi=Phi, Gamma=Gamma_flat, GtPx=GtPx, S=S, box=box,
+                        P=P, A=A, R=R[:, used], used=used)
 
 
 class MpcController:
-    """Receding-horizon controller around one reusable QP workspace.
+    """Receding-horizon controller around maps and a QP workspace built once.
 
-    P and A of the condensed QP never change, so its prediction maps and one
-    QpSolver, which caches P^-1 A' and A P^-1 A', are set up at construction
-    and each step only refreshes q, l, u. Each solve starts cold from the
-    unconstrained optimum: when it meets every box (the region where the
-    MPC law is the LQ law) it is returned at 0 steps, otherwise dual
-    active-set steps add the rows that bind. Solver hiccups are absorbed:
-    a solve that hits the step cap (degraded; its dual iterate may violate
-    rows that have not entered) or is certified infeasible falls back to
-    zero correction, and the inner regulator alone keeps the robot balanced
-    while the event is counted.
+    P and A of the condensed QP never change, so its map R and one
+    QpSolver, which caches P^-1 A' and A P^-1 A' against the fixed bounds
+    -box <= r <= box, are set up at construction. Each step forms
+    theta = [x0; ref_1; ..; ref_N] and, in one product, the row values
+    r = R theta of the unconstrained optimum z0, whose input rows are z0
+    itself. When |r| <= box (the region where the MPC law is the LQ law)
+    z0 is the optimum, returned at 0 steps; otherwise the solver starts
+    from (z0, r), and dual active-set steps add the rows that bind. Solver
+    hiccups are absorbed: a solve that hits the step cap (degraded; its
+    dual iterate may violate rows that have not entered) or is certified
+    infeasible falls back to zero correction, and the inner regulator alone
+    keeps the robot balanced while the event is counted.
     """
 
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,
                  settings: QpSettings = None):
         self.cfg = cfg
         self._qp = _condense(pred, cfg)
+        # at x0 = 0 the rows are -box <= A z <= box; q is never read
         zero_ref = np.zeros((cfg.N + 1, pred.n_states))
         self._solver = QpSolver(self._qp.problem(np.zeros(pred.n_states), zero_ref),
                                 settings)
@@ -235,8 +261,16 @@ class MpcController:
 
     def mpc_step(self, x0, ref) -> tuple:
         """Solve for the horizon and return (u_mpc, info dict)."""
-        self._solver.update_vectors(*self._qp.vectors(x0, ref))
-        sol = self._solver.solve()
+        qp = self._qp
+        theta = qp.theta(x0, ref)
+        r = qp.R @ theta[qp.used]
+        z0 = r[-self.cfg.N:]
+        problem = partial(qp.problem_at, theta)
+        if np.count_nonzero(np.abs(r) <= qp.box) == r.size:
+            sol = QpSolution(z=z0, y=np.zeros(r.size), status="solved",
+                             iterations=0, build_problem=problem)
+        else:
+            sol = self._solver.solve(z0, r, problem)
         self.last_solution = sol
         info = {"status": sol.status, "iterations": sol.iterations,
                 "degraded": False, "infeasible": False}

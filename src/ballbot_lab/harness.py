@@ -301,12 +301,27 @@ def _design(cfg, model_lp):
     return dss, design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
 
 
+# The shortest identification record the fit takes: 1 s fits at seeds 0-7,
+# while 0.5 s leaves a measured channel constant at every one of them.
+_MIN_IDENTIFY_S = 1.0
+
+
 def _duration(cfg, name, duration) -> float:
-    """Simulated seconds of a run: ``duration``, or the config's if None."""
+    """Simulated seconds of a run: ``duration``, or the config's if None.
+
+    A run must cover at least one tick, and an identification record at
+    least ``_MIN_IDENTIFY_S``; anything shorter is a configuration error.
+    """
     if duration is None:
         duration = cfg["run"]["durations"][name]
     if not 0.0 < duration < np.inf:
         raise ConfigError("duration", "must be a positive, finite number of seconds")
+    if name == "identify" and duration < _MIN_IDENTIFY_S:
+        raise ConfigError("duration", "an identify run must last at least "
+                                      f"{_MIN_IDENTIFY_S} s")
+    Ts = cfg["run"]["Ts_inner"]
+    if round(duration / Ts) < 1:
+        raise ConfigError("duration", f"must cover at least one tick of {Ts} s")
     return duration
 
 
@@ -569,7 +584,7 @@ def run_identify(cfg, duration=None) -> RunResult:
         "p_hat": result.p_hat.tolist(),
         "p_truth": truth_p.tolist(),
         "rel_error_vs_truth": rel.tolist(),
-        "max_abs_theta_deg": float(np.max(np.abs(dataset.theta))),
+        "max_abs_theta_deg": float(np.max(np.abs(tel["theta_x_deg"]))),
         "excitation_peak_cms": exc_seq.peak,
         "excitation_rms_cms": exc_seq.rms,
     }

@@ -5,20 +5,23 @@ which may be infinite.
 
 The method is the dual active-set method of Goldfarb & Idnani (1983) on
 the cached P^-1 (from the inverted Cholesky factor), S = A P^-1 A' and
-H = P^-1 A'. It starts from the unconstrained minimizer z0 = -P^-1 q; a
-start that meets every box exactly is the optimum (0 steps). Each step
-adds the most violated row or, on a partial step, drops the active row
-whose multiplier would change sign: one k x k solve on the k active rows
-of S. A violated row that depends on the active set with no multiplier
-left to drop certifies infeasibility. z is recomputed from the final
-active set.
+H = P^-1 A'. It starts from an unconstrained minimizer z0 and its row
+values r: by default z0 = -P^-1 q and r = A z0, or a start the caller
+computed for rows shifted by a parameter, l <= A z + s <= u, with
+r = A z0 + s. A start that meets every box exactly is the optimum (0
+steps). Each step adds the most violated row or, on a partial step, drops
+the active row whose multiplier would change sign: one k x k solve on the
+k active rows of S. A violated row that depends on the active set with no
+multiplier left to drop certifies infeasibility. z is recomputed from the
+final active set, on the start's row values.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -90,16 +93,22 @@ class QpSettings:
 class QpSolution:
     """A solve's iterate and status.
 
-    The residuals and the objective are computed from ``problem`` when first
-    read; nothing on the control path reads them, so a solve does not pay
-    for them. A solver that reports its own residuals assigns them.
+    The problem solved, and from it the residuals and the objective, are
+    built when first read by calling ``build_problem``; nothing on the
+    control path reads them, so a solve does not pay for them. A solver
+    that reports its own residuals assigns them.
     """
 
     z: np.ndarray
     y: np.ndarray
     status: str                  # "solved" | "max-iter" | "primal-infeasible"
     iterations: int
-    problem: QpProblem           # the P, q, A, l, u that were solved
+    build_problem: Callable[[], QpProblem] = field(repr=False)
+
+    @cached_property
+    def problem(self) -> QpProblem:
+        """The P, q, A, l, u that were solved."""
+        return self.build_problem()
 
     @cached_property
     def primal_residual(self) -> float:
@@ -125,9 +134,10 @@ def _norm(*arrays) -> float:
 class QpSolver:
     """Workspace owning P^-1, H = P^-1 A' and S = A P^-1 A' for one problem.
 
-    P and A are fixed for the solver's life; `update_vectors` swaps q, l, u
-    between solves, which is the receding-horizon pattern. The solver keeps
-    its own copy of the problem, so the caller's `QpProblem` is never changed.
+    P and A are fixed for the solver's life. Between solves `update_vectors`
+    swaps q, l, u, or the caller hands `solve` a start (z0, r) for the
+    solver's fixed l, u. The solver keeps its own copy of the problem, so the
+    caller's `QpProblem` is never changed.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
@@ -163,11 +173,25 @@ class QpSolver:
             raise ValueError("QpSolver takes box rows only: need l < u elementwise")
         p.q, p.l, p.u = q, l, u
 
-    def solve(self) -> QpSolution:
-        """Goldfarb-Idnani steps from z0 = -P^-1 q on the cached S and H."""
+    def solve(self, z0=None, r=None, problem=None) -> QpSolution:
+        """Goldfarb-Idnani steps on the cached S and H from an unconstrained
+        minimizer z0 whose row values are r.
+
+        By default z0 = -P^-1 q and r = A z0. A caller that solves a family
+        of problems on this P and A whose rows are shifted,
+        l <= A z + s <= u, passes all three: the member's minimizer z0, its
+        row values r = A z0 + s, and ``problem``, a function that builds
+        the member as a QpProblem for the solution's diagnostics. The
+        solver's own q is then not read.
+        """
         p, st, S = self.prob, self.settings, self._S
-        z0 = -(self._P_inv @ p.q)
-        Az = p.A @ z0
+        if z0 is None:
+            z0 = -(self._P_inv @ p.q)
+            r = p.A @ z0
+            # update_vectors rebinds q, l, u, so a shallow copy keeps this problem
+            solved = copy.copy(p)
+            problem = lambda: solved
+        Az = r.copy()
         # bounds of the rows that may still enter (active rows are masked),
         # exact until the first step: a start that meets them is the optimum
         lo, hi = p.l, p.u
@@ -191,9 +215,9 @@ class QpSolver:
                 status = "max-iter"
                 break
             # y_W moves by -t rho while y_row grows by d t, keeping A_W z = b_W
-            r = np.linalg.solve(S[W[:, None], W], S[W, row])
-            rho = d * r
-            schur = S[row, row] - S[row, W] @ r
+            w = np.linalg.solve(S[W[:, None], W], S[W, row])
+            rho = d * w
+            schur = S[row, row] - S[row, W] @ w
             v = max(d * (Az[row] - b), 0.0)
             t1 = v / schur if schur > _DEPENDENT * S[row, row] else np.inf
             # multipliers that shrink along the step (not by rounding)
@@ -222,7 +246,7 @@ class QpSolver:
         z, y = z0, np.zeros(p.m)
         if W.size:  # the exact solution on the final active set
             y[W] = np.linalg.solve(S[W[:, None], W],
-                                   p.A[W] @ z0 - np.where(side > 0, p.u[W], p.l[W]))
+                                   r[W] - np.where(side > 0, p.u[W], p.l[W]))
             z = z0 - self._H[:, W] @ y[W]
-        # update_vectors rebinds q, l, u, so a shallow copy keeps this problem
-        return QpSolution(z=z, y=y, status=status, iterations=steps, problem=copy.copy(p))
+        return QpSolution(z=z, y=y, status=status, iterations=steps,
+                          build_problem=problem)

@@ -348,7 +348,7 @@ class InteriorPointQp:
             z, yE = z + alpha * dz, yE + alpha * dy
             s, lam = s + alpha * ds, lam + alpha * dlam
         sol = QpSolution(z=z, y=self._full_dual(yE, lam), status=status,
-                         iterations=iters, problem=p)
+                         iterations=iters, build_problem=lambda: p)
         sol.primal_residual, sol.dual_residual = r_prim, r_dual
         return sol
 

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from ballbot_lab import harness
 from ballbot_lab.control import (MpcConfig, MpcController, SmoothStepRef,
-                                 _condense, build_predictor, design_lqr,
-                                 smooth_step)
+                                 _condense, _CondensedQp, build_predictor,
+                                 design_lqr, smooth_step)
 from ballbot_lab.errors import StabilizabilityError
 from ballbot_lab.numerics import eigenvalues, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
@@ -220,9 +221,9 @@ class TestMpcController:
         assert u1 == u2
 
     def test_warm_resolve_is_cheap(self, pred):
-        # the controller no longer warm-starts; a re-solve through the
-        # vector-update path must cost no more than the cold solve, stay
-        # within the iteration bound of a track solve and give the same input
+        # the controller keeps no iterate between steps; a second solve of
+        # the same (x0, ref) must cost no more than the first, stay within
+        # the iteration bound of a track solve and give the same input
         ctrl = MpcController(pred, MpcConfig())
         ref = np.zeros((41, 4))
         ref[:, 0] = np.linspace(0, 10, 41)
@@ -270,21 +271,6 @@ class TestMpcController:
             x = pred.A_bar @ x + pred.B_bar[:, 0] * u_k
             assert np.max(np.abs(states[k] - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
 
-    def test_vector_update_path_matches_fresh_assembly(self, pred):
-        # after the first solve the controller refreshes only q, l, u; that
-        # fast path must reproduce a from-scratch problem assembly exactly
-        ctrl = MpcController(pred, MpcConfig())
-        ref1 = np.zeros((41, 4))
-        ctrl.mpc_step(np.zeros(4), ref1)
-        x0 = np.array([0.3, -0.4, 1.2, 0.8])
-        ref2 = np.zeros((41, 4))
-        ref2[:, 0] = np.linspace(0.0, 7.0, 41)
-        ctrl.mpc_step(x0, ref2)
-        fresh = _condense(pred, MpcConfig()).problem(x0, ref2)
-        assert_allclose(ctrl._solver.prob.q, fresh.q, atol=0)
-        assert_allclose(ctrl._solver.prob.l, fresh.l, atol=0)
-        assert_allclose(ctrl._solver.prob.u, fresh.u, atol=0)
-
     def test_infeasible_event_returns_zero(self, pred):
         # an unreachable first-step state box makes the QP infeasible
         cfg = MpcConfig(theta_max=1e-9, ydot_max=1e-9, thetadot_max=1e-9,
@@ -296,6 +282,95 @@ class TestMpcController:
         assert info["infeasible"]
         assert u == 0.0
         assert ctrl.infeasible_events == 1
+
+
+def recorded_track_solves(cfg, model_lp=None):
+    """Run one track and return its controller and every (x0, ref, u, info)."""
+    solves = []
+    step = MpcController.mpc_step
+
+    def recording(ctrl, x0, ref):
+        u, info = step(ctrl, x0, ref)
+        solves.append((np.array(x0), np.array(ref), u, info))
+        return u, info
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MpcController, "mpc_step", recording)
+        res = harness.run_track(cfg, model_lp=model_lp)
+    return res.extra["controller"], solves
+
+
+class TestParametricMaps:
+    """r = R theta, z0 its input rows, stand in for assembling and solving the QP."""
+
+    def test_maps_match_the_assembled_problem(self, pred):
+        cfg = MpcConfig()
+        qp = _condense(pred, cfg)
+        rng = np.random.default_rng(47)
+        for _ in range(50):
+            x0 = rng.uniform(-1.0, 1.0, 4) * [30.0, 5.0, 20.0, 40.0]
+            ref = rng.uniform(-30.0, 30.0, (cfg.N + 1, 4))
+            prob = qp.problem(x0, ref)
+            theta = qp.theta(x0, ref)[qp.used]
+            z0 = np.linalg.solve(prob.P, -prob.q)
+            r = prob.A @ z0 + qp.S @ x0
+            # the input rows of R are Z
+            assert np.max(np.abs(qp.R[-cfg.N:] @ theta - z0)) <= 1e-12 * np.max(np.abs(z0))
+            assert np.max(np.abs(qp.R @ theta - r)) <= 1e-12 * np.max(np.abs(r))
+
+    @pytest.mark.parametrize("model", ["truth", "identified"])
+    def test_replayed_track_solves_match_the_generic_solver(self, model):
+        # every solve of the noisy 40 s track at seed 0, on the truth and on
+        # the model the seed-0 pipeline identifies, against a fresh solver
+        # on the assembled problem
+        cfg = harness.load_config()
+        model_lp = None
+        if model == "identified":
+            fit = harness.run_identify(cfg).extra["id_result"]
+            model_lp = fit.linear_params(r=cfg["plant"]["linear"]["r"])
+        ctrl, solves = recorded_track_solves(cfg, model_lp)
+        assert len(solves) == 400
+        binding = 0
+        for x0, ref, u, info in solves:
+            fresh = QpSolver(ctrl._qp.problem(x0, ref)).solve()
+            assert (info["status"], info["iterations"]) == (fresh.status, fresh.iterations)
+            if fresh.status == "solved":
+                assert abs(u - fresh.z[0]) <= 1e-9 * max(1.0, abs(fresh.z[0]))
+            binding += info["iterations"] > 0
+        assert binding >= 50
+
+    def test_diagnostics_are_built_on_read_and_match_the_generic_ones(self, pred, monkeypatch):
+        built = []
+        problem_at = _CondensedQp.problem_at
+
+        def counted(qp, theta):
+            built.append(theta)
+            return problem_at(qp, theta)
+
+        monkeypatch.setattr(_CondensedQp, "problem_at", counted)
+        ctrl = MpcController(pred, MpcConfig())
+        built.clear()  # the solver's fixed box problem
+        still = np.zeros((41, 4))
+        ramp = np.zeros((41, 4))
+        ramp[:, 0] = np.linspace(0, 50, 41)  # puts a box in play
+        x0 = np.array([0.3, -0.4, 1.2, 0.8])
+        for ref, steps_taken in ((still, False), (ramp, True)):
+            ctrl.mpc_step(x0, ref)
+            sol = ctrl.last_solution
+            assert (sol.iterations > 0) == steps_taken
+            assert built == []
+            diagnostics = (sol.primal_residual, sol.dual_residual, sol.objective)
+            assert len(built) == 1
+            fresh_prob = _condense(pred, MpcConfig()).problem(x0, ref)
+            fresh = QpSolver(fresh_prob).solve()
+            assert_allclose(sol.z, fresh.z, rtol=0, atol=1e-9)
+            assert_allclose(diagnostics[:2], (fresh.primal_residual, fresh.dual_residual),
+                            rtol=0, atol=1e-9)
+            assert abs(diagnostics[2] - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
+            # the problem they describe is the assembled one, bit for bit
+            for name in ("P", "q", "A", "l", "u"):
+                assert np.array_equal(getattr(sol.problem, name), getattr(fresh_prob, name))
+            built.clear()
 
 
 class TestDualModeEquivalence:

@@ -180,6 +180,20 @@ class TestIdentify:
         assert not res.summary["aborted"]
         assert np.isfinite(res.summary["metrics"]["final_cost"])
 
+    def test_max_tilt_is_the_true_state(self, tmp_path):
+        # the summary's tilt peak is the logged true tilt, as in balance and
+        # track, not the noisy measurement
+        rc = cli.main(["identify", "--out", str(tmp_path), "--duration", "20"])
+        assert rc == 0
+        summary = json.loads((tmp_path / "identify_summary.json").read_text())
+        csv = np.genfromtxt(tmp_path / "identify_telemetry.csv", delimiter=",",
+                            skip_header=1, names=True)
+        true_peak = np.max(np.abs(csv["theta_x_deg"]))
+        measured_peak = np.max(np.abs(csv["theta_x_meas_deg"]))
+        reported = summary["metrics"]["max_abs_theta_deg"]
+        assert abs(reported - true_peak) <= 1e-8 * true_peak
+        assert abs(reported - measured_peak) > 1e-3
+
     def test_excitation_on_tracking_plane_only(self):
         cfg = quiet_config()
         res = run_identify(cfg, duration=20.0)
@@ -646,6 +660,24 @@ class TestCli:
         rc = cli.main(["balance", "--out", str(out), "--duration", duration])
         assert rc == 2
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name, duration, minimum", [
+        ("identify", "0.001", "1.0 s"), ("identify", "0.005", "1.0 s"),
+        ("identify", "0.05", "1.0 s"), ("track", "0.001", "one tick")])
+    def test_run_too_short_for_its_experiment_exits_2(self, tmp_path, capsys,
+                                                       name, duration, minimum):
+        # shorter than one tick, or than the record a fit needs: a
+        # configuration error that names the minimum, before any output
+        out = tmp_path / "out"
+        rc = cli.main([name, "--out", str(out), "--duration", duration])
+        assert rc == 2
+        assert minimum in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
+    def test_shortest_identify_record_is_fitted(self, tmp_path):
+        rc = cli.main(["identify", "--out", str(tmp_path), "--duration", "1"])
+        assert rc == 0
+        assert (tmp_path / "identified_model.json").exists()
 
     def test_seed_flag_changes_hash(self, tmp_path):
         rc = cli.main(["balance", "--out", str(tmp_path), "--duration", "0.5",
