@@ -10,7 +10,6 @@ even though the open-loop plant is unstable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -105,17 +104,17 @@ class MpcConfig:
     Ts_mpc: float = 0.1
 
     def __post_init__(self):
-        if self.N < 1:
-            raise ValueError("horizon must be >= 1")
+        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
+            raise ValueError("N must be an integer >= 1")
         if self.Q is None:
             self.Q = np.diag([1000.0, 0.0, 0.0, 0.0])
         if self.Q_N is None:
             self.Q_N = self.Q.copy()
         self.Q = np.asarray(self.Q, dtype=float)
         self.Q_N = np.asarray(self.Q_N, dtype=float)
-        for b in (self.theta_max, self.ydot_max, self.thetadot_max, self.u_max):
-            if b <= 0:
-                raise ValueError("bounds must be positive")
+        for name in ("theta_max", "ydot_max", "thetadot_max", "u_max"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -157,13 +156,10 @@ class _CondensedQp:
     states that Q and Q_N do not weight drop out.
     """
 
-    Phi: np.ndarray       # (N n, n): stacked powers A_bar^k, k = 1..N
-    Gamma: np.ndarray     # (N n, N): block k, j is A_bar^(k-j) B_bar for j <= k
-    GtPx: np.ndarray      # (N, N n): Gamma' P_x
-    S: np.ndarray         # (4N, n): C Phi over N zero rows, the box shift by x0
+    n: int                # the state dimension
     box: np.ndarray       # (4N,): the box half-widths
-    P: np.ndarray
-    A: np.ndarray
+    P: np.ndarray         # (N, N)
+    A: np.ndarray         # (4N, N)
     R: np.ndarray         # (4N, used.size): theta[used] -> r, over Z: -> z0
     used: np.ndarray      # indices of the theta entries that R reads
 
@@ -171,24 +167,12 @@ class _CondensedQp:
         """[x0; ref_1; ..; ref_N] for one x0 and reference preview ref_0..ref_N."""
         x0 = np.asarray(x0, dtype=float)
         ref = np.asarray(ref, dtype=float)
-        n = self.S.shape[1]
-        N = self.GtPx.shape[0]
+        n, N = self.n, self.P.shape[0]
         if ref.shape != (N + 1, n):
             raise ValueError(f"reference must be ({N + 1}, {n}), got {ref.shape}")
         if x0.shape != (n,):
             raise ValueError(f"x0 must have {n} entries")
         return np.concatenate((x0, ref.ravel()[n:]))
-
-    def problem(self, x0, ref) -> QpProblem:
-        return self.problem_at(self.theta(x0, ref))
-
-    def problem_at(self, theta) -> QpProblem:
-        """P, q, A, l, u of the QP at one theta."""
-        n = self.S.shape[1]
-        x0 = theta[:n]
-        q = self.GtPx @ (self.Phi @ x0 - theta[n:])
-        shift = self.S @ x0
-        return QpProblem(P=self.P, q=q, A=self.A, l=-self.box - shift, u=self.box - shift)
 
 
 def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
@@ -217,17 +201,14 @@ def _condense(pred: DualModePredictor, cfg: MpcConfig) -> _CondensedQp:
     P = GtPx @ Gamma_flat + 2.0 * cfg.R * np.eye(N)
     P = 0.5 * (P + P.T)
     A = np.vstack([Gamma[:, 1:4, :].reshape(3 * N, N), np.eye(N)])
-    S = np.vstack([Phi[:, 1:4, :].reshape(3 * N, n), np.zeros((N, n))])
     box = np.concatenate([np.tile([cfg.theta_max, cfg.ydot_max, cfg.thetadot_max], N),
                           np.full(N, cfg.u_max)])
-    Phi = Phi.reshape(N * n, n)
     K = np.linalg.solve(P, GtPx)
-    Z = np.hstack([-K @ Phi, K])
+    Z = np.hstack([-K @ Phi.reshape(N * n, n), K])
     R = np.vstack([A[:3 * N] @ Z, Z])
-    R[:3 * N, :n] += S[:3 * N]
+    R[:3 * N, :n] += Phi[:, 1:4, :].reshape(3 * N, n)  # the state rows' shift S x0 = C Phi x0
     used = np.flatnonzero(R.any(axis=0))
-    return _CondensedQp(Phi=Phi, Gamma=Gamma_flat, GtPx=GtPx, S=S, box=box,
-                        P=P, A=A, R=R[:, used], used=used)
+    return _CondensedQp(n=n, box=box, P=P, A=A, R=R[:, used], used=used)
 
 
 class MpcController:
@@ -238,11 +219,11 @@ class MpcController:
     -box <= r <= box, are set up at construction. Each step forms
     theta = [x0; ref_1; ..; ref_N] and, in one product, the row values
     r = R theta of the unconstrained optimum z0, whose input rows are z0
-    itself. When |r| <= box (the region where the MPC law is the LQ law)
-    z0 is the optimum, returned at 0 steps; otherwise the solver starts
-    from (z0, r), and dual active-set steps add the rows that bind. Solver
-    hiccups are absorbed: a solve that hits the step cap (degraded; its
-    dual iterate may violate rows that have not entered) or is certified
+    itself, and starts the solver from (z0, r). When |r| <= box (the region
+    where the MPC law is the LQ law) z0 is the optimum, returned at 0 steps;
+    otherwise dual active-set steps add the rows that bind. Solver hiccups
+    are absorbed: a solve that hits the step cap (degraded; its dual
+    iterate may violate rows that have not entered) or is certified
     infeasible falls back to zero correction, and the inner regulator alone
     keeps the robot balanced while the event is counted.
     """
@@ -250,11 +231,10 @@ class MpcController:
     def __init__(self, pred: DualModePredictor, cfg: MpcConfig,
                  settings: QpSettings = None):
         self.cfg = cfg
-        self._qp = _condense(pred, cfg)
-        # at x0 = 0 the rows are -box <= A z <= box; q is never read
-        zero_ref = np.zeros((cfg.N + 1, pred.n_states))
-        self._solver = QpSolver(self._qp.problem(np.zeros(pred.n_states), zero_ref),
-                                settings)
+        qp = self._qp = _condense(pred, cfg)
+        # every step passes its own start (z0, r), so the solver's q is never read
+        self._solver = QpSolver(QpProblem(P=qp.P, q=np.zeros(cfg.N), A=qp.A,
+                                          l=-qp.box, u=qp.box), settings)
         self.infeasible_events = 0
         self.degraded_events = 0
         self.last_solution: QpSolution = None
@@ -262,16 +242,8 @@ class MpcController:
     def mpc_step(self, x0, ref) -> tuple:
         """Solve for the horizon and return (u_mpc, info dict)."""
         qp = self._qp
-        theta = qp.theta(x0, ref)
-        r = qp.R @ theta[qp.used]
-        z0 = r[-self.cfg.N:]
-        problem = partial(qp.problem_at, theta)
-        if np.count_nonzero(np.abs(r) <= qp.box) == r.size:
-            sol = QpSolution(z=z0, y=np.zeros(r.size), status="solved",
-                             iterations=0, build_problem=problem)
-        else:
-            sol = self._solver.solve(z0, r, problem)
-        self.last_solution = sol
+        r = qp.R @ qp.theta(x0, ref)[qp.used]
+        sol = self.last_solution = self._solver.solve(r[-self.cfg.N:], r)
         info = {"status": sol.status, "iterations": sol.iterations,
                 "degraded": False, "infeasible": False}
         if sol.status == "solved":

@@ -28,16 +28,13 @@ class MultisineSpec:
     def __post_init__(self):
         self.components = tuple((float(a), float(b)) for a, b in self.components)
         if not self.components:
-            raise ValueError("need at least one sine component")
+            raise ValueError("components must hold at least one sine")
         if any(b <= 0 for _, b in self.components):
-            raise ValueError("all frequencies must be positive")
+            raise ValueError("components must all have a positive frequency")
 
     @classmethod
     def reference(cls, alpha_scale: float = 1.0) -> "MultisineSpec":
         return cls(alpha_scale=alpha_scale)
-
-    def scaled(self, factor: float) -> "MultisineSpec":
-        return MultisineSpec(self.alpha_scale * factor, self.components)
 
 
 def d_at(spec: MultisineSpec, t):

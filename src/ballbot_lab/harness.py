@@ -217,6 +217,8 @@ def validate_config(cfg: dict):
             raise ConfigError(f"mpc.{key}", "entries must be nonnegative")
     if mpc["R"] <= 0:  # R > 0 makes the condensed Hessian positive definite
         raise ConfigError("mpc.R", "must be positive")
+    if not cfg["lqr"]["R"] > 0:  # the Riccati equation needs R > 0
+        raise ConfigError("lqr.R", "must be positive")
     p = cfg["plant"]["linear"].get("p")
     if p is not None and len(p) != 8:
         raise ConfigError("plant.linear.p", "must have eight entries")
@@ -226,6 +228,16 @@ def validate_config(cfg: dict):
             PhysicalParams(**phys)
         except (TypeError, ValueError, MassMatrixSingularError) as exc:
             raise ConfigError("plant.physical", str(exc)) from exc
+    # the bounds of a section live in the constructors its builder calls,
+    # whose ValueError messages start with the offending key
+    for section, build in (("plant.sensor", _sensor_spec), ("mpc", _mpc_section),
+                           ("excitation", _excitation), ("reference", _reference),
+                           ("id", _id_config)):
+        try:
+            build(cfg)
+        except ValueError as exc:
+            key, _, msg = str(exc).partition(" ")
+            raise ConfigError(f"{section}.{key}", msg) from exc
 
 
 def config_hash(cfg: dict) -> str:
@@ -264,11 +276,53 @@ def _identification_gains(cfg) -> FeedbackGains:
 
 
 def _sensor_spec(cfg) -> SensorSpec:
-    s = cfg["plant"]["sensor"]
-    if not cfg["run"]["noise"]:
-        return SensorSpec(0.0, 0.0, 0.0, s["Ts_sensor"])
-    return SensorSpec(s["sigma_theta"], s["sigma_thetadot"],
-                      s["trackball_quantum"], s["Ts_sensor"])
+    spec = SensorSpec(**cfg["plant"]["sensor"])
+    return spec if cfg["run"]["noise"] else SensorSpec(0.0, 0.0, 0.0, spec.Ts_sensor)
+
+
+def _mpc_section(cfg):
+    """The MPC's config and the Butterworth filter on its output."""
+    sec = cfg["mpc"]
+    mpc_cfg = MpcConfig(
+        N=sec["N"],
+        Q=np.diag(sec["Q"]),
+        Q_N=None if sec["Q_N"] is None else np.diag(sec["Q_N"]),
+        R=sec["R"],
+        theta_max=sec["theta_max"],
+        ydot_max=sec["ydot_max"],
+        thetadot_max=sec["thetadot_max"],
+        u_max=sec["u_max"],
+        Ts_mpc=sec["Ts_mpc"],
+    )
+    try:
+        filt = design_butterworth2(sec["filter_fc_hz"], 1.0 / cfg["run"]["Ts_inner"])
+    except ValueError as exc:
+        raise ValueError(f"filter_fc_hz {exc}") from None
+    return mpc_cfg, filt
+
+
+def _excitation(cfg) -> MultisineSpec:
+    sec = cfg["excitation"]
+    return MultisineSpec(alpha_scale=sec["alpha"], components=sec["components"])
+
+
+def _reference(cfg) -> SmoothStepRef:
+    return SmoothStepRef(**cfg["reference"])
+
+
+def _id_config(cfg) -> sysid.IdConfig:
+    sec = cfg["id"]
+    p0 = sec["initial_guess"]
+    if p0 is None:
+        p0 = _truth_model(cfg).as_array() * sec["initial_guess_scale"]
+    return sysid.IdConfig(
+        initial_guess=p0,
+        multistart_count=sec["multistart_count"],
+        lm_lambda0=sec["lm_lambda0"],
+        lm_tolerance=sec["lm_tolerance"],
+        max_iterations=sec["max_iterations"],
+        seed=cfg["run"]["seed"],
+    )
 
 
 def _make_planes(cfg):
@@ -467,6 +521,15 @@ def _after_steps(tel, plane, final, abort):
 # ---------------------------------------------------------------------------
 # experiments
 
+def _outer_references(k_outer, xm0, xm1, row):
+    """Both planes' speed references from the outer loop, logged in ``row``."""
+    r0 = outer_reference(k_outer, xm0)
+    r1 = outer_reference(k_outer, xm1)
+    row[_VEL_REF] = r0
+    row[_VEL_REF + 1] = r1
+    return r0, r1
+
+
 def run_balance(cfg, duration=None) -> RunResult:
     """Double-loop PID balancing on both planes from an initial tilt."""
     Ts = cfg["run"]["Ts_inner"]
@@ -476,10 +539,7 @@ def run_balance(cfg, duration=None) -> RunResult:
     pid0, pid1 = PidState(), PidState()
 
     def control(k, xm0, xm1, row):
-        r0 = outer_reference(k_outer, xm0)
-        r1 = outer_reference(k_outer, xm1)
-        row[_VEL_REF] = r0
-        row[_VEL_REF + 1] = r1
+        r0, r1 = _outer_references(k_outer, xm0, xm1, row)
         return (pid_step(pid0, r0 - xm0[2], gains, Ts),
                 pid_step(pid1, r1 - xm1[2], gains, Ts))
 
@@ -515,16 +575,11 @@ def _identification_loop(cfg, duration):
     Ts = cfg["run"]["Ts_inner"]
     gains = _identification_gains(cfg)
     k_outer = gains.outer_vector()
-    spec = MultisineSpec(alpha_scale=cfg["excitation"]["alpha"],
-                         components=tuple(tuple(c) for c in cfg["excitation"]["components"]))
-    exc_seq = sample_sequence(spec, Ts, duration)
+    exc_seq = sample_sequence(_excitation(cfg), Ts, duration)
     d = exc_seq.d
 
     def control(k, xm0, xm1, row):
-        r0 = outer_reference(k_outer, xm0)
-        r1 = outer_reference(k_outer, xm1)
-        row[_VEL_REF] = r0
-        row[_VEL_REF + 1] = r1
+        r0, r1 = _outer_references(k_outer, xm0, xm1, row)
         # the mirror plane's excitation is 0.0, which also turns a -0.0
         # error into 0.0 in the logged command
         return (p_step(gains.kp, r0 - xm0[2] + d[k]),
@@ -554,20 +609,7 @@ def run_identify(cfg, duration=None) -> RunResult:
                               thetadot=logged("thetadot_x_meas_degs"))
     fit_ds, holdout = dataset.split_halves()
     truth = _truth_model(cfg)
-    id_sec = cfg["id"]
-    if id_sec["initial_guess"] is not None:
-        p0 = np.asarray(id_sec["initial_guess"], dtype=float)
-    else:
-        p0 = truth.as_array() * id_sec["initial_guess_scale"]
-    id_cfg = sysid.IdConfig(
-        initial_guess=p0,
-        multistart_count=id_sec["multistart_count"],
-        lm_lambda0=id_sec["lm_lambda0"],
-        lm_tolerance=id_sec["lm_tolerance"],
-        max_iterations=id_sec["max_iterations"],
-        seed=cfg["run"]["seed"],
-    )
-    result = sysid.identify(fit_ds, gains, id_cfg)
+    result = sysid.identify(fit_ds, gains, _id_config(cfg))
     result.fit_rates = sysid.validate(result.p_hat, holdout, gains)
 
     full = build_linear_ss(result.linear_params(r=truth.r))
@@ -637,22 +679,9 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     m = int(round(cfg["mpc"]["Ts_mpc"] / Ts))
     dss, lqr = _design(cfg, model_lp)
     pred = build_predictor(dss, lqr.K, m=m)
-    mpc_cfg = MpcConfig(
-        N=cfg["mpc"]["N"],
-        Q=np.diag(cfg["mpc"]["Q"]),
-        Q_N=None if cfg["mpc"]["Q_N"] is None else np.diag(cfg["mpc"]["Q_N"]),
-        R=cfg["mpc"]["R"],
-        theta_max=cfg["mpc"]["theta_max"],
-        ydot_max=cfg["mpc"]["ydot_max"],
-        thetadot_max=cfg["mpc"]["thetadot_max"],
-        u_max=cfg["mpc"]["u_max"],
-        Ts_mpc=cfg["mpc"]["Ts_mpc"],
-    )
+    mpc_cfg, filt = _mpc_section(cfg)
     controller = MpcController(pred, mpc_cfg)
-    ref_spec = SmoothStepRef(t0=cfg["reference"]["t0"],
-                             amplitude=cfg["reference"]["amplitude"],
-                             T_rise=cfg["reference"]["T_rise"])
-    filt = design_butterworth2(cfg["mpc"]["filter_fc_hz"], 1.0 / Ts)
+    ref_spec = _reference(cfg)
     latency = cfg["run"]["latency_mpc_periods"]
     K = lqr.K
     n_ticks = int(round(duration / Ts))

@@ -241,8 +241,9 @@ class SensorSpec:
     Ts_sensor: float = 0.005         # s
 
     def __post_init__(self):
-        if self.sigma_theta < 0 or self.sigma_thetadot < 0 or self.trackball_quantum < 0:
-            raise ValueError("noise magnitudes must be non-negative")
+        for name in ("sigma_theta", "sigma_thetadot", "trackball_quantum"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
         if self.Ts_sensor <= 0:
             raise ValueError("Ts_sensor must be positive")
 

@@ -8,20 +8,17 @@ the cached P^-1 (from the inverted Cholesky factor), S = A P^-1 A' and
 H = P^-1 A'. It starts from an unconstrained minimizer z0 and its row
 values r: by default z0 = -P^-1 q and r = A z0, or a start the caller
 computed for rows shifted by a parameter, l <= A z + s <= u, with
-r = A z0 + s. A start that meets every box exactly is the optimum (0
-steps). Each step adds the most violated row or, on a partial step, drops
-the active row whose multiplier would change sign: one k x k solve on the
-k active rows of S. A violated row that depends on the active set with no
-multiplier left to drop certifies infeasibility. z is recomputed from the
-final active set, on the start's row values.
+r = A z0 + s. A start that meets every box exactly is the optimum,
+returned at 0 steps. Each step adds the most violated row or, on a partial
+step, drops the active row whose multiplier would change sign: one k x k
+solve on the k active rows of S. A violated row that depends on the active
+set with no multiplier left to drop certifies infeasibility. z is
+recomputed from the final active set, on the start's row values.
 """
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,24 +54,6 @@ class QpProblem:
         if n and np.linalg.eigvalsh(self.P)[0] < -1e-12 * max(1.0, np.max(np.abs(self.P))):
             raise ValueError("P must be positive semidefinite")
 
-    @property
-    def n(self):
-        return self.q.size
-
-    @property
-    def m(self):
-        return self.A.shape[0]
-
-    def objective(self, z) -> float:
-        z = np.asarray(z, dtype=float)
-        return float(0.5 * z @ self.P @ z + self.q @ z)
-
-    def __copy__(self):
-        """A problem on the same arrays; they passed the checks already."""
-        new = object.__new__(QpProblem)
-        new.__dict__.update(self.__dict__)
-        return new
-
 
 @dataclass
 class QpSettings:
@@ -91,59 +70,27 @@ class QpSettings:
 
 @dataclass
 class QpSolution:
-    """A solve's iterate and status.
-
-    The problem solved, and from it the residuals and the objective, are
-    built when first read by calling ``build_problem``; nothing on the
-    control path reads them, so a solve does not pay for them. A solver
-    that reports its own residuals assigns them.
-    """
+    """A solve's iterate and status."""
 
     z: np.ndarray
     y: np.ndarray
     status: str                  # "solved" | "max-iter" | "primal-infeasible"
     iterations: int
-    build_problem: Callable[[], QpProblem] = field(repr=False)
-
-    @cached_property
-    def problem(self) -> QpProblem:
-        """The P, q, A, l, u that were solved."""
-        return self.build_problem()
-
-    @cached_property
-    def primal_residual(self) -> float:
-        p = self.problem
-        Az = p.A @ self.z
-        return float(np.max(np.maximum(Az - p.u, p.l - Az), initial=0.0))
-
-    @cached_property
-    def dual_residual(self) -> float:
-        p = self.problem
-        return _norm(p.P @ self.z + p.q + p.A.T @ self.y)
-
-    @cached_property
-    def objective(self) -> float:
-        return self.problem.objective(self.z)
-
-
-def _norm(*arrays) -> float:
-    """Largest absolute entry over the 1-D arrays (0 if all are empty)."""
-    return float(np.abs(np.concatenate(arrays)).max(initial=0.0))
 
 
 class QpSolver:
     """Workspace owning P^-1, H = P^-1 A' and S = A P^-1 A' for one problem.
 
-    P and A are fixed for the solver's life. Between solves `update_vectors`
-    swaps q, l, u, or the caller hands `solve` a start (z0, r) for the
-    solver's fixed l, u. The solver keeps its own copy of the problem, so the
-    caller's `QpProblem` is never changed.
+    The solver keeps the problem it is built from and never changes it.
+    Each solve starts from the default start or from one the caller
+    computed for the problem's fixed l, u.
     """
 
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
-        self.prob = copy.copy(problem)
+        if np.count_nonzero(problem.l >= problem.u):
+            raise ValueError("QpSolver takes box rows only: need l < u elementwise")
+        self.prob = problem
         self.settings = settings or QpSettings()
-        self.update_vectors()  # checks the rows
         self._factor()
 
     def _factor(self):
@@ -160,40 +107,26 @@ class QpSolver:
         S = p.A @ self._H
         self._S = 0.5 * (S + S.T)
 
-    def update_vectors(self, q=None, l=None, u=None):
-        """Swap the linear term and bounds; P and A stay as they are.
-
-        Rejected bounds leave the solver's problem as it was.
-        """
-        p = self.prob
-        q = p.q if q is None else np.asarray(q, dtype=float).ravel()
-        l = p.l if l is None else np.asarray(l, dtype=float).ravel()
-        u = p.u if u is None else np.asarray(u, dtype=float).ravel()
-        if np.count_nonzero(l >= u):
-            raise ValueError("QpSolver takes box rows only: need l < u elementwise")
-        p.q, p.l, p.u = q, l, u
-
-    def solve(self, z0=None, r=None, problem=None) -> QpSolution:
+    def solve(self, z0=None, r=None) -> QpSolution:
         """Goldfarb-Idnani steps on the cached S and H from an unconstrained
         minimizer z0 whose row values are r.
 
         By default z0 = -P^-1 q and r = A z0. A caller that solves a family
         of problems on this P and A whose rows are shifted,
-        l <= A z + s <= u, passes all three: the member's minimizer z0, its
-        row values r = A z0 + s, and ``problem``, a function that builds
-        the member as a QpProblem for the solution's diagnostics. The
-        solver's own q is then not read.
+        l <= A z + s <= u, passes the member's minimizer z0 and its row
+        values r = A z0 + s; the solver's own q is then not read. A start
+        that meets every box exactly is returned itself, at 0 steps.
         """
-        p, st, S = self.prob, self.settings, self._S
+        p = self.prob
         if z0 is None:
             z0 = -(self._P_inv @ p.q)
             r = p.A @ z0
-            # update_vectors rebinds q, l, u, so a shallow copy keeps this problem
-            solved = copy.copy(p)
-            problem = lambda: solved
+        if np.count_nonzero((p.l <= r) & (r <= p.u)) == r.size:
+            return QpSolution(z0, np.zeros(r.size), "solved", 0)
+        st, S = self.settings, self._S
         Az = r.copy()
         # bounds of the rows that may still enter (active rows are masked),
-        # exact until the first step: a start that meets them is the optimum
+        # exact until the first step
         lo, hi = p.l, p.u
         # the active rows, their sides (+1 upper, -1 lower) and multipliers
         W, side, y = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
@@ -201,7 +134,7 @@ class QpSolver:
         while True:
             if row is None:
                 viol = np.maximum(Az - hi, lo - Az)
-                if viol.size == 0 or viol.max() <= 0:
+                if viol.max() <= 0:
                     break
                 row = int(viol.argmax())
                 d = 1.0 if Az[row] > hi[row] else -1.0
@@ -243,10 +176,9 @@ class QpSolver:
             else:                   # partial step: row W[j] leaves
                 lo[W[j]], hi[W[j]] = lo_w[W[j]], hi_w[W[j]]
                 W, side, y = np.delete(W, j), np.delete(side, j), np.delete(y, j)
-        z, y = z0, np.zeros(p.m)
+        z, y = z0, np.zeros(r.size)
         if W.size:  # the exact solution on the final active set
             y[W] = np.linalg.solve(S[W[:, None], W],
                                    r[W] - np.where(side > 0, p.u[W], p.l[W]))
             z = z0 - self._H[:, W] @ y[W]
-        return QpSolution(z=z, y=y, status=status, iterations=steps,
-                          build_problem=problem)
+        return QpSolution(z, y, status, steps)

@@ -7,7 +7,8 @@ brute-force active-set enumeration and a Mehrotra interior-point method
 (``InteriorPointQp``, which also takes the singular P of the stacked MPC
 problem) instead of the dual active-set method, literal step-by-step
 recursions instead of lifted or modal forms, and the stacked MPC problem
-(states kept as variables) instead of the condensed one. The plant's
+(states kept as variables) or the condensed one assembled at one
+(x0, ref) instead of the controller's parametric maps. The plant's
 mechanical energy, the biquad's frequency response and the algebraic
 inverse of the loop composition (``extract_open_loop``) are checks that the
 library itself never needs.
@@ -19,7 +20,7 @@ import math
 import numpy as np
 
 from ballbot_lab.plant import DEG
-from ballbot_lab.qp import QpSettings, QpSolution
+from ballbot_lab.qp import QpProblem, QpSettings, QpSolution
 
 
 def expm_series(M, terms=60):
@@ -158,6 +159,58 @@ def stacked_tracking_qp(A_bar, B_bar, Q, Q_N, R, boxes, x0, ref):
     return P, q, A, np.concatenate([rhs, -box]), np.concatenate([rhs, box])
 
 
+def condensed_tracking_qp(A_bar, B_bar, Q, Q_N, R, boxes, x0, ref):
+    """The MPC tracking QP at one (x0, ref) in the inputs u_0..u_{N-1} alone.
+
+    The predicted states x_k = Phi_k x0 + sum_{j<k} A_bar^(k-1-j) B_bar u_j
+    are substituted into the cost of ``stacked_tracking_qp``. The first 3N
+    rows box the tilt, speed and tilt rate of x_1..x_N (each shifted by its
+    free response Phi_k x0), the last N rows the inputs. Returns a QpProblem.
+    """
+    A_bar = np.asarray(A_bar, dtype=float)
+    b = np.asarray(B_bar, dtype=float).reshape(-1)
+    ref = np.asarray(ref, dtype=float)
+    n = A_bar.shape[0]
+    N = ref.shape[0] - 1
+    free = np.zeros((N, n))           # Phi_k x0
+    pulse = np.zeros((N, n))          # A_bar^i B_bar
+    x, pulse[0] = np.asarray(x0, dtype=float), b
+    for k in range(N):
+        x = A_bar @ x
+        free[k] = x
+        if k:
+            pulse[k] = A_bar @ pulse[k - 1]
+    forced = np.zeros((N, n, N))      # column j: response of x_k to u_j
+    for k in range(N):
+        for j in range(k + 1):
+            forced[k, :, j] = pulse[k - j]
+    P = 2.0 * R * np.eye(N)
+    q = np.zeros(N)
+    for k in range(N):
+        W = Q_N if k == N - 1 else Q
+        P += 2.0 * forced[k].T @ W @ forced[k]
+        q += 2.0 * forced[k].T @ W @ (free[k] - ref[k + 1])
+    A = np.vstack([forced[:, 1:4, :].reshape(3 * N, N), np.eye(N)])
+    shift = np.concatenate([free[:, 1:4].ravel(), np.zeros(N)])
+    box = np.concatenate([np.tile(boxes[:3], N), np.full(N, boxes[3])])
+    return QpProblem(P=0.5 * (P + P.T), q=q, A=A, l=-box - shift, u=box - shift)
+
+
+def objective(prob, z) -> float:
+    """1/2 z'Pz + q'z of a QpProblem."""
+    z = np.asarray(z, dtype=float)
+    return float(0.5 * z @ prob.P @ z + prob.q @ z)
+
+
+def residuals(prob, sol) -> tuple:
+    """(primal, dual) residuals of a solution (z, y) of a QpProblem: the
+    largest violation of l <= Az <= u and the largest entry of
+    P z + q + A'y."""
+    Az = prob.A @ sol.z
+    return (float(np.max(np.maximum(Az - prob.u, prob.l - Az), initial=0.0)),
+            _norm(prob.P @ sol.z + prob.q + prob.A.T @ sol.y))
+
+
 def fd_jacobian(f, x0, h=1e-5):
     """Central finite-difference Jacobian of f at x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -252,7 +305,7 @@ class InteriorPointQp:
         p = self.prob = problem
         self.settings = settings or QpSettings()
         self.eps_prim_inf = eps_prim_inf
-        n = p.n
+        n = p.q.size
         lo, up = np.isfinite(p.l), np.isfinite(p.u)
         eq = lo & up & (p.u - p.l <= 1e-12)
         up, lo = up & ~eq, lo & ~eq
@@ -269,7 +322,7 @@ class InteriorPointQp:
 
     def assemble(self, w):
         """Assemble the reduced KKT matrix for the weights w = lam / s."""
-        n = self.prob.n
+        n = self.prob.q.size
         d = np.bincount(self._g_in, w, self._A_in.shape[0])
         self.kkt = self._kkt0.copy()
         self.kkt[:n, :n] += self._A_in.T @ (d[:, None] * self._A_in)
@@ -279,7 +332,7 @@ class InteriorPointQp:
 
     def _newton(self, r_d, r_e, r_i, r_c, s, lam, w):
         """Newton step for the residuals, with complementarity target r_c."""
-        n, G = self.prob.n, self.G
+        n, G = self.prob.q.size, self.G
         v = w * r_i - r_c / s
         sol = self.kkt_solve(np.concatenate([-r_d - G.T @ v, -r_e]))
         dz = sol[:n]
@@ -302,7 +355,7 @@ class InteriorPointQp:
 
     def solve(self):
         p, st = self.prob, self.settings
-        n, G = p.n, self.G
+        n, G = p.q.size, self.G
         b = p.l[self.eq_rows]
         h = np.where(self.g_sign > 0, p.u[self.g_rows], -p.l[self.g_rows])
         mI = max(h.size, 1)  # averages s * lam; no inequalities gives mu = 0
@@ -347,10 +400,8 @@ class InteriorPointQp:
             alpha = min(1.0, self.STEP * self._max_step(s, ds, lam, dlam))
             z, yE = z + alpha * dz, yE + alpha * dy
             s, lam = s + alpha * ds, lam + alpha * dlam
-        sol = QpSolution(z=z, y=self._full_dual(yE, lam), status=status,
-                         iterations=iters, build_problem=lambda: p)
-        sol.primal_residual, sol.dual_residual = r_prim, r_dual
-        return sol
+        return QpSolution(z=z, y=self._full_dual(yE, lam), status=status,
+                          iterations=iters)
 
     @staticmethod
     def _max_step(s, ds, lam, dlam):
@@ -360,7 +411,7 @@ class InteriorPointQp:
 
     def _full_dual(self, yE, lam):
         """Multipliers of l <= Az <= u (positive when the upper side binds)."""
-        y = np.bincount(self.g_rows, self.g_sign * lam, self.prob.m)
+        y = np.bincount(self.g_rows, self.g_sign * lam, self.prob.l.size)
         y[self.eq_rows] = yE
         return y
 

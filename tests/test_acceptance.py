@@ -36,7 +36,7 @@ from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
                                     p_step)
 
 from oracles import (biquad_gain, eig_via_char_poly, enumerate_box_qp,
-                     expm_series, extract_open_loop, literal_lift,
+                     expm_series, extract_open_loop, literal_lift, objective,
                      simulate_discrete)
 
 TS = 0.005
@@ -267,7 +267,7 @@ def test_c07_qp_solver_vs_enumeration_oracle():
         obj_star, _ = enumerate_box_qp(P, q, lo, hi)
         sol = QpSolver(prob).solve()
         assert sol.status == "solved"
-        gap = abs(sol.objective - obj_star) / max(1.0, abs(obj_star))
+        gap = abs(objective(prob, sol.z) - obj_star) / max(1.0, abs(obj_star))
         worst_obj = max(worst_obj, gap)
         r_prim = float(np.max(np.maximum(lo - sol.z, sol.z - hi).clip(min=0.0)))
         r_dual = float(np.max(np.abs(P @ sol.z + q + sol.y)))

@@ -4,14 +4,15 @@ from numpy.testing import assert_allclose
 
 from ballbot_lab import harness
 from ballbot_lab.control import (MpcConfig, MpcController, SmoothStepRef,
-                                 _condense, _CondensedQp, build_predictor,
-                                 design_lqr, smooth_step)
+                                 _condense, build_predictor, design_lqr,
+                                 smooth_step)
 from ballbot_lab.errors import StabilizabilityError
 from ballbot_lab.numerics import eigenvalues, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.qp import QpProblem, QpSettings, QpSolver
 
-from oracles import InteriorPointQp, literal_lift, stacked_tracking_qp
+from oracles import (InteriorPointQp, condensed_tracking_qp, literal_lift,
+                     objective, residuals, stacked_tracking_qp)
 
 TS = 0.005
 Q_LQR = np.diag([20.0, 100.0, 10.0, 50.0])
@@ -90,28 +91,46 @@ class TestBuildPredictor:
             build_predictor(dss, np.zeros((1, 4)), m=20)  # open loop unstable
 
 
+def boxes(cfg):
+    return (cfg.theta_max, cfg.ydot_max, cfg.thetadot_max, cfg.u_max)
+
+
+def assembled(pred, cfg, x0, ref):
+    """The condensed QP at (x0, ref), assembled by the oracle."""
+    return condensed_tracking_qp(pred.A_bar, pred.B_bar, cfg.Q, cfg.Q_N, cfg.R,
+                                 boxes(cfg), x0, ref)
+
+
+def planned_states(pred, ctrl, x0):
+    """x_1..x_N that the last solve's inputs give on the lifted model."""
+    x, states = np.asarray(x0, dtype=float), []
+    for u_k in ctrl.last_solution.z:
+        x = pred.A_bar @ x + pred.B_bar[:, 0] * u_k
+        states.append(x)
+    return np.array(states)
+
+
 class TestBuildQp:
     def test_structural_counts(self, pred):
         # condensed: one variable per input, no equality rows, 3 state boxes
         # per predicted state then the input box, and u = z on the last N rows
-        cfg = MpcConfig(N=7)
-        ref = np.zeros((8, 4))
-        prob = _condense(pred, cfg).problem(np.zeros(4), ref)
-        assert prob.n == 7
-        assert prob.m == 4 * 7
-        assert not np.any(prob.u - prob.l <= 1e-12)
-        assert_allclose(prob.A[3 * 7:], np.eye(7), atol=0)
+        qp = _condense(pred, MpcConfig(N=7))
+        assert qp.P.shape == (7, 7)
+        assert qp.A.shape == (4 * 7, 7)
+        assert np.all(qp.box > 1e-12)
+        assert_allclose(qp.A[3 * 7:], np.eye(7), atol=0)
         # the state rows are causal: x_{k+1} does not depend on u_{k+1}..
-        assert np.all(np.triu(prob.A[0:3 * 7:3], k=1) == 0.0)
+        assert np.all(np.triu(qp.A[0:3 * 7:3], k=1) == 0.0)
 
     def test_equilibrium_reference_gives_zero_input(self, pred):
         cfg = MpcConfig(N=10)
         ref = np.zeros((11, 4))
-        prob = _condense(pred, cfg).problem(np.zeros(4), ref)
-        sol = QpSolver(prob).solve()
-        assert sol.status == "solved"
-        assert np.max(np.abs(sol.z)) < 1e-6
-        assert abs(sol.objective) < 1e-9
+        ctrl = MpcController(pred, cfg)
+        _, info = ctrl.mpc_step(np.zeros(4), ref)
+        z = ctrl.last_solution.z
+        assert info["status"] == "solved"
+        assert np.max(np.abs(z)) < 1e-6
+        assert abs(objective(assembled(pred, cfg, np.zeros(4), ref), z)) < 1e-9
 
     def test_single_step_matches_hand_kkt(self, pred):
         # unconstrained single-step problem: u* = (B'QB + R)^-1 B'Q (r - A x0)
@@ -120,29 +139,30 @@ class TestBuildQp:
         rng = np.random.default_rng(23)
         x0 = rng.normal(size=4) * 0.1
         r = np.array([5.0, 0.0, 0.0, 0.0])
-        prob = _condense(pred, cfg).problem(x0, np.stack([np.zeros(4), r]))
-        sol = QpSolver(prob).solve()
+        u, _ = MpcController(pred, cfg).mpc_step(x0, np.stack([np.zeros(4), r]))
         Q = cfg.Q_N
         Bb = pred.B_bar
         Ax = pred.A_bar @ x0
         u_hand = np.linalg.solve(Bb.T @ Q @ Bb + cfg.R,
                                  Bb.T @ Q @ (r - Ax))
-        assert_allclose(sol.z[0], u_hand[0], rtol=1e-5)
+        assert_allclose(u, u_hand[0], rtol=1e-5)
 
     def test_reference_shape_checked(self, pred):
         with pytest.raises(ValueError):
-            _condense(pred, MpcConfig(N=3)).problem(np.zeros(4), np.zeros((3, 4)))
+            _condense(pred, MpcConfig(N=3)).theta(np.zeros(4), np.zeros((3, 4)))
 
     @staticmethod
     def _both_forms(pred, cfg, x0, ref):
+        """The oracle's condensed problem, the controller's solve and the
+        interior-point solve of the stacked problem, both tight."""
         tight = QpSettings(eps_abs=1e-12, eps_rel=1e-12)
-        boxes = (cfg.theta_max, cfg.ydot_max, cfg.thetadot_max, cfg.u_max)
-        condensed = _condense(pred, cfg).problem(x0, ref)
+        ctrl = MpcController(pred, cfg, tight)
+        ctrl.mpc_step(x0, ref)
         P, q, A, l, u = stacked_tracking_qp(pred.A_bar, pred.B_bar, cfg.Q,
-                                            cfg.Q_N, cfg.R, boxes, x0, ref)
+                                            cfg.Q_N, cfg.R, boxes(cfg), x0, ref)
         # Q weights only the position, so the stacked P is singular and the
         # interior-point oracle solves it
-        return (condensed, QpSolver(condensed, tight).solve(),
+        return (assembled(pred, cfg, x0, ref), ctrl.last_solution,
                 InteriorPointQp(QpProblem(P=P, q=q, A=A, l=l, u=u), tight).solve())
 
     def test_condensed_matches_stacked_formulation(self, pred):
@@ -198,12 +218,6 @@ class TestBuildQp:
             assert_allclose(condensed.z, stacked.z[4 * cfg.N:], rtol=0, atol=1e-4)
 
 
-def planned_states(ctrl, x0):
-    """x_1..x_N of the last solve, Phi x0 + Gamma z, one row per state."""
-    X = ctrl._qp.Phi @ x0 + ctrl._qp.Gamma @ ctrl.last_solution.z
-    return X.reshape(ctrl.cfg.N, len(x0))
-
-
 class TestMpcController:
     def test_zero_reference_zero_output(self, pred):
         ctrl = MpcController(pred, MpcConfig())
@@ -252,7 +266,7 @@ class TestMpcController:
         ref = np.stack([smooth_step(ref_spec, 0.1 * j) for j in range(41)])
         u, info = ctrl.mpc_step(np.zeros(4), ref)
         assert info["status"] in ("solved", "max-iter")
-        states = planned_states(ctrl, np.zeros(4))
+        states = planned_states(pred, ctrl, np.zeros(4))
         assert np.max(np.abs(states[:, 1])) <= 3.0 + 1e-6
         # the plan moves toward the target; the step size is small because
         # the identified model's velocity damping makes the ball crawl
@@ -261,15 +275,19 @@ class TestMpcController:
         assert states[-1, 0] > states[0, 0]
 
     def test_predicted_states_roll_the_lifted_model(self, pred):
-        ctrl = MpcController(pred, MpcConfig())
+        # the rows the controller boxes are the tilt, speed and tilt rate of
+        # the states its inputs give on the lifted model: they meet every
+        # box, and a solve that binds holds some of them on a bound
+        cfg = MpcConfig()
+        ctrl = MpcController(pred, cfg)
         ref = np.zeros((41, 4))
-        ref[:, 0] = np.linspace(0.0, 12.0, 41)
+        ref[:, 0] = np.linspace(0.0, 50.0, 41)
         x = np.array([0.5, 1.5, -3.0, 4.0])
-        ctrl.mpc_step(x, ref)
-        states = planned_states(ctrl, x)
-        for k, u_k in enumerate(ctrl.last_solution.z):
-            x = pred.A_bar @ x + pred.B_bar[:, 0] * u_k
-            assert np.max(np.abs(states[k] - x)) <= 1e-9 * max(1.0, np.max(np.abs(x)))
+        _, info = ctrl.mpc_step(x, ref)
+        assert info["status"] == "solved" and info["iterations"] > 0
+        slack = np.asarray(boxes(cfg)[:3]) - np.abs(planned_states(pred, ctrl, x)[:, 1:])
+        assert slack.min() >= -1e-6
+        assert np.count_nonzero(slack <= 1e-6) >= 1
 
     def test_infeasible_event_returns_zero(self, pred):
         # an unreachable first-step state box makes the QP infeasible
@@ -285,7 +303,8 @@ class TestMpcController:
 
 
 def recorded_track_solves(cfg, model_lp=None):
-    """Run one track and return its controller and every (x0, ref, u, info)."""
+    """Run one track and return its predictor, its MPC config and every
+    (x0, ref, u, info)."""
     solves = []
     step = MpcController.mpc_step
 
@@ -297,7 +316,8 @@ def recorded_track_solves(cfg, model_lp=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MpcController, "mpc_step", recording)
         res = harness.run_track(cfg, model_lp=model_lp)
-    return res.extra["controller"], solves
+    dss, lqr = harness._design(cfg, model_lp)
+    return build_predictor(dss, lqr.K, m=20), res.extra["controller"].cfg, solves
 
 
 class TestParametricMaps:
@@ -310,10 +330,15 @@ class TestParametricMaps:
         for _ in range(50):
             x0 = rng.uniform(-1.0, 1.0, 4) * [30.0, 5.0, 20.0, 40.0]
             ref = rng.uniform(-30.0, 30.0, (cfg.N + 1, 4))
-            prob = qp.problem(x0, ref)
+            prob = assembled(pred, cfg, x0, ref)
             theta = qp.theta(x0, ref)[qp.used]
             z0 = np.linalg.solve(prob.P, -prob.q)
-            r = prob.A @ z0 + qp.S @ x0
+            # the rows' shift: tilt, speed and tilt rate of the free response
+            x, shift = x0, np.zeros(4 * cfg.N)
+            for k in range(cfg.N):
+                x = pred.A_bar @ x
+                shift[3 * k:3 * k + 3] = x[1:]
+            r = prob.A @ z0 + shift
             # the input rows of R are Z
             assert np.max(np.abs(qp.R[-cfg.N:] @ theta - z0)) <= 1e-12 * np.max(np.abs(z0))
             assert np.max(np.abs(qp.R @ theta - r)) <= 1e-12 * np.max(np.abs(r))
@@ -328,49 +353,18 @@ class TestParametricMaps:
         if model == "identified":
             fit = harness.run_identify(cfg).extra["id_result"]
             model_lp = fit.linear_params(r=cfg["plant"]["linear"]["r"])
-        ctrl, solves = recorded_track_solves(cfg, model_lp)
+        pred, mpc_cfg, solves = recorded_track_solves(cfg, model_lp)
         assert len(solves) == 400
         binding = 0
         for x0, ref, u, info in solves:
-            fresh = QpSolver(ctrl._qp.problem(x0, ref)).solve()
+            prob = assembled(pred, mpc_cfg, x0, ref)
+            fresh = QpSolver(prob).solve()
             assert (info["status"], info["iterations"]) == (fresh.status, fresh.iterations)
             if fresh.status == "solved":
                 assert abs(u - fresh.z[0]) <= 1e-9 * max(1.0, abs(fresh.z[0]))
+                assert max(residuals(prob, fresh)) <= 1e-9
             binding += info["iterations"] > 0
         assert binding >= 50
-
-    def test_diagnostics_are_built_on_read_and_match_the_generic_ones(self, pred, monkeypatch):
-        built = []
-        problem_at = _CondensedQp.problem_at
-
-        def counted(qp, theta):
-            built.append(theta)
-            return problem_at(qp, theta)
-
-        monkeypatch.setattr(_CondensedQp, "problem_at", counted)
-        ctrl = MpcController(pred, MpcConfig())
-        built.clear()  # the solver's fixed box problem
-        still = np.zeros((41, 4))
-        ramp = np.zeros((41, 4))
-        ramp[:, 0] = np.linspace(0, 50, 41)  # puts a box in play
-        x0 = np.array([0.3, -0.4, 1.2, 0.8])
-        for ref, steps_taken in ((still, False), (ramp, True)):
-            ctrl.mpc_step(x0, ref)
-            sol = ctrl.last_solution
-            assert (sol.iterations > 0) == steps_taken
-            assert built == []
-            diagnostics = (sol.primal_residual, sol.dual_residual, sol.objective)
-            assert len(built) == 1
-            fresh_prob = _condense(pred, MpcConfig()).problem(x0, ref)
-            fresh = QpSolver(fresh_prob).solve()
-            assert_allclose(sol.z, fresh.z, rtol=0, atol=1e-9)
-            assert_allclose(diagnostics[:2], (fresh.primal_residual, fresh.dual_residual),
-                            rtol=0, atol=1e-9)
-            assert abs(diagnostics[2] - fresh.objective) <= 1e-9 * max(1.0, abs(fresh.objective))
-            # the problem they describe is the assembled one, bit for bit
-            for name in ("P", "q", "A", "l", "u"):
-                assert np.array_equal(getattr(sol.problem, name), getattr(fresh_prob, name))
-            built.clear()
 
 
 class TestDualModeEquivalence:

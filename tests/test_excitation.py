@@ -31,7 +31,7 @@ def test_value_at_quarter_second_matches_independent_sum():
 
 def test_alpha_scaling():
     spec = MultisineSpec.reference()
-    doubled = spec.scaled(2.0)
+    doubled = MultisineSpec.reference(2.0)
     t = np.linspace(0.0, 3.0, 100)
     assert_allclose(d_at(doubled, t), 2.0 * d_at(spec, t), rtol=1e-12)
 

@@ -674,6 +674,26 @@ class TestCli:
         assert minimum in capsys.readouterr().err
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mpc", "N", 0), ("mpc", "N", 2.5), ("mpc", "theta_max", 0),
+        ("mpc", "u_max", -1), ("mpc", "filter_fc_hz", 0), ("mpc", "filter_fc_hz", 150),
+        ("reference", "T_rise", 0), ("plant.sensor", "sigma_theta", -1),
+        ("id", "multistart_count", 0), ("lqr", "R", 0), ("lqr", "R", -5),
+        ("excitation", "components", []), ("excitation", "components", [[1.0, -0.5]])])
+    def test_value_a_section_rejects_exits_2(self, tmp_path, capsys, section, key, value):
+        # rejected by the section's constructor or by the config checks:
+        # a configuration error at the key path, before any output
+        doc = {key: value}
+        for name in reversed(section.split(".")):
+            doc = {name: doc}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = cli.main(["track", "--config", str(cfg), "--out", str(out), "--duration", "2"])
+        assert rc == 2
+        assert f"'{section}.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_shortest_identify_record_is_fitted(self, tmp_path):
         rc = cli.main(["identify", "--out", str(tmp_path), "--duration", "1"])
         assert rc == 0

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from ballbot_lab.qp import QpProblem, QpSettings, QpSolver
 
-from oracles import InteriorPointQp, enumerate_box_qp
+from oracles import InteriorPointQp, enumerate_box_qp, objective, residuals
 
 
 def random_box_qp(rng, n=None):
@@ -34,25 +34,17 @@ class TestBasics:
 
     def test_equality_row(self):
         # a QpProblem may pose l == u (the test oracles do); the solver
-        # takes box rows only, at construction and on every update
-        prob = QpProblem(P=np.eye(2), q=[0.0, 0.0],
-                         A=[[1.0, 1.0]], l=[1.0], u=[1.0])
-        with pytest.raises(ValueError, match="box rows only"):
-            QpSolver(prob)
-        solver = QpSolver(QpProblem(P=np.eye(2), q=[0.0, 0.0],
-                                    A=[[1.0, 1.0]], l=[0.0], u=[1.0]))
-        for l, u in (([1.0], None), ([0.5], [0.5]), ([2.0], [1.0])):
+        # takes box rows only
+        for l, u in (([1.0], [1.0]), ([0.0, 1.0], [1.0, 1.0])):
+            prob = QpProblem(P=np.eye(2), q=[0.0, 0.0],
+                             A=np.ones((len(l), 2)), l=l, u=u)
             with pytest.raises(ValueError, match="box rows only"):
-                solver.update_vectors(q=[1.0, 1.0], l=l, u=u)
-        # a rejected update changes nothing
-        assert_allclose(solver.prob.q, [0.0, 0.0], atol=0)
-        assert_allclose(solver.prob.l, [0.0], atol=0)
-        assert_allclose(solver.prob.u, [1.0], atol=0)
+                QpSolver(prob)
 
     def test_objective_reported(self):
         prob = QpProblem(P=[[2.0]], q=[0.0], A=[[1.0]], l=[1.0], u=[3.0])
         sol = QpSolver(prob).solve()
-        assert_allclose(sol.objective, 1.0, atol=1e-8)
+        assert_allclose(objective(prob, sol.z), 1.0, atol=1e-8)
 
     def test_validation_errors(self):
         with pytest.raises(ValueError):
@@ -86,8 +78,9 @@ class TestAgainstEnumerationOracle:
             obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
             sol = QpSolver(prob).solve()
             assert sol.status == "solved"
-            assert sol.objective - obj_star <= 1e-6 * max(1.0, abs(obj_star))
-            assert abs(sol.objective - obj_star) <= 1e-6 * max(1.0, abs(obj_star))
+            obj = objective(prob, sol.z)
+            assert obj - obj_star <= 1e-6 * max(1.0, abs(obj_star))
+            assert abs(obj - obj_star) <= 1e-6 * max(1.0, abs(obj_star))
             # KKT residuals on the reported solution
             r_prim = np.max(np.maximum(prob.l - prob.A @ sol.z,
                                        prob.A @ sol.z - prob.u).clip(min=0.0))
@@ -108,7 +101,7 @@ class TestOptimalityStructure:
             slack_lo = Az - prob.l
             slack_hi = prob.u - Az
             width = prob.u - prob.l
-            for i in range(prob.m):
+            for i in range(prob.l.size):
                 interior = slack_lo[i] > 0.05 * width[i] and slack_hi[i] > 0.05 * width[i]
                 if interior:
                     assert abs(sol.y[i]) <= 1e-6 * scale
@@ -122,8 +115,8 @@ class TestWarmStart:
     def test_resolve_in_few_iterations(self):
         # the solver carries no iterate from one solve to the next; a
         # re-solve reuses only P^-1, H and S, so it must repeat the cold
-        # solve exactly and stay within a few steps, also after a vector
-        # update
+        # solve exactly and stay within a few steps, also from the start of
+        # a moved q
         rng = np.random.default_rng(5)
         prob = random_box_qp(rng, n=5)
         solver = QpSolver(prob)
@@ -135,46 +128,11 @@ class TestWarmStart:
         assert_allclose(again.z, first.z, atol=0)
         q = 1.01 * prob.q
         fresh = QpSolver(QpProblem(P=prob.P, q=q, A=prob.A, l=prob.l, u=prob.u)).solve()
-        solver.update_vectors(q=q)
-        moved = solver.solve()
+        z0 = np.linalg.solve(prob.P, -q)
+        moved = solver.solve(z0, prob.A @ z0)
         assert moved.status == "solved"
         assert moved.iterations <= 10
         assert_allclose(moved.z, fresh.z, atol=1e-12)
-
-
-    def test_update_leaves_callers_problem_unchanged(self):
-        rng = np.random.default_rng(6)
-        prob = random_box_qp(rng, n=4)
-        q, l, u = prob.q, prob.l, prob.u
-        saved = (q.copy(), l.copy(), u.copy())
-        solver = QpSolver(prob)
-        solver.update_vectors(q=2.0 * q, l=l - 1.0, u=u + 1.0)
-        assert prob.q is q and prob.l is l and prob.u is u
-        for now, before in zip((prob.q, prob.l, prob.u), saved):
-            assert_allclose(now, before, atol=0)
-        assert_allclose(solver.prob.q, 2.0 * q, atol=0)
-
-    def test_diagnostics_describe_their_own_solve(self):
-        # residuals and objective are computed when first read; read after
-        # the solver's next update and solve, they still equal the values
-        # computed right after their own solve
-        rng = np.random.default_rng(7)
-        prob = random_box_qp(rng, n=5)
-        solver = QpSolver(prob)
-        first = solver.solve()
-        assert first.iterations > 0
-        P, q, A, l, u = (a.copy() for a in (prob.P, prob.q, prob.A, prob.l, prob.u))
-        z, y = first.z.copy(), first.y.copy()
-        Az = A @ z
-        eager = (float(np.max(np.maximum(Az - u, l - Az), initial=0.0)),
-                 float(np.abs(P @ z + q + A.T @ y).max()),
-                 float(0.5 * z @ P @ z + q @ z))
-        solver.update_vectors(q=-3.0 * q, l=l - 0.5, u=u - 0.25)
-        second = solver.solve()
-        assert (first.primal_residual, first.dual_residual, first.objective) == eager
-        assert second.objective != first.objective
-        assert second.objective == second.problem.objective(second.z)
-        assert_allclose(second.problem.q, -3.0 * q, atol=0)
 
 
 class TestDenseKkt:
@@ -207,25 +165,6 @@ class TestDenseKkt:
         x = solver.kkt_solve(rhs)
         ref = np.linalg.solve(K, rhs)
         assert np.max(np.abs(x - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
-
-
-    def test_update_keeps_row_pattern(self):
-        solver = QpSolver(QpProblem(P=np.eye(2), q=[0.0, 0.0], A=np.eye(2),
-                                    l=[0.5, -1.0], u=[1.5, 1.0]))
-        solver.update_vectors(l=[2.0, -3.0], u=[3.0, 0.5])
-        assert_allclose(solver.solve().z, [2.0, 0.0], atol=1e-8)
-        # a finite side that turns infinite solves like a fresh problem
-        solver.update_vectors(q=[0.0, -1.0], u=[3.0, np.inf])
-        fresh = QpSolver(QpProblem(P=np.eye(2), q=[0.0, -1.0], A=np.eye(2),
-                                   l=[2.0, -3.0], u=[3.0, np.inf])).solve()
-        sol = solver.solve()
-        assert sol.status == fresh.status == "solved"
-        assert sol.iterations == fresh.iterations
-        assert_allclose(sol.z, [2.0, 1.0], atol=1e-8)
-        assert_allclose(sol.z, fresh.z, atol=0)
-        assert_allclose(sol.y, fresh.y, atol=0)
-        with pytest.raises(ValueError):
-            solver.update_vectors(l=[3.0, -1.0], u=[3.0, np.inf])
 
 
 def interior_qp(rng, n):
@@ -278,6 +217,20 @@ class TestUnconstrainedExit:
             assert sol.status == "solved"
             assert sol.iterations > 0
 
+    def test_start_inside_every_box_is_returned_itself(self):
+        # a caller's start (z0, r) for rows shifted by s: r = A z0 + s
+        rng = np.random.default_rng(32)
+        prob, z_star = interior_qp(rng, n=4)
+        solver = QpSolver(prob)
+        s = rng.uniform(-0.05, 0.05, prob.l.size)
+        z0 = z_star + rng.uniform(-0.01, 0.01, z_star.size)
+        r = prob.A @ z0 + s
+        assert np.all((prob.l < r) & (r < prob.u))
+        sol = solver.solve(z0, r)
+        assert sol.z is z0
+        assert sol.status == "solved" and sol.iterations == 0
+        assert sol.y.shape == prob.l.shape and not sol.y.any()
+
     def test_zero_hessian_never_takes_the_exit(self):
         rng = np.random.default_rng(34)
         for _ in range(10):
@@ -321,11 +274,11 @@ class TestDualActiveSet:
             ipm = InteriorPointQp(prob).solve()
             obj_star, z_star = enumerate_box_qp(prob.P, prob.q, prob.l, prob.u)
             assert sol.status == ipm.status == "solved"
-            assert abs(sol.objective - obj_star) <= 1e-12 * max(1.0, abs(obj_star))
+            assert abs(objective(prob, sol.z) - obj_star) <= 1e-12 * max(1.0, abs(obj_star))
             assert_allclose(sol.z, z_star, rtol=0, atol=1e-9)
             assert_allclose(sol.z, ipm.z, rtol=0, atol=1e-6)
             assert kkt_violation(prob, sol) <= 1e-12
-            assert sol.primal_residual <= 1e-12 and sol.dual_residual <= 1e-12
+            assert max(residuals(prob, sol)) <= 1e-12
             steps.append(sol.iterations)
         assert max(steps) <= 2 * 6 and 0 < np.mean(steps)
 
@@ -373,7 +326,7 @@ class TestDualActiveSet:
         rng = np.random.default_rng(53)
         for _ in range(50):
             prob = random_box_qp(rng, n=int(rng.integers(2, 6)))
-            n = prob.n
+            n = prob.q.size
             i, j = rng.choice(n, size=2, replace=False)
             I = np.eye(n)
             extra = self._with_rows(
@@ -504,7 +457,7 @@ class TestStatuses:
         assert sol.status == "max-iter"
         assert sol.iterations == 3
         assert np.all(np.isfinite(sol.z))
-        assert np.isfinite(sol.primal_residual)
+        assert np.isfinite(residuals(prob, sol)[0])
 
 
 class TestSettingsValidation:

@@ -49,7 +49,7 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
         "outer_reference", "pid_step", "p_step", "mix_to_wheels", "smooth_step",
         "sample_sequence", "design_lqr", "build_predictor", "zoh_discretize")]
     counted += [(MpcController, "mpc_step"), (Biquad, "step"), (Plant, "step"),
-                (Sensor, "measure"), (QpSolver, "_factor")]
+                (Sensor, "measure"), (QpSolver, "_factor"), (QpSolver, "solve")]
     targets = {(tracer.resolve_owner(owner), attr)
                for owner, attr, _layer in tracer.TARGETS}
     assert set(counted) <= targets
@@ -85,6 +85,7 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
         "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1,
         "MpcController.mpc_step": periods,
         "QpSolver._factor": 1,                   # once, for the one solver
+        "QpSolver.solve": periods,               # every solve, 0 steps or not
         "smooth_step": 2,                        # all previews, the logged column
         "Biquad.step": ticks, "mix_to_wheels": 1,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
