@@ -19,6 +19,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -189,8 +190,49 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
+# what a key whose default is null holds when it is set
+_NULL_DEFAULT_SHAPES = {"plant.linear.p": [0.0], "plant.physical": {}, "mpc.Q_N": [0.0],
+                        "id.initial_guess": [0.0]}
+
+
+def _has_type_of(shape, value) -> bool:
+    """Whether ``value`` has the JSON type of ``shape``: an integer passes as
+    a number, but true and false pass only where the default is one."""
+    if isinstance(shape, bool) or isinstance(value, bool):
+        return isinstance(shape, bool) and isinstance(value, bool)
+    if isinstance(shape, list):
+        return (isinstance(value, (list, tuple))
+                and all(_has_type_of(shape[0], v) for v in value))
+    kind = {int: numbers.Integral, float: numbers.Real}.get(type(shape), type(shape))
+    return isinstance(value, kind) and value == value  # NaN is not a number
+
+
+def _type_name(shape) -> str:
+    if isinstance(shape, list):
+        return "a list of " + ("lists of numbers" if isinstance(shape[0], list) else "numbers")
+    return {bool: "true or false", int: "an integer", float: "a number",
+            str: "a string", dict: "an object"}[type(shape)]
+
+
+def _check_types(default: dict, cfg: dict, path=""):
+    """Every value has the JSON type of its default, or is null where that is."""
+    for key, shape in default.items():
+        key_path, value = path + key, cfg[key]
+        if isinstance(shape, dict):
+            _check_types(shape, value, key_path + ".")
+            continue
+        if shape is None:
+            if value is None:
+                continue
+            shape = _NULL_DEFAULT_SHAPES[key_path]
+        if not _has_type_of(shape, value):
+            raise ConfigError(key_path, f"must be {_type_name(shape)}")
+
+
 def validate_config(cfg: dict):
-    """Cross-field checks that the section dataclasses cannot express."""
+    """Type checks against the defaults, then the checks that the section
+    dataclasses cannot express."""
+    _check_types(DEFAULT_CONFIG, cfg)
     if cfg["plant"]["mode"] not in ("linear", "nonlinear"):
         raise ConfigError("plant.mode", "must be 'linear' or 'nonlinear'")
     ts = cfg["run"]["Ts_inner"]
@@ -206,19 +248,19 @@ def validate_config(cfg: dict):
     for name, dur in cfg["run"]["durations"].items():
         if dur <= 0:
             raise ConfigError(f"run.durations.{name}", "must be positive")
-    if len(cfg["lqr"]["Q"]) != 4:
-        raise ConfigError("lqr.Q", "must have four diagonal entries")
     mpc = cfg["mpc"]
     q_n = mpc["Q"] if mpc["Q_N"] is None else mpc["Q_N"]  # None: Q_N = Q
-    for key, w in (("Q", mpc["Q"]), ("Q_N", q_n)):
+    for key, w in (("lqr.Q", cfg["lqr"]["Q"]), ("mpc.Q", mpc["Q"]), ("mpc.Q_N", q_n)):
         if len(w) != 4:
-            raise ConfigError(f"mpc.{key}", "must have four diagonal entries")
-        if min(w) < 0:  # a negative weight makes the MPC QP nonconvex
-            raise ConfigError(f"mpc.{key}", "entries must be nonnegative")
+            raise ConfigError(key, "must have four diagonal entries")
+        if min(w) < 0:  # nonconvex MPC QP; the LQR's Riccati iteration diverges
+            raise ConfigError(key, "entries must be nonnegative")
     if mpc["R"] <= 0:  # R > 0 makes the condensed Hessian positive definite
         raise ConfigError("mpc.R", "must be positive")
     if not cfg["lqr"]["R"] > 0:  # the Riccati equation needs R > 0
         raise ConfigError("lqr.R", "must be positive")
+    if not cfg["plant"]["linear"]["r"] > 0:  # a radius: the reference table divides by it
+        raise ConfigError("plant.linear.r", "must be positive")
     p = cfg["plant"]["linear"].get("p")
     if p is not None and len(p) != 8:
         raise ConfigError("plant.linear.p", "must have eight entries")

@@ -4,16 +4,17 @@ P must be positive definite and every row a box with l < u, one side of
 which may be infinite.
 
 The method is the dual active-set method of Goldfarb & Idnani (1983) on
-the cached P^-1 (from the inverted Cholesky factor), S = A P^-1 A' and
-H = P^-1 A'. It starts from an unconstrained minimizer z0 and its row
-values r: by default z0 = -P^-1 q and r = A z0, or a start the caller
-computed for rows shifted by a parameter, l <= A z + s <= u, with
-r = A z0 + s. A start that meets every box exactly is the optimum,
-returned at 0 steps. Each step adds the most violated row or, on a partial
-step, drops the active row whose multiplier would change sign: one k x k
-solve on the k active rows of S. A violated row that depends on the active
-set with no multiplier left to drop certifies infeasibility. z is
-recomputed from the final active set, on the start's row values.
+P^-1, S = A P^-1 A', H = P^-1 A' and the bounds widened by the tolerances,
+all built once per solver. It starts from an unconstrained minimizer z0
+and its row values r: by default z0 = -P^-1 q and r = A z0, or a start the
+caller computed for rows shifted by a parameter, l <= A z + s <= u, with
+r = A z0 + s. A start that meets every box exactly is the optimum, returned
+at 0 steps. Each step adds the most violated row or, on a partial step,
+drops the active row whose multiplier would change sign: one k x k solve
+on the k active rows of S, kept with their multipliers in Python lists. A
+violated row that depends on the active set with no multiplier left to
+drop certifies infeasibility. z is recomputed from the final active set,
+on the start's row values.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class QpSolution:
 
 
 class QpSolver:
-    """Workspace owning P^-1, H = P^-1 A' and S = A P^-1 A' for one problem.
+    """Workspace owning P^-1, H = P^-1 A', S = A P^-1 A' and the widened bounds.
 
     The solver keeps the problem it is built from and never changes it.
     Each solve starts from the default start or from one the caller
@@ -89,8 +90,10 @@ class QpSolver:
     def __init__(self, problem: QpProblem, settings: QpSettings = None):
         if np.count_nonzero(problem.l >= problem.u):
             raise ValueError("QpSolver takes box rows only: need l < u elementwise")
-        self.prob = problem
-        self.settings = settings or QpSettings()
+        self.prob, self.settings = problem, settings or QpSettings()
+        st = self.settings  # the widened bounds forgive rounding-level violations
+        self._lo_w = problem.l - st.eps_abs - st.eps_rel * np.abs(problem.l)
+        self._hi_w = problem.u + st.eps_abs + st.eps_rel * np.abs(problem.u)
         self._factor()
 
     def _factor(self):
@@ -123,42 +126,40 @@ class QpSolver:
             r = p.A @ z0
         if np.count_nonzero((p.l <= r) & (r <= p.u)) == r.size:
             return QpSolution(z0, np.zeros(r.size), "solved", 0)
-        st, S = self.settings, self._S
+        st, S, lo_w, hi_w = self.settings, self._S, self._lo_w, self._hi_w
         Az = r.copy()
-        # bounds of the rows that may still enter (active rows are masked),
-        # exact until the first step
-        lo, hi = p.l, p.u
-        # the active rows, their sides (+1 upper, -1 lower) and multipliers
-        W, side, y = np.empty(0, dtype=np.intp), np.empty(0), np.empty(0)
-        status, steps, row, lo_w = "solved", 0, None, None
+        lo, hi = p.l, p.u  # bounds of the rows that may enter: exact until the first step
+        # the active rows, their sides (+1 upper, -1 lower), bounds and multipliers
+        W, side, b_W, y = [], [], [], []
+        status, steps, row = "solved", 0, None
         while True:
             if row is None:
                 viol = np.maximum(Az - hi, lo - Az)
-                if viol.max() <= 0:
-                    break
                 row = int(viol.argmax())
+                if viol[row] <= 0:
+                    break
                 d = 1.0 if Az[row] > hi[row] else -1.0
                 b = p.u[row] if d > 0 else p.l[row]
-                if lo_w is None:  # from now on, forgive rounding-level violations
-                    lo_w = p.l - st.eps_abs - st.eps_rel * np.abs(p.l)
-                    hi_w = p.u + st.eps_abs + st.eps_rel * np.abs(p.u)
+                if lo is p.l:  # masked from now on: a copy of the widened bounds
                     lo, hi = lo_w.copy(), hi_w.copy()
                 yi = 0.0
             if steps == st.max_iter:
                 status = "max-iter"
                 break
             # y_W moves by -t rho while y_row grows by d t, keeping A_W z = b_W
-            w = np.linalg.solve(S[W[:, None], W], S[W, row])
-            rho = d * w
-            schur = S[row, row] - S[row, W] @ w
+            schur, rho, dAz = S[row, row], [], d * S[row]
+            if W:  # (on the first step no row is active: nothing to solve)
+                SW, s_W = S.take(W, 0), S[row].take(W)  # S[W]; S[row, W] contiguous for the dot
+                w = np.linalg.solve(SW.take(W, 1), s_W)
+                rho = d * w
+                schur, dAz, rho = schur - s_W @ w, dAz - rho @ SW, rho.tolist()
             v = max(d * (Az[row] - b), 0.0)
             t1 = v / schur if schur > _DEPENDENT * S[row, row] else np.inf
-            # multipliers that shrink along the step (not by rounding)
-            t2, cand = np.inf, np.flatnonzero(side * rho > _DEPENDENT * np.abs(rho).max(initial=0.0))
-            if cand.size:
-                ratios = y[cand] / rho[cand]
-                k = int(ratios.argmin())
-                t2, j = max(ratios[k], 0.0), cand[k]
+            # multipliers that shrink along the step (not by rounding); first minimum
+            tol = _DEPENDENT * max(map(abs, rho), default=0.0)
+            t2, j = min(((yk / rk, k) for k, (yk, rk, sk) in enumerate(zip(y, rho, side))
+                         if sk * rk > tol), default=(np.inf, None))
+            t2 = max(t2, 0.0)
             if t1 == t2 == np.inf:  # the row depends on the active set
                 if v <= st.eps_abs + st.eps_rel * abs(b):
                     row = None      # and holds to rounding: it never binds
@@ -166,19 +167,18 @@ class QpSolver:
                 status = "primal-infeasible"
                 break
             t = min(t1, t2)
-            Az -= t * (d * S[row] - rho @ S[W])
-            y, yi = y - t * rho, yi + d * t
+            Az -= t * dAz
+            y, yi = [yk - t * rk for yk, rk in zip(y, rho)], yi + d * t
             steps += 1
             if t1 <= t2:            # full step: the row enters
-                W, side, y = np.append(W, row), np.append(side, d), np.append(y, yi)
+                W, side, b_W, y = W + [row], side + [d], b_W + [b], y + [yi]
                 lo[row], hi[row] = -np.inf, np.inf
                 row = None
             else:                   # partial step: row W[j] leaves
                 lo[W[j]], hi[W[j]] = lo_w[W[j]], hi_w[W[j]]
-                W, side, y = np.delete(W, j), np.delete(side, j), np.delete(y, j)
+                del W[j], side[j], b_W[j], y[j]
         z, y = z0, np.zeros(r.size)
-        if W.size:  # the exact solution on the final active set
-            y[W] = np.linalg.solve(S[W[:, None], W],
-                                   r[W] - np.where(side > 0, p.u[W], p.l[W]))
+        if W:  # the exact solution on the final active set
+            y[W] = np.linalg.solve(S.take(W, 0).take(W, 1), r.take(W) - b_W)
             z = z0 - self._H[:, W] @ y[W]
         return QpSolution(z, y, status, steps)

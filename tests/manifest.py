@@ -9,7 +9,13 @@ another one the byte check is reported as skipped, with both environments,
 and the summary metrics are compared to ``REL_TOL`` relative; they are
 compared in the recorded environment too.
 
-After a change that moves outputs on purpose, rewrite the file with
+To see which outputs a change moves, without touching the file, run
+
+    PYTHONPATH=src python tests/manifest.py --check
+
+It reruns the commands, prints every file whose bytes (or every command
+whose exit code) differ from the manifest, and exits 1 if any do, 0 if
+none do. After a change that moves outputs on purpose, rewrite the file with
 
     PYTHONPATH=src python tests/manifest.py
 
@@ -18,6 +24,7 @@ and list each moved file with its reason in CHANGES.md.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib.metadata
 import json
@@ -130,10 +137,44 @@ def metric_mismatches(expected, actual, path="") -> list:
     return [f"{path}: {expected!r} != {actual!r}"]
 
 
-def main() -> int:
-    """Run the commands in a temporary directory and rewrite the manifest."""
+def moved(golden: dict, runs: dict) -> list:
+    """``name`` for each exit code and ``name/file`` for each file (written,
+    or recorded but not written) that differs from the manifest."""
+    out = []
+    for name, run in runs.items():
+        expected = golden["commands"][name]
+        if run["exit_code"] != expected["exit_code"]:
+            out.append(f"{name}: exit code {expected['exit_code']} -> {run['exit_code']}")
+        written = digests(run["dir"])
+        out += [f"{name}/{file}" for file in sorted(written.keys() | expected["sha256"].keys())
+                if written.get(file) != expected["sha256"].get(file)]
+    return out
+
+
+def check(runs: dict) -> int:
+    """Print what moved against the manifest; 1 if anything did, else 0."""
+    golden, env = json.loads(MANIFEST.read_text()), environment()
+    if env != golden["environment"]:
+        print(f"note: this environment {env} is not the manifest's "
+              f"{golden['environment']}; the last bits of the outputs may differ")
+    diffs = moved(golden, runs)
+    print("\n".join(diffs) if diffs else "no output moved")
+    return 1 if diffs else 0
+
+
+def main(argv=None) -> int:
+    """Run the commands in a temporary directory; rewrite the manifest, or
+    with ``--check`` compare with it."""
+    ap = argparse.ArgumentParser(description="Rerun the manifest commands.")
+    ap.add_argument("--check", action="store_true",
+                    help="list the outputs that moved and exit 1 if any did; "
+                         "the manifest is not rewritten")
+    args = ap.parse_args(argv)
     with tempfile.TemporaryDirectory() as tmp:
-        doc = record(run_commands(Path(tmp)))
+        runs = run_commands(Path(tmp))
+        if args.check:
+            return check(runs)
+        doc = record(runs)
     MANIFEST.parent.mkdir(exist_ok=True)
     MANIFEST.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     print(f"wrote {MANIFEST} ({sum(len(c['sha256']) for c in doc['commands'].values())} files)")

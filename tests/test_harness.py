@@ -679,7 +679,8 @@ class TestCli:
         ("mpc", "u_max", -1), ("mpc", "filter_fc_hz", 0), ("mpc", "filter_fc_hz", 150),
         ("reference", "T_rise", 0), ("plant.sensor", "sigma_theta", -1),
         ("id", "multistart_count", 0), ("lqr", "R", 0), ("lqr", "R", -5),
-        ("excitation", "components", []), ("excitation", "components", [[1.0, -0.5]])])
+        ("excitation", "components", []), ("excitation", "components", [[1.0, -0.5]]),
+        ("plant.linear", "r", 0), ("plant.linear", "r", -1), ("lqr", "Q", [-1.0, 0.0, 0.0, 0.0])])
     def test_value_a_section_rejects_exits_2(self, tmp_path, capsys, section, key, value):
         # rejected by the section's constructor or by the config checks:
         # a configuration error at the key path, before any output
@@ -692,6 +693,23 @@ class TestCli:
         rc = cli.main(["track", "--config", str(cfg), "--out", str(out), "--duration", "2"])
         assert rc == 2
         assert f"'{section}.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("section, key, value, wanted", [
+        ("mpc", "N", True, "an integer"), ("run", "seed", "a", "an integer"),
+        ("reference", "amplitude", "x", "a number"), ("mpc", "theta_max", "3", "a number"),
+        ("mpc", "theta_max", float("nan"), "a number"), ("run", "noise", "off", "true or false"),
+        ("lqr", "Q", [1.0, 2.0, "3", 4.0], "a list of numbers")])
+    def test_value_of_the_wrong_type_exits_2(self, tmp_path, capsys, section, key, value,
+                                             wanted):
+        # each value is checked against the JSON type of its default before
+        # any range check reads it: a configuration error, not a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({section: {key: value}}))
+        out = tmp_path / "out"
+        rc = cli.main(["track", "--config", str(cfg), "--out", str(out), "--duration", "2"])
+        assert rc == 2
+        assert f"'{section}.{key}': must be {wanted}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shortest_identify_record_is_fitted(self, tmp_path):

@@ -4,6 +4,7 @@ See ``tests/manifest.py`` for what the manifest holds and how to rewrite it.
 """
 
 import json
+import shutil
 
 import pytest
 
@@ -40,7 +41,25 @@ def test_output_bytes(golden, manifest_runs):
         pytest.skip(f"byte check skipped: this environment {env} is not the "
                     f"manifest's {golden['environment']}; the summary metrics "
                     f"were compared to {manifest.REL_TOL:g} relative instead")
-    moved = [f"{name}/{file}" for name, run in manifest_runs.items()
-             for file, digest in manifest.digests(run["dir"]).items()
-             if golden["commands"][name]["sha256"].get(file) != digest]
-    assert moved == [], f"rewrite with `{manifest.REWRITE}` if this is intended"
+    assert manifest.moved(golden, manifest_runs) == [], \
+        f"rewrite with `{manifest.REWRITE}` if this is intended"
+
+
+def test_check_lists_moved_files_without_rewriting(golden, manifest_runs, tmp_path,
+                                                   monkeypatch, capsys):
+    # `manifest.py --check` on a copy of one command's outputs: exit 0 while
+    # they match (in the recorded environment), exit 1 naming the file once
+    # one byte moved; the manifest is left as it is either way
+    name = "track-nonlinear-20s"
+    runs = {name: dict(manifest_runs[name], dir=tmp_path / name)}
+    shutil.copytree(manifest_runs[name]["dir"], tmp_path / name)
+    monkeypatch.setattr(manifest, "run_commands", lambda root: runs)
+    before = manifest.MANIFEST.read_bytes()
+    if manifest.environment() == golden["environment"]:
+        assert manifest.main(["--check"]) == 0
+        assert capsys.readouterr().out.strip() == "no output moved"
+    csv = tmp_path / name / "track_telemetry.csv"
+    csv.write_bytes(csv.read_bytes() + b"\n")
+    assert manifest.main(["--check"]) == 1
+    assert f"{name}/track_telemetry.csv" in capsys.readouterr().out.splitlines()
+    assert manifest.MANIFEST.read_bytes() == before

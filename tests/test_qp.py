@@ -135,6 +135,23 @@ class TestWarmStart:
         assert_allclose(moved.z, fresh.z, atol=1e-12)
 
 
+    def test_binding_solves_in_a_row_repeat_fresh_solvers(self):
+        # the widened bounds are built once per solver and each solve masks
+        # a copy of them, so binding solves in a row on one solver give bit
+        # for bit what a fresh solver gives for the same start
+        rng = np.random.default_rng(8)
+        prob = random_box_qp(rng, n=6)
+        solver = QpSolver(prob)
+        for _ in range(6):
+            z0 = np.linalg.solve(prob.P, -rng.normal(scale=3.0, size=6))
+            sol = solver.solve(z0, prob.A @ z0)
+            fresh = QpSolver(prob).solve(z0, prob.A @ z0)
+            assert sol.iterations >= 2
+            assert (sol.status, sol.iterations) == (fresh.status, fresh.iterations)
+            assert sol.z.tobytes() == fresh.z.tobytes()
+            assert sol.y.tobytes() == fresh.y.tobytes()
+
+
 class TestDenseKkt:
     def test_kkt_solve_matches_numpy_solve(self):
         # equality rows, one- and two-sided boxes, a free row and a coupled
@@ -449,6 +466,19 @@ class TestStatuses:
                          A=[[1.0], [1.0]], l=[-np.inf, 1.0], u=[-1.0, np.inf])
         sol = QpSolver(prob).solve()
         assert sol.status == "primal-infeasible"
+
+    def test_row_dependent_on_no_active_row_is_forgiven_at_rounding_level(self):
+        # a zero row of A depends on the empty active set. If the start lies
+        # outside its box by rounding only, the row never binds and the solve
+        # goes on; outside by more, no step can reach the box
+        prob = QpProblem(P=np.eye(2), q=[-0.5, 0.0], A=[[0.0, 0.0], [1.0, 0.0]],
+                         l=[1e-12, -1.0], u=[1.0, 1.0])
+        sol = QpSolver(prob).solve()
+        assert (sol.status, sol.iterations) == ("solved", 0)
+        assert sol.y[0] == 0.0
+        assert_allclose(sol.z, [0.5, 0.0], rtol=0, atol=0)
+        far = QpProblem(P=prob.P, q=prob.q, A=prob.A, l=[1e-6, -1.0], u=prob.u)
+        assert QpSolver(far).solve().status == "primal-infeasible"
 
     def test_max_iter_carries_best_iterate(self):
         rng = np.random.default_rng(11)
