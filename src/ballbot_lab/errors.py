@@ -39,7 +39,7 @@ class PlantBlowUpError(BallbotLabError):
 
 
 class IdentificationFailedError(BallbotLabError):
-    """Every optimizer start diverged or produced a non-finite cost."""
+    """The fit's initial guess, or the fitted model on the holdout data, diverged."""
 
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}

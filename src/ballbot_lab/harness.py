@@ -87,7 +87,6 @@ DEFAULT_CONFIG = {
     "id": {
         "initial_guess": None,         # explicit [p1..p8]; default scales truth
         "initial_guess_scale": 1.3,
-        "multistart_count": 4,
         "lm_lambda0": 1e-3,
         "lm_tolerance": 1e-10,
         "max_iterations": 500,
@@ -243,6 +242,8 @@ def validate_config(cfg: dict):
     ratio = cfg["mpc"]["Ts_mpc"] / ts
     if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
         raise ConfigError("mpc.Ts_mpc", "must be an integral multiple of run.Ts_inner")
+    if cfg["run"]["seed"] < 0:  # SeedSequence takes nonnegative entropy only
+        raise ConfigError("run.seed", "must be >= 0")
     if cfg["run"]["latency_mpc_periods"] not in (0, 1):
         raise ConfigError("run.latency_mpc_periods", "must be 0 or 1")
     for name, dur in cfg["run"]["durations"].items():
@@ -359,11 +360,9 @@ def _id_config(cfg) -> sysid.IdConfig:
         p0 = _truth_model(cfg).as_array() * sec["initial_guess_scale"]
     return sysid.IdConfig(
         initial_guess=p0,
-        multistart_count=sec["multistart_count"],
         lm_lambda0=sec["lm_lambda0"],
         lm_tolerance=sec["lm_tolerance"],
         max_iterations=sec["max_iterations"],
-        seed=cfg["run"]["seed"],
     )
 
 
@@ -664,7 +663,6 @@ def run_identify(cfg, duration=None) -> RunResult:
         "final_cost": result.final_cost,
         "converged": result.converged,
         "iterations": result.iterations,
-        "best_start": result.start_index,
         "p_hat": result.p_hat.tolist(),
         "p_truth": truth_p.tolist(),
         "rel_error_vs_truth": rel.tolist(),

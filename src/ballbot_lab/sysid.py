@@ -80,12 +80,10 @@ class IdDataset:
 @dataclass
 class IdConfig:
     initial_guess: np.ndarray = None
-    multistart_count: int = 4
     lm_lambda0: float = 1e-3
     lm_tolerance: float = 1e-10
     max_iterations: int = 500
     parameter_bounds: tuple = None  # (lo, hi) arrays of length 8
-    seed: int = 0
 
     def __post_init__(self):
         if self.initial_guess is None:
@@ -93,8 +91,6 @@ class IdConfig:
         self.initial_guess = np.asarray(self.initial_guess, dtype=float)
         if self.initial_guess.shape != (8,):
             raise ValueError("initial_guess must have eight entries")
-        if self.multistart_count < 1:
-            raise ValueError("multistart_count must be >= 1")
         if self.parameter_bounds is None:
             span = 10.0 * np.abs(self.initial_guess) + 10.0
             self.parameter_bounds = (self.initial_guess - span, self.initial_guess + span)
@@ -111,7 +107,6 @@ class IdResult:
     final_cost: float
     converged: bool
     iterations: int
-    start_index: int = 0
     diagnostics: dict = field(default_factory=dict)
 
     def linear_params(self, r: float = 10.9) -> LinearParams:
@@ -176,8 +171,8 @@ def _modal_solve(band, lam, z):
     `band` is its (2, n) complex LAPACK band storage, row 0 the unit
     diagonal and row 1 the sub-diagonal (set here); Fortran order, or f2py
     copies it on every call. z must be a contiguous complex row, so the solve
-    overwrites it in place. scipy is imported here, on the first fit, so
-    the commands that fit nothing never load it.
+    overwrites it in place. scipy is imported here, or by ``_residual_fn``
+    when a fit is set up, so the commands that fit nothing never load it.
     """
     from scipy.linalg.blas import ztbsv
 
@@ -222,6 +217,8 @@ def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
     function returns None for a divergent candidate, including one whose
     squared residual norm overflows; such a candidate is never accepted.
     """
+    from scipy.linalg import blas  # noqa: F401 -- the ~0.2 s import is set-up, not a simulation
+
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
     if np.any(var <= 0):
@@ -353,41 +350,26 @@ def _normal_length(lam, n) -> int:
 
 
 def identify(dataset: IdDataset, gains: FeedbackGains, config: IdConfig) -> IdResult:
-    """Fit the eight model constants by Levenberg-Marquardt with multistart.
+    """Fit the eight model constants by Levenberg-Marquardt from the
+    configured initial guess.
 
-    Start 0 is the configured initial guess; the remaining starts perturb it
-    by log-uniform factors in [0.5, 1.5] per parameter (seeded, so the whole
-    procedure is deterministic). The damping factor shrinks tenfold on every
-    accepted step and grows tenfold on rejection. A start converges when an
-    accepted step improves the cost by less than the relative tolerance; one
-    that stalls (25 rejections in a row, or damping past 1e12) or has no
-    Jacobian (a near-defective eigenbasis) ends unconverged.
+    The damping factor shrinks tenfold on every accepted step and grows
+    tenfold on rejection. The fit converges when an accepted step improves
+    the cost by less than the relative tolerance; one that stalls (25
+    rejections in a row, or damping past 1e12) or has no Jacobian (a
+    near-defective eigenbasis) ends unconverged. ``diagnostics["starts"]``
+    records the one start's cost, iterations and convergence.
     """
     residuals, jacobian = _residual_fn(dataset, gains)
-    lo, hi = config.parameter_bounds
-    rng = np.random.default_rng(config.seed)
-    starts = [config.initial_guess.copy()]
-    for _ in range(config.multistart_count - 1):
-        factors = np.exp(rng.uniform(math.log(0.5), math.log(1.5), size=8))
-        starts.append(np.clip(config.initial_guess * factors, lo, hi))
-
-    best = None
-    diagnostics = {"starts": []}
-    for si, p0 in enumerate(starts):
-        p, cost, iters, converged = _levenberg_marquardt(
-            p0, residuals, jacobian, lo, hi, config)
-        diagnostics["starts"].append(
-            {"start": si, "cost": cost, "iterations": iters, "converged": converged})
-        if not math.isfinite(cost):
-            continue
-        if best is None or cost < best[1]:
-            best = (p, cost, iters, converged, si)
-    if best is None:
+    p, cost, iters, converged = _levenberg_marquardt(
+        config.initial_guess, residuals, jacobian, *config.parameter_bounds, config)
+    diagnostics = {"starts": [
+        {"start": 0, "cost": cost, "iterations": iters, "converged": converged}]}
+    if not math.isfinite(cost):
         raise IdentificationFailedError(
-            "all optimizer starts produced divergent candidates", diagnostics)
-    p, cost, iters, converged, si = best
+            "the initial guess is a divergent candidate", diagnostics)
     return IdResult(p_hat=p, fit_rates={}, final_cost=cost, converged=converged,
-                    iterations=iters, start_index=si, diagnostics=diagnostics)
+                    iterations=iters, diagnostics=diagnostics)
 
 
 def _levenberg_marquardt(p0, residuals, jacobian, lo, hi, config: IdConfig):

@@ -169,14 +169,29 @@ class TestIdentify:
         assert A.shape == (4, 4)
         assert np.all(A[:, 0] == 0.0)  # augmented integrator layout
 
+    def test_model_diagnostics_keep_the_one_start_entry(self):
+        # the benchmark reads diagnostics.starts of identified_model.json on
+        # every identify experiment (perfbench/worker.py:234) and each
+        # entry's iterations and cost (perfbench/run.py:186): dropping the
+        # list or a key fails every identify benchmark run
+        res = run_identify(quiet_config(), duration=5.0)
+        doc = res.extra["model"]
+        starts = doc["diagnostics"]["starts"]
+        assert isinstance(starts, list) and len(starts) == 1
+        assert set(starts[0]) == {"start", "cost", "iterations", "converged"}
+        assert starts[0]["start"] == 0
+        assert starts[0]["cost"] == doc["final_cost"]
+        assert starts[0]["iterations"] == doc["iterations"]
+        assert starts[0]["converged"] == doc["converged"]
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_noisy_fit_rejects_overflowing_candidates_quietly(self):
         # at this seed and length an LM trial step lands on a candidate
         # whose squared residual norm overflows; it must be rejected as
         # divergent without a RuntimeWarning
-        cfg = load_config(overrides={"run": {"seed": 2}})
+        cfg = load_config(overrides={"run": {"seed": 1}})
         assert cfg["run"]["noise"]
-        res = run_identify(cfg, duration=80.0)
+        res = run_identify(cfg, duration=120.0)
         assert not res.summary["aborted"]
         assert np.isfinite(res.summary["metrics"]["final_cost"])
 
@@ -678,7 +693,7 @@ class TestCli:
         ("mpc", "N", 0), ("mpc", "N", 2.5), ("mpc", "theta_max", 0),
         ("mpc", "u_max", -1), ("mpc", "filter_fc_hz", 0), ("mpc", "filter_fc_hz", 150),
         ("reference", "T_rise", 0), ("plant.sensor", "sigma_theta", -1),
-        ("id", "multistart_count", 0), ("lqr", "R", 0), ("lqr", "R", -5),
+        ("run", "seed", -1), ("lqr", "R", 0), ("lqr", "R", -5),
         ("excitation", "components", []), ("excitation", "components", [[1.0, -0.5]]),
         ("plant.linear", "r", 0), ("plant.linear", "r", -1), ("lqr", "Q", [-1.0, 0.0, 0.0, 0.0])])
     def test_value_a_section_rejects_exits_2(self, tmp_path, capsys, section, key, value):
@@ -710,6 +725,24 @@ class TestCli:
         rc = cli.main(["track", "--config", str(cfg), "--out", str(out), "--duration", "2"])
         assert rc == 2
         assert f"'{section}.{key}': must be {wanted}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_removed_multistart_key_exits_2(self, tmp_path, capsys):
+        # the fit has one start; a config that still sets the old count is
+        # an unknown key, rejected before any output
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"id": {"multistart_count": 1}}))
+        out = tmp_path / "out"
+        rc = cli.main(["identify", "--config", str(cfg), "--out", str(out)])
+        assert rc == 2
+        assert "'id.multistart_count'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = cli.main(["identify", "--out", str(out), "--seed", "-1", "--duration", "1.5"])
+        assert rc == 2
+        assert "'run.seed': must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_shortest_identify_record_is_fitted(self, tmp_path):
