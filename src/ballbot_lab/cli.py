@@ -4,8 +4,9 @@ Subcommands run one experiment each and write telemetry CSV plus a summary
 JSON under --out; `pipeline` chains all four, feeding the identified model
 into the LQR and MPC designs the way the real workflow does.
 
-Exit codes: 0 success, 1 an experiment aborted (outputs are still written),
-2 configuration problem.
+Exit codes: 0 success; 1 an experiment aborted, a fall or a failed fit
+(outputs are still written); 2 a config value, argument, --config or
+--model file that cannot be used (nothing is written).
 """
 
 from __future__ import annotations
@@ -66,10 +67,15 @@ def _config_from_args(args) -> dict:
 
 
 def _load_model(path) -> LinearParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return LinearParams.from_array(np.asarray(doc["p_hat"], dtype=float),
-                                   r=doc.get("r", 10.9))
+    """The eight finite ``p_hat`` entries of an ``identified_model.json``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            p = np.asarray(json.load(fh)["p_hat"], dtype=float)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError("--model", f"cannot read p_hat from {path}: {exc!r}") from exc
+    if p.shape != (8,) or not np.all(np.isfinite(p)):
+        raise ConfigError("--model", "p_hat must hold eight finite numbers")
+    return LinearParams.from_array(p)
 
 
 def _write_outputs(out_dir: Path, result, cfg) -> None:
@@ -87,20 +93,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _config_from_args(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    try:
+        model = getattr(args, "model", None)
+        kwargs = {"model_lp": _load_model(model)} if model else {}
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "pipeline":
             return _run_pipeline(cfg, out_dir, use_truth=args.use_truth)
-        runner = _EXPERIMENTS[args.command]
-        kwargs = {}
-        if args.command in ("lqr", "track") and getattr(args, "model", None):
-            kwargs["model_lp"] = _load_model(args.model)
-        result = runner(cfg, duration=args.duration, **kwargs)
+        result = _EXPERIMENTS[args.command](cfg, duration=args.duration, **kwargs)
         _write_outputs(out_dir, result, cfg)
         return 1 if result.summary["aborted"] else 0
     except ConfigError as exc:

@@ -104,17 +104,12 @@ class MpcConfig:
     Ts_mpc: float = 0.1
 
     def __post_init__(self):
-        if not isinstance(self.N, (int, np.integer)) or self.N < 1:
-            raise ValueError("N must be an integer >= 1")
         if self.Q is None:
             self.Q = np.diag([1000.0, 0.0, 0.0, 0.0])
         if self.Q_N is None:
             self.Q_N = self.Q.copy()
         self.Q = np.asarray(self.Q, dtype=float)
         self.Q_N = np.asarray(self.Q_N, dtype=float)
-        for name in ("theta_max", "ydot_max", "thetadot_max", "u_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass
@@ -124,10 +119,6 @@ class SmoothStepRef:
     t0: float = 5.0
     amplitude: float = 20.0
     T_rise: float = 2.0
-
-    def __post_init__(self):
-        if self.T_rise <= 0:
-            raise ValueError("T_rise must be positive")
 
 
 def smooth_step(ref: SmoothStepRef, t) -> np.ndarray:

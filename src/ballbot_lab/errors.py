@@ -39,7 +39,7 @@ class PlantBlowUpError(BallbotLabError):
 
 
 class IdentificationFailedError(BallbotLabError):
-    """The fit's initial guess, or the fitted model on the holdout data, diverged."""
+    """The initial guess or the fitted model diverged, or a channel is constant."""
 
     def __init__(self, message, diagnostics=None):
         self.diagnostics = diagnostics or {}

@@ -17,8 +17,10 @@ generators, and CSV floats are formatted with nine significant digits.
 from __future__ import annotations
 
 import copy
+import functools
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -29,7 +31,8 @@ import numpy.random  # numpy 2 loads it lazily: load it with the lab, not in a r
 from . import sysid
 from .control import (MpcConfig, MpcController, SmoothStepRef,
                       build_predictor, design_lqr, smooth_step)
-from .errors import ConfigError, MassMatrixSingularError, PlantFellOverError
+from .errors import (ConfigError, IdentificationFailedError, MassMatrixSingularError,
+                     PlantFellOverError, StabilizabilityError)
 from .excitation import MultisineSpec, sample_sequence
 from .numerics import design_butterworth2, zoh_discretize
 from .plant import (LinearParams, PhysicalParams, Plant, Sensor, SensorSpec,
@@ -157,14 +160,14 @@ _CSV_CHUNK_ROWS = 2048
 
 
 def _merge(base, override, path=""):
+    if not isinstance(override, dict):
+        raise ConfigError(path or "--config", "must be an object")
     out = copy.deepcopy(base)
     for key, val in override.items():
         kp = f"{path}.{key}" if path else key
         if key not in base:
             raise ConfigError(kp, "unknown key")
-        if isinstance(base[key], dict) and base[key] is not None:
-            if not isinstance(val, dict):
-                raise ConfigError(kp, "expected a section")
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], val, kp)
         else:
             out[key] = copy.deepcopy(val)
@@ -175,13 +178,11 @@ def load_config(path=None, overrides=None) -> dict:
     """Defaults, optionally merged with a JSON file and override dict."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
                 user = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError("<file>", f"not valid JSON: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigError("<file>", "top level must be an object")
+        except (OSError, ValueError) as exc:  # no such file, or not JSON text
+            raise ConfigError("--config", f"cannot read {path}: {exc}") from exc
         cfg = _merge(cfg, user)
     if overrides:
         cfg = _merge(cfg, overrides)
@@ -189,98 +190,125 @@ def load_config(path=None, overrides=None) -> dict:
     return cfg
 
 
-# what a key whose default is null holds when it is set
-_NULL_DEFAULT_SHAPES = {"plant.linear.p": [0.0], "plant.physical": {}, "mpc.Q_N": [0.0],
-                        "id.initial_guess": [0.0]}
+# One rule per leaf of DEFAULT_CONFIG: (kind, low, high, also). kind is float
+# (any real number), int, bool, a tuple of the allowed strings, dict (an object
+# of numbers), n (a list of n numbers) or "pairs" (a non-empty list of [amplitude,
+# frequency] pairs, bounded per column). Each number lies in [low, high], so it
+# is finite, or equals ``also``. A leaf whose default is null may be null.
+_BOX = (float, 1e-6, 1e9, math.inf)
+_WEIGHTS = (4, 0.0, 1e6)          # a negative weight makes the MPC QP nonconvex
+_RULES = {
+    "plant.mode": (("linear", "nonlinear"),),
+    "plant.linear.r": (float, 1.0, 100.0),               # the ball radius, cm
+    "plant.linear.p": (8, -1e6, 1e6),
+    "plant.physical": (dict, -1e6, 1e6),                 # the fields of PhysicalParams
+    "plant.sensor.sigma_theta": (float, 0.0, 100.0),
+    "plant.sensor.sigma_thetadot": (float, 0.0, 1e3),
+    "plant.sensor.trackball_quantum": (float, 1e-6, 10.0, 0.0),
+    "plant.sensor.Ts_sensor": (float, 0.0, 1.0),         # equals run.Ts_inner
+    **{f"gains.{name}": (float, -1e6, 1e6) for name in DEFAULT_CONFIG["gains"]},
+    "excitation.alpha": (float, 1e-6, 1e6),
+    "excitation.components": ("pairs", (-1e3, 1e-3), (1e3, 1e3)),
+    "id.initial_guess": (8, -1e6, 1e6),
+    "id.initial_guess_scale": (float, 1e-3, 1e3),
+    "id.lm_lambda0": (float, 1e-12, 1e12),               # the damping's own floor and cap
+    "id.lm_tolerance": (float, 0.0, 1.0),
+    "id.max_iterations": (int, 0, 10_000),
+    "lqr.Q": _WEIGHTS,
+    "lqr.R": (float, 1e-6, 1e6),                         # the Riccati equation needs R > 0
+    "mpc.N": (int, 1, 200),                              # the condensed QP holds ~(4N)^2 floats
+    "mpc.Q": _WEIGHTS,
+    "mpc.Q_N": _WEIGHTS,                                 # null: Q_N = Q
+    "mpc.R": (float, 1e-6, 1e6),                         # R > 0: a positive definite Hessian
+    "mpc.theta_max": _BOX,
+    "mpc.ydot_max": _BOX,
+    "mpc.thetadot_max": _BOX,
+    "mpc.u_max": _BOX,
+    "mpc.Ts_mpc": (float, 1e-4, 100.0),
+    "mpc.filter_fc_hz": (float, 1e-3, 1e3),
+    "reference.t0": (float, -1e4, 1e4),
+    "reference.amplitude": (float, -1e4, 1e4),
+    "reference.T_rise": (float, 1e-3, 1e4),
+    "run.seed": (int, 0, math.inf),                      # SeedSequence takes nonnegative entropy
+    "run.Ts_inner": (float, 1e-4, 0.1),
+    "run.latency_mpc_periods": (int, 0, 1),
+    "run.noise": (bool,),
+    "run.theta0_deg": (float, -90.0, 90.0),
+    **{f"run.durations.{name}": (float, 0.0, 1e6)  # at most _MAX_TICKS ticks, too
+       for name in DEFAULT_CONFIG["run"]["durations"]},
+}
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "true or false",
+               dict: "an object of numbers", "pairs": "a non-empty list of number pairs"}
+# at most this many inner ticks per MPC period: the predictor steps through each
+_MAX_RATE_RATIO = 1000
 
 
-def _has_type_of(shape, value) -> bool:
-    """Whether ``value`` has the JSON type of ``shape``: an integer passes as
-    a number, but true and false pass only where the default is one."""
-    if isinstance(shape, bool) or isinstance(value, bool):
-        return isinstance(shape, bool) and isinstance(value, bool)
-    if isinstance(shape, list):
-        return (isinstance(value, (list, tuple))
-                and all(_has_type_of(shape[0], v) for v in value))
-    kind = {int: numbers.Integral, float: numbers.Real}.get(type(shape), type(shape))
-    return isinstance(value, kind) and value == value  # NaN is not a number
+def _is_number(v, kind=float) -> bool:
+    """A JSON number of ``kind``: an integer passes as a number; true, false and NaN do not."""
+    return (isinstance(v, numbers.Integral if kind is int else numbers.Real)
+            and not isinstance(v, bool) and v == v)
 
 
-def _type_name(shape) -> str:
-    if isinstance(shape, list):
-        return "a list of " + ("lists of numbers" if isinstance(shape[0], list) else "numbers")
-    return {bool: "true or false", int: "an integer", float: "a number",
-            str: "a string", dict: "an object"}[type(shape)]
-
-
-def _check_types(default: dict, cfg: dict, path=""):
-    """Every value has the JSON type of its default, or is null where that is."""
-    for key, shape in default.items():
-        key_path, value = path + key, cfg[key]
-        if isinstance(shape, dict):
-            _check_types(shape, value, key_path + ".")
-            continue
-        if shape is None:
-            if value is None:
-                continue
-            shape = _NULL_DEFAULT_SHAPES[key_path]
-        if not _has_type_of(shape, value):
-            raise ConfigError(key_path, f"must be {_type_name(shape)}")
+def _rule_problem(kind, lo=None, hi=None, also=None, *, value):
+    """What ``value`` breaks of the rule (kind, lo, hi, also), or None."""
+    if isinstance(kind, tuple):
+        return None if value in kind else "must be " + " or ".join(map(repr, kind))
+    if kind is bool or kind is dict and not isinstance(value, dict):
+        return None if isinstance(value, kind) else f"must be {_KIND_NAMES[kind]}"
+    if kind in (int, float):
+        rows, width, lo, hi = [[value]], 1, [lo], [hi]
+    elif kind == "pairs":
+        rows, width = (value if isinstance(value, list) and value else [None]), 2
+    else:  # a list of ``kind`` numbers, or an object of numbers
+        rows = [list(value.values()) if kind is dict else value]
+        width = len(rows[0]) if kind is dict else kind
+        lo, hi = [lo] * width, [hi] * width
+    if not all(isinstance(row, list) and len(row) == width
+               and all(_is_number(v, kind) for v in row) for row in rows):
+        return "must be " + _KIND_NAMES.get(kind, f"a list of numbers, {kind} of them")
+    for row in rows:
+        for v, low, high in zip(row, lo, hi):
+            if not (low <= v <= high or v == also):
+                bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+                return f"must be {bounds}" + ("" if also is None else f" or {also}")
+    return None
 
 
 def validate_config(cfg: dict):
-    """Type checks against the defaults, then the checks that the section
-    dataclasses cannot express."""
-    _check_types(DEFAULT_CONFIG, cfg)
-    if cfg["plant"]["mode"] not in ("linear", "nonlinear"):
-        raise ConfigError("plant.mode", "must be 'linear' or 'nonlinear'")
-    ts = cfg["run"]["Ts_inner"]
-    if ts <= 0:
-        raise ConfigError("run.Ts_inner", "must be positive")
+    """Every leaf against its rule in ``_RULES``, then the rules that tie
+    keys together. A value any run could not use is a ConfigError."""
+    for path, rule in _RULES.items():
+        keys = path.split(".")
+        value = functools.reduce(dict.__getitem__, keys, cfg)
+        if value is None and functools.reduce(dict.__getitem__, keys, DEFAULT_CONFIG) is None:
+            continue
+        problem = _rule_problem(*rule, value=value)
+        if problem:
+            raise ConfigError(path, problem)
+    ts, mpc = cfg["run"]["Ts_inner"], cfg["mpc"]
     if cfg["plant"]["sensor"]["Ts_sensor"] != ts:  # the sensor is read once per tick
         raise ConfigError("plant.sensor.Ts_sensor", "must equal run.Ts_inner")
-    ratio = cfg["mpc"]["Ts_mpc"] / ts
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise ConfigError("mpc.Ts_mpc", "must be an integral multiple of run.Ts_inner")
-    if cfg["run"]["seed"] < 0:  # SeedSequence takes nonnegative entropy only
-        raise ConfigError("run.seed", "must be >= 0")
-    if cfg["run"]["latency_mpc_periods"] not in (0, 1):
-        raise ConfigError("run.latency_mpc_periods", "must be 0 or 1")
-    for name, dur in cfg["run"]["durations"].items():
-        if dur <= 0:
-            raise ConfigError(f"run.durations.{name}", "must be positive")
-    mpc = cfg["mpc"]
-    q_n = mpc["Q"] if mpc["Q_N"] is None else mpc["Q_N"]  # None: Q_N = Q
-    for key, w in (("lqr.Q", cfg["lqr"]["Q"]), ("mpc.Q", mpc["Q"]), ("mpc.Q_N", q_n)):
-        if len(w) != 4:
-            raise ConfigError(key, "must have four diagonal entries")
-        if min(w) < 0:  # nonconvex MPC QP; the LQR's Riccati iteration diverges
-            raise ConfigError(key, "entries must be nonnegative")
-    if mpc["R"] <= 0:  # R > 0 makes the condensed Hessian positive definite
-        raise ConfigError("mpc.R", "must be positive")
-    if not cfg["lqr"]["R"] > 0:  # the Riccati equation needs R > 0
-        raise ConfigError("lqr.R", "must be positive")
-    if not cfg["plant"]["linear"]["r"] > 0:  # a radius: the reference table divides by it
-        raise ConfigError("plant.linear.r", "must be positive")
-    p = cfg["plant"]["linear"].get("p")
-    if p is not None and len(p) != 8:
-        raise ConfigError("plant.linear.p", "must have eight entries")
-    phys = cfg["plant"]["physical"]
-    if phys is not None:
-        try:
-            PhysicalParams(**phys)
-        except (TypeError, ValueError, MassMatrixSingularError) as exc:
-            raise ConfigError("plant.physical", str(exc)) from exc
-    # the bounds of a section live in the constructors its builder calls,
-    # whose ValueError messages start with the offending key
-    for section, build in (("plant.sensor", _sensor_spec), ("mpc", _mpc_section),
-                           ("excitation", _excitation), ("reference", _reference),
-                           ("id", _id_config)):
-        try:
-            build(cfg)
-        except ValueError as exc:
-            key, _, msg = str(exc).partition(" ")
-            raise ConfigError(f"{section}.{key}", msg) from exc
+    ratio = mpc["Ts_mpc"] / ts
+    if abs(ratio - round(ratio)) > 1e-9 or not 1 <= round(ratio) <= _MAX_RATE_RATIO:
+        raise ConfigError("mpc.Ts_mpc", f"must be 1 to {_MAX_RATE_RATIO} whole run.Ts_inner ticks")
+    if not mpc["filter_fc_hz"] < 0.5 / ts:
+        raise ConfigError("mpc.filter_fc_hz", f"must lie below half the inner rate, {0.5 / ts} Hz")
+    for name in cfg["run"]["durations"]:
+        _duration(cfg, name, None)
+    try:
+        if cfg["plant"]["physical"] is not None:
+            PhysicalParams(**cfg["plant"]["physical"])
+    except (TypeError, ValueError, MassMatrixSingularError) as exc:
+        raise ConfigError("plant.physical", str(exc)) from exc
+    try:  # the truth's transition at the inner tick, and the LQR on it
+        with np.errstate(all="ignore"):
+            _design(cfg, None)
+    except ValueError as exc:
+        key = ("plant.physical" if cfg["plant"]["mode"] == "nonlinear" else
+               "plant.linear.r" if cfg["plant"]["linear"]["p"] is None else "plant.linear.p")
+        raise ConfigError(key, f"no finite truth model at run.Ts_inner: {exc}") from exc
+    except (StabilizabilityError, np.linalg.LinAlgError) as exc:
+        raise ConfigError("lqr", f"no stabilizing LQR for the truth model: {exc}") from exc
 
 
 def config_hash(cfg: dict) -> str:
@@ -318,11 +346,6 @@ def _identification_gains(cfg) -> FeedbackGains:
                    k_ydot=cfg["gains"]["k_ydot_identification"])
 
 
-def _sensor_spec(cfg) -> SensorSpec:
-    spec = SensorSpec(**cfg["plant"]["sensor"])
-    return spec if cfg["run"]["noise"] else SensorSpec(0.0, 0.0, 0.0, spec.Ts_sensor)
-
-
 def _mpc_section(cfg):
     """The MPC's config and the Butterworth filter on its output."""
     sec = cfg["mpc"]
@@ -337,20 +360,7 @@ def _mpc_section(cfg):
         u_max=sec["u_max"],
         Ts_mpc=sec["Ts_mpc"],
     )
-    try:
-        filt = design_butterworth2(sec["filter_fc_hz"], 1.0 / cfg["run"]["Ts_inner"])
-    except ValueError as exc:
-        raise ValueError(f"filter_fc_hz {exc}") from None
-    return mpc_cfg, filt
-
-
-def _excitation(cfg) -> MultisineSpec:
-    sec = cfg["excitation"]
-    return MultisineSpec(alpha_scale=sec["alpha"], components=sec["components"])
-
-
-def _reference(cfg) -> SmoothStepRef:
-    return SmoothStepRef(**cfg["reference"])
+    return mpc_cfg, design_butterworth2(sec["filter_fc_hz"], 1.0 / cfg["run"]["Ts_inner"])
 
 
 def _id_config(cfg) -> sysid.IdConfig:
@@ -369,7 +379,9 @@ def _id_config(cfg) -> sysid.IdConfig:
 def _make_planes(cfg):
     """Two (plant, sensor) pairs with independent seeded noise streams."""
     mode = cfg["plant"]["mode"]
-    spec = _sensor_spec(cfg)
+    spec = SensorSpec(**cfg["plant"]["sensor"])
+    if not cfg["run"]["noise"]:
+        spec = SensorSpec(0.0, 0.0, 0.0, spec.Ts_sensor)
     seeds = np.random.SeedSequence(cfg["run"]["seed"]).spawn(2)
     planes = []
     for ss in seeds:
@@ -399,24 +411,27 @@ def _design(cfg, model_lp):
 # The shortest identification record the fit takes: 1 s fits at seeds 0-7,
 # while 0.5 s leaves a measured channel constant at every one of them.
 _MIN_IDENTIFY_S = 1.0
+# The longest run: 5,000 s at the default 5 ms tick, a 232 MB telemetry array.
+_MAX_TICKS = 1_000_000
 
 
 def _duration(cfg, name, duration) -> float:
     """Simulated seconds of a run: ``duration``, or the config's if None.
 
-    A run must cover at least one tick, and an identification record at
-    least ``_MIN_IDENTIFY_S``; anything shorter is a configuration error.
+    A run must cover at least one tick and at most ``_MAX_TICKS``, and an
+    identification record at least ``_MIN_IDENTIFY_S``; anything else is a
+    configuration error at the ``duration`` argument or the config key.
     """
+    key = "duration"
     if duration is None:
-        duration = cfg["run"]["durations"][name]
-    if not 0.0 < duration < np.inf:
-        raise ConfigError("duration", "must be a positive, finite number of seconds")
+        key, duration = f"run.durations.{name}", cfg["run"]["durations"][name]
+    if not 0.0 < duration < math.inf:
+        raise ConfigError(key, "must be a positive, finite number of seconds")
     if name == "identify" and duration < _MIN_IDENTIFY_S:
-        raise ConfigError("duration", "an identify run must last at least "
-                                      f"{_MIN_IDENTIFY_S} s")
+        raise ConfigError(key, f"an identify run must last at least {_MIN_IDENTIFY_S} s")
     Ts = cfg["run"]["Ts_inner"]
-    if round(duration / Ts) < 1:
-        raise ConfigError("duration", f"must cover at least one tick of {Ts} s")
+    if not 1 <= round(duration / Ts) <= _MAX_TICKS:
+        raise ConfigError(key, f"must cover at least one tick of {Ts} s, at most {_MAX_TICKS}")
     return duration
 
 
@@ -616,7 +631,8 @@ def _identification_loop(cfg, duration):
     Ts = cfg["run"]["Ts_inner"]
     gains = _identification_gains(cfg)
     k_outer = gains.outer_vector()
-    exc_seq = sample_sequence(_excitation(cfg), Ts, duration)
+    sec = cfg["excitation"]
+    exc_seq = sample_sequence(MultisineSpec(sec["alpha"], sec["components"]), Ts, duration)
     d = exc_seq.d
 
     def control(k, xm0, xm1, row):
@@ -650,8 +666,12 @@ def run_identify(cfg, duration=None) -> RunResult:
                               thetadot=logged("thetadot_x_meas_degs"))
     fit_ds, holdout = dataset.split_halves()
     truth = _truth_model(cfg)
-    result = sysid.identify(fit_ds, gains, _id_config(cfg))
-    result.fit_rates = sysid.validate(result.p_hat, holdout, gains)
+    try:
+        result = sysid.identify(fit_ds, gains, _id_config(cfg))
+        result.fit_rates = sysid.validate(result.p_hat, holdout, gains)
+    except IdentificationFailedError as exc:  # reported as a fall is, with no time
+        summary.update(aborted=True, abort_reason=str(exc))
+        return RunResult("identify", tel, summary)
 
     full = build_linear_ss(result.linear_params(r=truth.r))
 
@@ -721,7 +741,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     pred = build_predictor(dss, lqr.K, m=m)
     mpc_cfg, filt = _mpc_section(cfg)
     controller = MpcController(pred, mpc_cfg)
-    ref_spec = _reference(cfg)
+    ref_spec = SmoothStepRef(**cfg["reference"])
     latency = cfg["run"]["latency_mpc_periods"]
     K = lqr.K
     n_ticks = int(round(duration / Ts))

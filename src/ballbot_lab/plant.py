@@ -240,13 +240,6 @@ class SensorSpec:
     trackball_quantum: float = 0.05  # cm per encoder count (0 disables)
     Ts_sensor: float = 0.005         # s
 
-    def __post_init__(self):
-        for name in ("sigma_theta", "sigma_thetadot", "trackball_quantum"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.Ts_sensor <= 0:
-            raise ValueError("Ts_sensor must be positive")
-
 
 def _standard_normals(rng, block=4096):
     """The draws of ``rng.standard_normal()`` one by one, generated a block

@@ -56,8 +56,6 @@ class IdDataset:
         n = self.d.size
         if self.theta.size != n or self.ydot.size != n or self.thetadot.size != n:
             raise ValueError("excitation and state channels must share one length")
-        if self.Ts <= 0:
-            raise ValueError("Ts must be positive")
 
     def __len__(self):
         return self.d.size
@@ -86,8 +84,6 @@ class IdConfig:
     parameter_bounds: tuple = None  # (lo, hi) arrays of length 8
 
     def __post_init__(self):
-        if self.initial_guess is None:
-            raise ValueError("initial_guess is required")
         self.initial_guess = np.asarray(self.initial_guess, dtype=float)
         if self.initial_guess.shape != (8,):
             raise ValueError("initial_guess must have eight entries")
@@ -222,7 +218,7 @@ def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
     if np.any(var <= 0):
-        raise ValueError("a measured channel is constant; cost undefined")
+        raise IdentificationFailedError("a measured channel is constant; cost undefined")
     scales = np.sqrt(len(dataset) * var)[:, None]
     x0, meas_rows = meas[0].copy(), np.ascontiguousarray(meas.T)
 

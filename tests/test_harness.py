@@ -7,7 +7,7 @@ from numpy.testing import assert_array_equal
 
 from ballbot_lab import cli, harness
 from ballbot_lab.control import MpcController, SmoothStepRef, design_lqr, smooth_step
-from ballbot_lab.errors import ConfigError, PlantFellOverError
+from ballbot_lab.errors import ConfigError, IdentificationFailedError, PlantFellOverError
 from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
                                  config_hash, load_config, run_balance,
                                  run_identify, run_lqr, run_track,
@@ -15,6 +15,9 @@ from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
 from ballbot_lab.numerics import zoh_discretize
 from ballbot_lab.plant import Plant, PhysicalParams, build_linear_ss, linearize
 from ballbot_lab.qp import QpSettings
+
+
+INF = float("inf")
 
 
 def quiet_config(**run_overrides):
@@ -695,13 +698,29 @@ class TestCli:
         ("reference", "T_rise", 0), ("plant.sensor", "sigma_theta", -1),
         ("run", "seed", -1), ("lqr", "R", 0), ("lqr", "R", -5),
         ("excitation", "components", []), ("excitation", "components", [[1.0, -0.5]]),
-        ("plant.linear", "r", 0), ("plant.linear", "r", -1), ("lqr", "Q", [-1.0, 0.0, 0.0, 0.0])])
+        ("plant.linear", "r", 0), ("plant.linear", "r", -1),
+        ("lqr", "Q", [-1.0, 0.0, 0.0, 0.0]),
+        # each of these ended in a traceback, or hung, before the rule table
+        ("plant.linear", "r", INF), ("plant.linear", "r", 1e-300), ("plant.linear", "r", 5e-324),
+        ("lqr", "Q", [INF, 100.0, 10.0, 50.0]), ("lqr", "R", INF),
+        ("mpc", "Q", [INF, 0.0, 0.0, 0.0]), ("mpc", "R", INF),
+        ("plant.sensor", "trackball_quantum", INF), ("plant.sensor", "trackball_quantum", 5e-324),
+        ("excitation", "alpha", INF), ("excitation", "alpha", -INF),
+        ("excitation", "components", [[INF, 1.0]]),
+        ("mpc", "filter_fc_hz", 1e-300), ("mpc", "filter_fc_hz", 5e-324),
+        ("excitation", "alpha", 0), ("excitation", "alpha", 1e-300),
+        ("excitation", "alpha", 5e-324),
+        ("mpc", "Ts_mpc", INF), ("mpc", "Ts_mpc", -INF), ("mpc", "Ts_mpc", 1e300),
+        ("run", "theta0_deg", INF), ("reference", "amplitude", INF), ("mpc", "N", 100000),
+        ("run", "Ts_inner", 1e-7), ("run", "Ts_inner", 1e-300), ("id", "initial_guess_scale", -1)])
     def test_value_a_section_rejects_exits_2(self, tmp_path, capsys, section, key, value):
-        # rejected by the section's constructor or by the config checks:
+        # rejected by the rule table or the rules that tie keys together:
         # a configuration error at the key path, before any output
         doc = {key: value}
         for name in reversed(section.split(".")):
             doc = {name: doc}
+        if (section, key) == ("run", "Ts_inner"):  # the sensor is read once per tick
+            doc["plant"] = {"sensor": {"Ts_sensor": value}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -744,6 +763,48 @@ class TestCli:
         assert rc == 2
         assert "'run.seed': must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--config", None), ("--config", "{"), ("--config", "[]"),
+        ("--model", None), ("--model", "{"), ("--model", "[]"), ("--model", "{}"),
+        ("--model", '{"p_hat": [1, 2, 3, 4, 5, 6, 7]}'),
+        ("--model", '{"p_hat": [1, 2, 3, 4, 5, 6, 7, NaN]}')])
+    def test_unusable_file_exits_2(self, tmp_path, capsys, flag, text):
+        # a missing file (None), one that is not a JSON object, or a model
+        # without eight finite p_hat entries: a configuration error at the
+        # flag, before any output
+        path = tmp_path / "in.json"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "out"
+        rc = cli.main(["track", flag, str(path), "--out", str(out), "--duration", "2"])
+        assert rc == 2
+        assert f"'{flag}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("config, reason", [
+        ({"id": {"initial_guess": [1e5] * 8}}, "the initial guess is a divergent candidate"),
+        ({"excitation": {"alpha": 1e-6}}, "a measured channel is constant"),
+        ({}, "candidate diverges on the holdout data")])
+    def test_failed_fit_aborts_with_outputs(self, tmp_path, monkeypatch, config, reason):
+        # a fit that cannot finish aborts the run as a fall does: exit 1,
+        # telemetry and summary written, no model and no abort time
+        def diverges(*args):
+            raise IdentificationFailedError("candidate diverges on the holdout data")
+
+        if not config:  # no config is known to reach it: the holdout check diverges
+            monkeypatch.setattr(harness.sysid, "validate", diverges)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        rc = cli.main(["identify", "--config", str(path), "--out", str(tmp_path),
+                       "--duration", "1.5"])
+        assert rc == 1
+        assert sorted(p.name for p in tmp_path.glob("identify_*")) == [
+            "identify_summary.json", "identify_telemetry.csv"]
+        assert not (tmp_path / "identified_model.json").exists()
+        summary = json.loads((tmp_path / "identify_summary.json").read_text())
+        assert summary["aborted"] and summary["abort_time_s"] is None
+        assert summary["abort_reason"].startswith(reason)
 
     def test_shortest_identify_record_is_fitted(self, tmp_path):
         rc = cli.main(["identify", "--out", str(tmp_path), "--duration", "1"])
