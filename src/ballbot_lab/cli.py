@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .errors import BallbotLabError, ConfigError
+from .errors import BallbotLabError, ConfigError, StabilizabilityError
 from .plant import LinearParams
 
 _EXPERIMENTS = {
@@ -66,8 +66,9 @@ def _config_from_args(args) -> dict:
     return harness.load_config(args.config, overrides)
 
 
-def _load_model(path) -> LinearParams:
-    """The eight finite ``p_hat`` entries of an ``identified_model.json``."""
+def _load_model(path, cfg) -> LinearParams:
+    """The eight finite ``p_hat`` entries of an ``identified_model.json``,
+    checked to give an LQR design at the configured tick."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             p = np.asarray(json.load(fh)["p_hat"], dtype=float)
@@ -75,7 +76,13 @@ def _load_model(path) -> LinearParams:
         raise ConfigError("--model", f"cannot read p_hat from {path}: {exc!r}") from exc
     if p.shape != (8,) or not np.all(np.isfinite(p)):
         raise ConfigError("--model", "p_hat must hold eight finite numbers")
-    return LinearParams.from_array(p)
+    model = LinearParams.from_array(p)
+    try:
+        with np.errstate(all="ignore"):
+            harness._design(cfg, model)
+    except (ValueError, StabilizabilityError, np.linalg.LinAlgError) as exc:
+        raise ConfigError("--model", f"no stabilizing LQR for the model: {exc}") from exc
+    return model
 
 
 def _write_outputs(out_dir: Path, result, cfg) -> None:
@@ -94,7 +101,7 @@ def main(argv=None) -> int:
     try:
         cfg = _config_from_args(args)
         model = getattr(args, "model", None)
-        kwargs = {"model_lp": _load_model(model)} if model else {}
+        kwargs = {"model_lp": _load_model(model, cfg)} if model else {}
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "pipeline":

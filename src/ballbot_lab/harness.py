@@ -60,7 +60,6 @@ DEFAULT_CONFIG = {
             "sigma_theta": 0.05,
             "sigma_thetadot": 0.2,
             "trackball_quantum": 0.05,
-            "Ts_sensor": 0.005,
         },
     },
     "gains": {
@@ -205,7 +204,6 @@ _RULES = {
     "plant.sensor.sigma_theta": (float, 0.0, 100.0),
     "plant.sensor.sigma_thetadot": (float, 0.0, 1e3),
     "plant.sensor.trackball_quantum": (float, 1e-6, 10.0, 0.0),
-    "plant.sensor.Ts_sensor": (float, 0.0, 1.0),         # equals run.Ts_inner
     **{f"gains.{name}": (float, -1e6, 1e6) for name in DEFAULT_CONFIG["gains"]},
     "excitation.alpha": (float, 1e-6, 1e6),
     "excitation.components": ("pairs", (-1e3, 1e-3), (1e3, 1e3)),
@@ -286,8 +284,6 @@ def validate_config(cfg: dict):
         if problem:
             raise ConfigError(path, problem)
     ts, mpc = cfg["run"]["Ts_inner"], cfg["mpc"]
-    if cfg["plant"]["sensor"]["Ts_sensor"] != ts:  # the sensor is read once per tick
-        raise ConfigError("plant.sensor.Ts_sensor", "must equal run.Ts_inner")
     ratio = mpc["Ts_mpc"] / ts
     if abs(ratio - round(ratio)) > 1e-9 or not 1 <= round(ratio) <= _MAX_RATE_RATIO:
         raise ConfigError("mpc.Ts_mpc", f"must be 1 to {_MAX_RATE_RATIO} whole run.Ts_inner ticks")
@@ -319,18 +315,17 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 # config -> objects
 
-def _truth_linear_params(cfg) -> LinearParams:
-    sec = cfg["plant"]["linear"]
-    if sec.get("p") is not None:
-        return LinearParams.from_array(np.asarray(sec["p"], dtype=float), r=sec["r"])
-    return LinearParams.reference(r=sec["r"])
-
-
-def _physical_params(cfg) -> PhysicalParams:
-    sec = cfg["plant"]["physical"]
-    if sec is None:
-        return PhysicalParams.reference()
-    return PhysicalParams(**sec)
+def _plant_model(cfg):
+    """The truth the plants step: PhysicalParams in the nonlinear mode, else
+    LinearParams (the reference table scaled by r, unless p is given)."""
+    sec = cfg["plant"]
+    if sec["mode"] == "nonlinear":
+        phys = sec["physical"]
+        return PhysicalParams.reference() if phys is None else PhysicalParams(**phys)
+    lin = sec["linear"]
+    if lin["p"] is None:
+        return LinearParams.reference(r=lin["r"])
+    return LinearParams.from_array(lin["p"], r=lin["r"])
 
 
 def _balance_gains(cfg) -> FeedbackGains:
@@ -377,28 +372,21 @@ def _id_config(cfg) -> sysid.IdConfig:
 
 
 def _make_planes(cfg):
-    """Two (plant, sensor) pairs with independent seeded noise streams."""
-    mode = cfg["plant"]["mode"]
-    spec = SensorSpec(**cfg["plant"]["sensor"])
-    if not cfg["run"]["noise"]:
-        spec = SensorSpec(0.0, 0.0, 0.0, spec.Ts_sensor)
+    """Two (plant, sensor) pairs at the loop's tick, with independent seeded
+    noise streams."""
+    Ts = cfg["run"]["Ts_inner"]
+    model = _plant_model(cfg)
+    spec = (SensorSpec(**cfg["plant"]["sensor"], Ts_sensor=Ts) if cfg["run"]["noise"]
+            else SensorSpec(0.0, 0.0, 0.0, Ts))
     seeds = np.random.SeedSequence(cfg["run"]["seed"]).spawn(2)
-    planes = []
-    for ss in seeds:
-        if mode == "linear":
-            plant = Plant("linear", linear_params=_truth_linear_params(cfg))
-        else:
-            plant = Plant("nonlinear", physical_params=_physical_params(cfg))
-        planes.append((plant, Sensor(spec, np.random.default_rng(ss))))
-    return planes
+    return [(Plant(model, Ts), Sensor(spec, np.random.default_rng(ss))) for ss in seeds]
 
 
 def _truth_model(cfg) -> LinearParams:
     """The truth as a linear model: the configured table, or the rigid body
     linearized."""
-    if cfg["plant"]["mode"] == "nonlinear":
-        return linearize(_physical_params(cfg))
-    return _truth_linear_params(cfg)
+    model = _plant_model(cfg)
+    return linearize(model) if isinstance(model, PhysicalParams) else model
 
 
 def _design(cfg, model_lp):
@@ -546,8 +534,8 @@ def _simulate(cfg, duration, theta0_deg, control):
             row[_PLANES] = x0 + xm0 + x1 + xm1
             row[_CMD] = u0
             row[_CMD + 1] = u1
-            x0 = plant0.step(x0, u0, Ts)
-            x1 = plant1.step(x1, u1, Ts)
+            x0 = plant0.step(x0, u0)
+            x1 = plant1.step(x1, u1)
     except PlantFellOverError as exc:
         n_logged, abort = k + 1, exc
         x0, x1 = row[s0:s0 + 4].tolist(), row[s1:s1 + 4].tolist()

@@ -8,6 +8,7 @@ from LAPACK through numpy. All reals are 64-bit floats.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -281,18 +282,20 @@ def sum_squares(v) -> float:
     return float(np.sum(v * v))
 
 
-def rk4_step(f, x, u, dt: float):
-    """Classical fourth-order Runge-Kutta step with the input held constant."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    x = np.asarray(x, dtype=float)
-    k1 = np.asarray(f(x, u), dtype=float)
-    if not np.all(np.isfinite(k1)):
-        raise PlantBlowUpError(x)
-    k2 = np.asarray(f(x + 0.5 * dt * k1, u), dtype=float)
-    k3 = np.asarray(f(x + 0.5 * dt * k2, u), dtype=float)
-    k4 = np.asarray(f(x + dt * k3, u), dtype=float)
-    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(out)):
-        raise PlantBlowUpError(out)
+def rk4_step(f, x, u, dt: float) -> list:
+    """Classical fourth-order Runge-Kutta step with the input held constant,
+    on sequences of floats: each entry of x + dt/6 (k1 + 2 k2 + 2 k3 + k4) is
+    summed in the order of that vector expression."""
+    k1 = f(x, u)
+    if not all(map(math.isfinite, k1)):
+        raise PlantBlowUpError(np.asarray(x))
+    h = 0.5 * dt
+    k2 = f([a + h * b for a, b in zip(x, k1)], u)
+    k3 = f([a + h * b for a, b in zip(x, k2)], u)
+    k4 = f([a + dt * b for a, b in zip(x, k3)], u)
+    h = dt / 6.0
+    out = [a + h * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+           for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, out)):
+        raise PlantBlowUpError(np.asarray(out))
     return out

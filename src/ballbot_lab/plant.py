@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MassMatrixSingularError, PlantFellOverError
-from .numerics import ContinuousSS, DiscreteSS, rk4_step, zoh_discretize
+from .numerics import ContinuousSS, rk4_step, zoh_discretize
 
 __all__ = [
     "DEG", "RAD",
@@ -162,29 +162,28 @@ class PhysicalParams:
         return np.array([[self.b1, off], [off, self.b3]])
 
 
-def nonlinear_dynamics(pp: PhysicalParams, x, tau: float) -> np.ndarray:
+def nonlinear_dynamics(pp: PhysicalParams, x, tau: float) -> list:
     """Time derivative of the state under the nonlinear planar model.
 
-    Solves the 2x2 configuration-dependent linear system for the generalized
-    accelerations. Input and output use the lab's cm/degree convention.
+    Solves the 2x2 configuration-dependent system M q'' = btilde tau -
+    coriolis - friction - gravity for the generalized accelerations by the
+    adjugate formula, on Python floats. Input and output use the lab's
+    cm/degree convention.
     """
-    x = np.asarray(x, dtype=float)
     th = x[1] * DEG
     thd = x[3] * DEG
-    yd = x[2]
-    M = pp.mass_matrix(th)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    off = -pp.b2 + pp.ell * pp.r * math.cos(th)  # the mass matrix [[b1, off], [off, b3]]
+    det = pp.b1 * pp.b3 - off * off
     if abs(det) < 1e-12:
         raise MassMatrixSingularError(f"mass matrix singular at theta={x[1]} deg")
-    btilde = np.array([pp.r / pp.r_w, -pp.r / pp.r_w])
-    coriolis = np.array([-pp.ell * pp.r * math.sin(th) * thd * thd, 0.0])
-    friction = np.array([pp.b4 * yd / pp.r, pp.b5 * thd])
-    gravity = np.array([0.0, -pp.ell * pp.g * math.sin(th)])
-    rhs = btilde * tau - coriolis - friction - gravity
-    # 2x2 solve by the adjugate formula
-    ydd = (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det
-    thdd = (-M[1, 0] * rhs[0] + M[0, 0] * rhs[1]) / det
-    return np.array([x[2], x[3], ydd, thdd * RAD])
+    bt = pp.r / pp.r_w                     # btilde = [bt, -bt]
+    sin_th = math.sin(th)
+    coriolis = -pp.ell * pp.r * sin_th * thd * thd
+    gravity = -pp.ell * pp.g * sin_th
+    rhs0 = bt * tau - coriolis - pp.b4 * x[2] / pp.r
+    rhs1 = -bt * tau - pp.b5 * thd - gravity
+    return [x[2], x[3], (pp.b3 * rhs0 - off * rhs1) / det,
+            (-off * rhs0 + pp.b1 * rhs1) / det * RAD]
 
 
 def linearize(pp: PhysicalParams) -> LinearParams:
@@ -238,7 +237,7 @@ class SensorSpec:
     sigma_theta: float = 0.05        # deg, Gaussian
     sigma_thetadot: float = 0.2      # deg/s, Gaussian
     trackball_quantum: float = 0.05  # cm per encoder count (0 disables)
-    Ts_sensor: float = 0.005         # s
+    Ts_sensor: float = 0.005         # s, the loop's tick: read once per tick
 
 
 def _standard_normals(rng, block=4096):
@@ -290,60 +289,46 @@ class Sensor:
 
 
 class Plant:
-    """One vertical plane of the synthetic robot.
+    """One vertical plane of the synthetic robot, stepped at the fixed period Ts.
 
-    mode 'linear' steps the exact zero-order-hold discretization of the
-    configured LinearParams; mode 'nonlinear' integrates the rigid-body model
-    with RK4. Both abort with PlantFellOverError once the tilt leaves the
+    A LinearParams model steps the exact zero-order-hold discretization of its
+    linear model; a PhysicalParams model takes one RK4 step of the rigid-body
+    equations. Both abort with PlantFellOverError once the tilt leaves the
     validity envelope.
     """
 
-    def __init__(self, mode: str = "linear", linear_params: LinearParams = None,
-                 physical_params: PhysicalParams = None):
-        if mode not in ("linear", "nonlinear"):
-            raise ValueError(f"unknown plant mode '{mode}'")
-        self.mode = mode
-        if mode == "linear":
-            self.lp = linear_params if linear_params is not None else LinearParams.reference()
-            self.ss = build_linear_ss(self.lp)
-            self._dss = None
-        else:
-            self.pp = physical_params if physical_params is not None else PhysicalParams.reference()
+    def __init__(self, model, Ts: float):
+        self.model = model
+        self.Ts = Ts
         self.t = 0.0
+        self._rows = None  # [A_d | B_d] row by row, for a linear model
+        if isinstance(model, LinearParams):
+            dss = zoh_discretize(build_linear_ss(model), Ts)
+            self._rows = np.hstack([dss.A_d, dss.B_d]).tolist()
 
-    def discrete(self, dt: float) -> DiscreteSS:
-        if self.mode != "linear":
-            raise ValueError("discrete update only defined for the linear mode")
-        if self._dss is None or self._dss.Ts != dt:
-            self._dss = zoh_discretize(self.ss, dt)
-            # [A_d | B_d] row by row
-            self._rows = np.hstack([self._dss.A_d, self._dss.B_d]).tolist()
-        return self._dss
-
-    def step(self, x, u: float, dt: float) -> list:
-        """The state one period ``dt`` after ``x`` under the held input ``u``.
+    def step(self, x, u: float) -> list:
+        """The state one period after ``x`` under the held input ``u``.
 
         ``x`` and the returned state are lists of four floats.
         """
-        if dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.mode == "linear":
+        u = float(u)  # a numpy scalar would turn the whole state into numpy scalars
+        if self._rows is None:
+            xn = rk4_step(self._dynamics, x, u, self.Ts)
+        else:
             # A_d x + B_d u on Python floats, summed in the order OpenBLAS's
             # dgemv sums a 4 x 4 product, (a0 x0 + a2 x2) + (a1 x1 + a3 x3):
             # bit for bit np.dot(A_d, x) + B_d u, which test_plant checks
-            self.discrete(dt)
             ((a00, a01, a02, a03, b0), (a10, a11, a12, a13, b1),
              (a20, a21, a22, a23, b2), (a30, a31, a32, a33, b3)) = self._rows
             x0, x1, x2, x3 = x
-            u = float(u)
             xn = [(a00 * x0 + a02 * x2) + (a01 * x1 + a03 * x3) + b0 * u,
                   (a10 * x0 + a12 * x2) + (a11 * x1 + a13 * x3) + b1 * u,
                   (a20 * x0 + a22 * x2) + (a21 * x1 + a23 * x3) + b2 * u,
                   (a30 * x0 + a32 * x2) + (a31 * x1 + a33 * x3) + b3 * u]
-        else:
-            xn = rk4_step(lambda s, uu: nonlinear_dynamics(self.pp, s, uu),
-                          np.asarray(x, dtype=float), u, dt).tolist()
-        self.t += dt
+        self.t += self.Ts
         if abs(xn[1]) >= TILT_ENVELOPE_DEG:
             raise PlantFellOverError(self.t, np.asarray(xn))
         return xn
+
+    def _dynamics(self, x, u) -> list:
+        return nonlinear_dynamics(self.model, x, u)

@@ -8,10 +8,12 @@ brute-force active-set enumeration and a Mehrotra interior-point method
 problem) instead of the dual active-set method, literal step-by-step
 recursions instead of lifted or modal forms, and the stacked MPC problem
 (states kept as variables) or the condensed one assembled at one
-(x0, ref) instead of the controller's parametric maps. The plant's
-mechanical energy, the biquad's frequency response and the algebraic
-inverse of the loop composition (``extract_open_loop``) are checks that the
-library itself never needs.
+(x0, ref) instead of the controller's parametric maps. The rigid-body
+step is kept in its numpy vector form (``vector_rk4_step`` of
+``vector_nonlinear_dynamics``), which the plant's float step must equal bit
+for bit. The plant's mechanical energy, the biquad's frequency response and
+the algebraic inverse of the loop composition (``extract_open_loop``) are
+checks that the library itself never needs.
 """
 
 import itertools
@@ -19,7 +21,8 @@ import math
 
 import numpy as np
 
-from ballbot_lab.plant import DEG
+from ballbot_lab.errors import MassMatrixSingularError, PlantBlowUpError
+from ballbot_lab.plant import DEG, RAD
 from ballbot_lab.qp import QpProblem, QpSettings, QpSolution
 
 
@@ -266,6 +269,41 @@ def mechanical_energy(pp, x) -> float:
     qd = np.array([x[2], x[3] * DEG])
     M = pp.mass_matrix(th)
     return 0.5 * qd @ M @ qd + pp.ell * pp.g * math.cos(th)
+
+
+def vector_nonlinear_dynamics(pp, x, tau):
+    """The rigid-body state derivative as numpy vector expressions."""
+    x = np.asarray(x, dtype=float)
+    th = x[1] * DEG
+    thd = x[3] * DEG
+    yd = x[2]
+    M = pp.mass_matrix(th)
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if abs(det) < 1e-12:
+        raise MassMatrixSingularError(f"mass matrix singular at theta={x[1]} deg")
+    btilde = np.array([pp.r / pp.r_w, -pp.r / pp.r_w])
+    coriolis = np.array([-pp.ell * pp.r * math.sin(th) * thd * thd, 0.0])
+    friction = np.array([pp.b4 * yd / pp.r, pp.b5 * thd])
+    gravity = np.array([0.0, -pp.ell * pp.g * math.sin(th)])
+    rhs = btilde * tau - coriolis - friction - gravity
+    ydd = (M[1, 1] * rhs[0] - M[0, 1] * rhs[1]) / det
+    thdd = (-M[1, 0] * rhs[0] + M[0, 0] * rhs[1]) / det
+    return np.array([x[2], x[3], ydd, thdd * RAD])
+
+
+def vector_rk4_step(f, x, u, dt):
+    """One classical RK4 step as numpy vector expressions."""
+    x = np.asarray(x, dtype=float)
+    k1 = np.asarray(f(x, u), dtype=float)
+    if not np.all(np.isfinite(k1)):
+        raise PlantBlowUpError(x)
+    k2 = np.asarray(f(x + 0.5 * dt * k1, u), dtype=float)
+    k3 = np.asarray(f(x + 0.5 * dt * k2, u), dtype=float)
+    k4 = np.asarray(f(x + dt * k3, u), dtype=float)
+    out = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    if not np.all(np.isfinite(out)):
+        raise PlantBlowUpError(out)
+    return out
 
 
 def biquad_gain(f, f_hz, fs):

@@ -84,18 +84,18 @@ class TestConfig:
             load_config(overrides={"mpc": mpc})
         assert f"mpc.{next(iter(mpc))}" in str(exc.value)
 
-    def test_sensor_period_must_equal_inner_tick(self, tmp_path):
-        # the sensor is read once per tick, so any other Ts_sensor would
-        # scale every measured velocity by Ts_inner / Ts_sensor
+    def test_sensor_period_must_equal_inner_tick(self, tmp_path, capsys):
+        # the sensor is read once per tick at the loop's period: no key sets
+        # its own, and a config that still does names an unknown key
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"run": {"Ts_inner": 0.01}}))
-        with pytest.raises(ConfigError) as exc:
-            load_config(p)
-        assert "plant.sensor.Ts_sensor" in str(exc.value)
-        assert cli.main(["track", "--config", str(p), "--out", str(tmp_path)]) == 2
-        # both at 10 ms: the measured velocity integrates to the measured travel
-        cfg = load_config(overrides={"run": {"Ts_inner": 0.01, "theta0_deg": 8.0},
-                                     "plant": {"sensor": {"Ts_sensor": 0.01}}})
+        assert load_config(p)["run"]["Ts_inner"] == 0.01
+        p.write_text(json.dumps({"plant": {"sensor": {"Ts_sensor": 0.005}}}))
+        assert cli.main(["track", "--config", str(p), "--out", str(tmp_path / "out")]) == 2
+        assert "'plant.sensor.Ts_sensor': unknown key" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # at 10 ms: the measured velocity integrates to the measured travel
+        cfg = load_config(overrides={"run": {"Ts_inner": 0.01, "theta0_deg": 8.0}})
         tel = run_lqr(cfg, duration=3.0).telemetry
         travel = tel["y_meas_cm"][-1] - tel["y_meas_cm"][0]
         assert abs(travel) >= 0.4  # eight trackball counts or more
@@ -424,11 +424,11 @@ def fall_on_call(monkeypatch, n):
     calls = []
     returned = []
 
-    def step_then_fall(plant, x, u, dt):
+    def step_then_fall(plant, x, u):
         calls.append(1)
         if len(calls) == n:
-            raise PlantFellOverError(plant.t + dt, np.asarray(x))
-        returned.append(step(plant, x, u, dt))
+            raise PlantFellOverError(plant.t + plant.Ts, np.asarray(x))
+        returned.append(step(plant, x, u))
         return returned[-1]
 
     monkeypatch.setattr(Plant, "step", step_then_fall)
@@ -719,8 +719,6 @@ class TestCli:
         doc = {key: value}
         for name in reversed(section.split(".")):
             doc = {name: doc}
-        if (section, key) == ("run", "Ts_inner"):  # the sensor is read once per tick
-            doc["plant"] = {"sensor": {"Ts_sensor": value}}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
@@ -768,19 +766,21 @@ class TestCli:
         ("--config", None), ("--config", "{"), ("--config", "[]"),
         ("--model", None), ("--model", "{"), ("--model", "[]"), ("--model", "{}"),
         ("--model", '{"p_hat": [1, 2, 3, 4, 5, 6, 7]}'),
-        ("--model", '{"p_hat": [1, 2, 3, 4, 5, 6, 7, NaN]}')])
+        ("--model", '{"p_hat": [1, 2, 3, 4, 5, 6, 7, NaN]}'),
+        ("--model", '{"p_hat": [0, 0, 0, 0, 0, 0, 0, 0]}')])
     def test_unusable_file_exits_2(self, tmp_path, capsys, flag, text):
-        # a missing file (None), one that is not a JSON object, or a model
-        # without eight finite p_hat entries: a configuration error at the
-        # flag, before any output
+        # a missing file (None), one that is not a JSON object, a model
+        # without eight finite p_hat entries, or one that no LQR stabilizes:
+        # a configuration error at the flag, before any output
         path = tmp_path / "in.json"
         if text is not None:
             path.write_text(text)
-        out = tmp_path / "out"
-        rc = cli.main(["track", flag, str(path), "--out", str(out), "--duration", "2"])
-        assert rc == 2
-        assert f"'{flag}'" in capsys.readouterr().err
-        assert not out.exists()
+        for command in ("lqr", "track"):
+            out = tmp_path / f"out-{command}"
+            rc = cli.main([command, flag, str(path), "--out", str(out), "--duration", "2"])
+            assert rc == 2
+            assert f"'{flag}'" in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("config, reason", [
         ({"id": {"initial_guess": [1e5] * 8}}, "the initial guess is a divergent candidate"),

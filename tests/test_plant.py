@@ -10,7 +10,8 @@ from ballbot_lab.plant import (DEG, RAD, LinearParams, PhysicalParams, Plant,
                                Sensor, SensorSpec, build_linear_ss, linearize,
                                mix_to_wheels, nonlinear_dynamics)
 
-from oracles import fd_jacobian, mechanical_energy
+from oracles import (fd_jacobian, mechanical_energy, vector_nonlinear_dynamics,
+                     vector_rk4_step)
 
 
 @pytest.fixture
@@ -208,40 +209,64 @@ class TestPlant:
         truth = LinearParams.reference().as_array()
         for scale in (np.ones(8), np.full(8, 1.3),
                       np.array([-0.2, 0.18, 1, 1, 1, 1, 0.06, 1])):
-            plant = Plant("linear", linear_params=LinearParams.from_array(truth * scale))
-            d = zoh_discretize(plant.ss, 0.005)
+            plant = Plant(LinearParams.from_array(truth * scale), 0.005)
+            d = zoh_discretize(build_linear_ss(plant.model), 0.005)
             x = np.array([1.0, 0.5, -0.2, 0.1])
-            xn = plant.step(x.tolist(), 3.0, 0.005)
+            xn = plant.step(x.tolist(), 3.0)
             assert isinstance(xn, list)
             assert_array_equal(xn, d.A_d @ x + d.B_d[:, 0] * 3.0)
             rng = np.random.default_rng(8)
             for _ in range(1000):
                 x = rng.normal(scale=[10.0, 5.0, 20.0, 50.0])
                 u = float(rng.normal(scale=100.0))
-                assert_array_equal(plant.step(x.tolist(), u, 0.005),
+                assert_array_equal(plant.step(x.tolist(), u),
                                    d.A_d @ x + d.B_d[:, 0] * u)
 
+    @pytest.mark.parametrize("Ts", [0.005, 0.0005])
+    def test_rigid_body_step_is_the_vector_step(self, Ts):
+        # the float RK4 step of the float dynamics equals the numpy vector
+        # step bit for bit, over random states and inputs, at the reference
+        # parameters and at perturbed ones (a frictionless set among them)
+        ref = PhysicalParams.reference()
+        rng = np.random.default_rng(30)
+        params = [ref, PhysicalParams(b1=ref.b1, b2=ref.b2, b3=ref.b3,
+                                      b4=0.0, b5=0.0, ell=ref.ell)]
+        for _ in range(3):
+            f = np.exp(rng.uniform(-0.4, 0.4, size=6))
+            params.append(PhysicalParams(b1=ref.b1 * f[0], b2=ref.b2 * f[1],
+                                         b3=ref.b3 * f[2], b4=ref.b4 * f[3],
+                                         b5=ref.b5 * f[4], ell=ref.ell * f[5]))
+        for pp in params:
+            plant = Plant(pp, Ts)
+            xs = rng.uniform(-1.0, 1.0, size=(5000, 4)) * [50.0, 20.0, 50.0, 100.0]
+            us = rng.uniform(-1000.0, 1000.0, size=5000)
+            got = [plant.step(x, u) for x, u in zip(xs.tolist(), us.tolist())]
+            want = [vector_rk4_step(lambda s, uu: vector_nonlinear_dynamics(pp, s, uu),
+                                    x, u, Ts) for x, u in zip(xs, us)]
+            assert_array_equal(got, want)
+            assert plant.t == pytest.approx(5000 * Ts)
+
     def test_equilibrium_fixed_point(self):
-        for mode in ("linear", "nonlinear"):
-            plant = Plant(mode)
-            assert_allclose(plant.step(np.zeros(4), 0.0, 0.01), np.zeros(4), atol=1e-300)
+        for model in (LinearParams.reference(), PhysicalParams.reference()):
+            plant = Plant(model, 0.01)
+            assert_allclose(plant.step(np.zeros(4), 0.0), np.zeros(4), atol=1e-300)
 
     def test_envelope_abort(self):
-        plant = Plant("linear")
+        plant = Plant(LinearParams.reference(), 0.005)
         x = np.array([0.0, 30.0, 0.0, 0.0])
         with pytest.raises(PlantFellOverError) as exc:
             for _ in range(2000):
-                x = plant.step(x, 0.0, 0.005)  # open loop falls over
+                x = plant.step(x, 0.0)  # open loop falls over
         assert abs(exc.value.state[1]) >= 45.0
 
     def test_nonlinear_agrees_with_linearization_small_angle(self):
         pp = PhysicalParams.reference()
-        nl = Plant("nonlinear", physical_params=pp)
+        nl = Plant(pp, 0.0005)
         d = zoh_discretize(build_linear_ss(linearize(pp)), 0.0005)
         x_nl = np.array([0.0, 0.5, 0.0, 0.0])
         x_l = x_nl.copy()
         for _ in range(400):  # 0.2 s
-            x_nl = nl.step(x_nl, 0.0, 0.0005)
+            x_nl = nl.step(x_nl, 0.0)
             x_l = d.A_d @ x_l
         rel = np.abs(x_nl - x_l) / np.maximum(np.abs(x_l), 1e-9)
         assert np.max(rel) < 0.02
@@ -250,15 +275,11 @@ class TestPlant:
         base = PhysicalParams.reference()
         pp = PhysicalParams(b1=base.b1, b2=base.b2, b3=base.b3,
                             b4=0.0, b5=0.0, ell=base.ell)
-        plant = Plant("nonlinear", physical_params=pp)
+        plant = Plant(pp, 0.001)
         x = np.array([0.0, 5.0, 0.0, 0.0])
         e0 = mechanical_energy(pp, x)
         worst = 0.0
         for _ in range(1000):  # 1 s at 1 ms
-            x = plant.step(x, 0.0, 0.001)
+            x = plant.step(x, 0.0)
             worst = max(worst, abs(mechanical_energy(pp, x) - e0))
         assert worst / abs(e0) < 1e-3
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError):
-            Plant("magic")

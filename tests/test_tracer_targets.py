@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ballbot_lab import harness
+from ballbot_lab import harness, plant
 from ballbot_lab.control import MpcController
 from ballbot_lab.numerics import Biquad
 from ballbot_lab.plant import Plant, Sensor
@@ -48,12 +48,13 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
     counted = [(harness, attr) for attr in (
         "outer_reference", "pid_step", "p_step", "mix_to_wheels", "smooth_step",
         "sample_sequence", "design_lqr", "build_predictor", "zoh_discretize")]
+    counted += [(plant, attr) for attr in ("zoh_discretize", "rk4_step", "nonlinear_dynamics")]
     counted += [(MpcController, "mpc_step"), (Biquad, "step"), (Plant, "step"),
                 (Sensor, "measure"), (QpSolver, "_factor"), (QpSolver, "solve")]
     targets = {(tracer.resolve_owner(owner), attr)
                for owner, attr, _layer in tracer.TARGETS}
     assert set(counted) <= targets
-    names = [attr if owner is harness else f"{owner.__name__}.{attr}"
+    names = [attr if owner is harness else f"{owner.__name__.rpartition('.')[2]}.{attr}"
              for owner, attr in counted]
     calls = dict.fromkeys(names, 0)
 
@@ -74,15 +75,23 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
 
     cfg = harness.load_config(overrides={"run": {"noise": False}})
     ticks = 100                                  # 0.5 s at 5 ms
+    # each linear experiment discretizes its two plants once, when it builds them
     assert run(harness.run_balance, cfg, duration=0.5) == {
-        "outer_reference": 2 * ticks, "pid_step": 2 * ticks,
+        "outer_reference": 2 * ticks, "pid_step": 2 * ticks, "plant.zoh_discretize": 2,
         "mix_to_wheels": 1, "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
     assert run(harness.run_lqr, cfg, duration=0.5) == {
+        "zoh_discretize": 1, "design_lqr": 1, "mix_to_wheels": 1, "plant.zoh_discretize": 2,
+        "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
+    # the rigid body takes one RK4 step per plant step, four derivatives each
+    rigid = harness.load_config(overrides={"run": {"noise": False},
+                                           "plant": {"mode": "nonlinear"}})
+    assert run(harness.run_lqr, rigid, duration=0.5) == {
         "zoh_discretize": 1, "design_lqr": 1, "mix_to_wheels": 1,
+        "plant.rk4_step": 2 * ticks, "plant.nonlinear_dynamics": 4 * 2 * ticks,
         "Plant.step": 2 * ticks, "Sensor.measure": 2 * ticks}
     periods = ticks // 20                        # one MPC solve per 0.1 s
     assert run(harness.run_track, cfg, duration=0.5) == {
-        "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1,
+        "zoh_discretize": 1, "design_lqr": 1, "build_predictor": 1, "plant.zoh_discretize": 2,
         "MpcController.mpc_step": periods,
         "QpSolver._factor": 1,                   # once, for the one solver
         "QpSolver.solve": periods,               # every solve, 0 steps or not
@@ -100,5 +109,6 @@ def test_tick_loop_calls_traced_names(tracer, monkeypatch):
     assert run(sweep) == {
         "sample_sequence": len(alphas), "outer_reference": 2 * ticks * len(alphas),
         "p_step": 2 * ticks * len(alphas), "mix_to_wheels": len(alphas),
+        "plant.zoh_discretize": 2 * len(alphas),
         "Plant.step": 2 * ticks * len(alphas),
         "Sensor.measure": 2 * ticks * len(alphas)}
