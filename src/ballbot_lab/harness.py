@@ -155,7 +155,7 @@ _PLANES = slice(_COL["y_cm"], _COL["thetadot_y_meas_degs"] + 1)
 _VEL_REF = _COL["ydot_ref_cms"]
 _CMD = _COL["u_y_ticks"]
 _WHEELS = _COL["u1_ticks"]
-_CSV_CHUNK_ROWS = 2048
+_CSV_CHUNK_ROWS = 256
 
 
 def _merge(base, override, path=""):

@@ -116,12 +116,13 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
     that to infinite cost rather than raising). The linear recursion is
     evaluated in modal coordinates: with A_cl = V diag(lam) V^-1, each mode
     z_i = (V^-1 x)_i obeys z_i[0] = c0_i and z_i[k] = lam_i z_i[k-1] +
-    w_i d[k-1], where c0 = V^-1 x0 and w = V^-1 B_cl. Stacked over k, that
-    is one unit lower-bidiagonal system per mode, with -lam_i below the
-    diagonal and right-hand side [c0_i, w_i d[0], ..., w_i d[N-2]], so the
-    free and the forced response come from the same forward solve (BLAS
-    ztbsv, in place). A defective transition matrix (ill-conditioned V)
-    falls back to the literal recursion.
+    w_i d[k-1], where c0 = V^-1 x0 and w = V^-1 B_cl, so the free and the
+    forced response come from one scan of [c0_i, w_i d[0], ..., w_i d[N-2]]
+    (``_modal_solve``). A real mode runs in float64; of a conjugate pair only
+    the mode with lam.imag > 0 runs, and x = V_r z_r + 2 Re(V_p z_p) is one
+    real product of [V_r | 2 Re V_p | -2 Im V_p] with the rows [z_r; Re z_p;
+    Im z_p]. A defective transition matrix (ill-conditioned V) falls back to
+    the literal recursion.
     """
     d = np.asarray(d, dtype=float)
     n = d.size
@@ -143,13 +144,22 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
         return None  # would overflow over thousands of samples
     if _near_defective(V):
         return _simulate_literal(A_cl, B_cl, d, x0)
-    Z = np.empty((3, n), dtype=complex)
-    Z[:, 0] = np.linalg.solve(V, x0.astype(complex))
-    np.outer(np.linalg.solve(V, B_cl.astype(complex)), d[:-1], out=Z[:, 1:])
-    band = np.ones((2, n), dtype=complex, order="F")
-    for i in range(3):
-        _modal_solve(band, lam[i], Z[i])
-    out = (V @ Z).real.T
+    c0, w = np.linalg.solve(V, np.column_stack([x0, B_cl])).T
+    real, pair = np.flatnonzero(lam.imag == 0), np.flatnonzero(lam.imag > 0)
+    basis = np.hstack([V[:, real].real, 2.0 * V[:, pair].real, -2.0 * V[:, pair].imag])
+    Z, tmp = np.empty((3, n)), np.empty(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, i in enumerate(real):
+            Z[row, 0] = c0[i].real
+            np.multiply(d[:-1], w[i].real, out=Z[row, 1:])
+            _modal_solve(lam[i].real, Z[row], tmp)
+        for i in pair:
+            z = np.empty(n, dtype=complex)
+            z[0] = c0[i]
+            np.multiply(d[:-1], w[i], out=z[1:])
+            _modal_solve(lam[i], z, np.empty(n, dtype=complex))
+            Z[-2], Z[-1] = z.real, z.imag
+        out = (basis @ Z).T
     if not np.all(np.isfinite(out)):
         return None
     return out
@@ -160,20 +170,23 @@ def _near_defective(V) -> bool:
     return not np.isfinite(cond) or cond > _DEFECTIVE_COND
 
 
-def _modal_solve(band, lam, z):
-    """z[k] <- lam z[k-1] + z[k] over the whole record: one forward solve of
-    the unit lower-bidiagonal system with -lam below the diagonal.
+def _modal_solve(lam, z, tmp):
+    """z[k] <- lam z[k-1] + z[k] over the whole record, in place.
 
-    `band` is its (2, n) complex LAPACK band storage, row 0 the unit
-    diagonal and row 1 the sub-diagonal (set here); Fortran order, or f2py
-    copies it on every call. z must be a contiguous complex row, so the solve
-    overwrites it in place. scipy is imported here, or by ``_residual_fn``
-    when a fit is set up, so the commands that fit nothing never load it.
+    A doubling scan (Hillis & Steele 1986; Blelloch 1990, "Prefix sums and
+    their applications"): after the pass with shift s, z[k] is the sum of
+    lam^j x[k-j] over j < 2s, x the input, so ceil(log2 n) passes of
+    z[s:] += lam^s z[:-s] finish it. The passes stop early once lam^s is
+    below 1e-300, where every further term is negligible. ``tmp`` holds the
+    shifted products (at least n - 1 entries of z's dtype), so a pass never
+    reads what it wrote.
     """
-    from scipy.linalg.blas import ztbsv
-
-    band[1] = -lam
-    ztbsv(1, band, z, lower=1, diag=1, overwrite_x=1)
+    n, c, s = z.size, lam, 1
+    while s < n and abs(c) >= 1e-300:
+        np.multiply(z[:-s], c, out=tmp[:n - s])
+        z[s:] += tmp[:n - s]
+        c *= c
+        s *= 2
 
 
 def _simulate_literal(A_cl, B_cl, d, x0):
@@ -209,12 +222,11 @@ def _residual_fn(dataset: IdDataset, gains: FeedbackGains):
     squares, the fit's cost, is the per-channel mean squared error over
     variance: a prediction stuck at the channel mean scores about 1 per
     channel. The measured channels (as contiguous rows) and their scales are
-    built once per fit, so each call subtracts row from row. The residual
-    function returns None for a divergent candidate, including one whose
-    squared residual norm overflows; such a candidate is never accepted.
+    built once per fit, so each call subtracts row from row; both functions
+    run on numpy alone. The residual function returns None for a divergent
+    candidate, including one whose squared residual norm overflows; such a
+    candidate is never accepted.
     """
-    from scipy.linalg import blas  # noqa: F401 -- the ~0.2 s import is set-up, not a simulation
-
     meas = dataset.measured_matrix()
     var = meas.var(axis=0, ddof=1)
     if np.any(var <= 0):
@@ -252,7 +264,7 @@ def _jacobian_fn(gains: FeedbackGains, d, Ts: float, x0, scales):
 
     Each mode z_i = c0_i h_i + w_i f_i, with h_i its impulse response and f_i
     its response to d; dz_i/dlam_i = g_i obeys g[k] = lam g[k-1] + z[k-1],
-    the same solve on z shifted by one sample. So the derivative of output
+    the same scan on z shifted by one sample. So the derivative of output
     channel c is Re sum_i (a_h h_i + a_f f_i + a_g g_i) with
     a_h = dV_ci c0_i + V_ci dc0_i, a_f = dV_ci w_i + V_ci dw_i and
     a_g = V_ci dlam_i. A conjugate pair is solved once and doubled, and J' is
@@ -264,7 +276,7 @@ def _jacobian_fn(gains: FeedbackGains, d, Ts: float, x0, scales):
     n = d.size
     forcing = np.zeros(n, dtype=complex)
     forcing[1:] = d[:-1]
-    band = np.ones((2, n), dtype=complex, order="F")
+    tmp = np.empty(n, dtype=complex)
     big = np.zeros((36, 36))
     for j, dX in enumerate(_DX, start=1):
         big[:4, 4 * j:4 * j + 4] = dX * Ts
@@ -306,13 +318,13 @@ def _jacobian_fn(gains: FeedbackGains, d, Ts: float, x0, scales):
                 k = _normal_length(lam[i], n)
                 h[:] = 0.0
                 h[0] = 1.0
-                _modal_solve(band[:, :k], lam[i], h[:k])
+                _modal_solve(lam[i], h[:k], tmp)
                 f[:] = forcing
-                _modal_solve(band, lam[i], f)
+                _modal_solve(lam[i], f, tmp)
                 g[0] = 0.0
                 np.multiply(h[:-1], c0[i], out=g[1:])
                 g[1:] += w[i] * f[:-1]
-                _modal_solve(band, lam[i], g)
+                _modal_solve(lam[i], g, tmp)
                 basis[m, :, 0] = seqs.real
                 basis[m, :, 1] = seqs.imag
             Vk, dVk = V[:, keep], dV[:, :, keep]

@@ -25,8 +25,8 @@ and list each moved file with its reason in CHANGES.md.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
-import importlib.metadata
 import json
 import math
 import platform
@@ -64,13 +64,28 @@ def _cpu_flags_digest() -> str:
     return hashlib.sha256(flags.encode()).hexdigest()[:12]
 
 
+def _blas_core() -> str:
+    """The kernel set numpy's OpenBLAS runs (picked from the CPU, or forced
+    with ``OPENBLAS_CORETYPE``): its summation order sets the last bits."""
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libdir.glob("*openblas*")):
+        lib = ctypes.CDLL(str(path))
+        for sym in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                    "openblas_get_corename"):
+            fn = getattr(lib, sym, None)
+            if fn is not None:
+                fn.restype = ctypes.c_char_p
+                return fn().decode()
+    return "unknown"
+
+
 def environment() -> dict:
     """What sets the last bits of the outputs besides the source."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "numpy": np.__version__,
-        "scipy": importlib.metadata.version("scipy"),
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_core": _blas_core(),
         "cpu_flags": _cpu_flags_digest(),
     }
 

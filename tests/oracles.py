@@ -22,6 +22,8 @@ import math
 import numpy as np
 
 from ballbot_lab.errors import MassMatrixSingularError, PlantBlowUpError
+from ballbot_lab.excitation import MultisineSpec
+from ballbot_lab.harness import DEFAULT_CONFIG
 from ballbot_lab.plant import DEG, RAD
 from ballbot_lab.qp import QpProblem, QpSettings, QpSolution
 
@@ -248,6 +250,19 @@ def literal_lift(A_cl, B_d, x0, u, m):
     for _ in range(m):
         x = A_cl @ x + B_d[:, 0] * u
     return x
+
+
+def default_multisine(alpha_scale=1.0) -> MultisineSpec:
+    """The excitation of ``harness.DEFAULT_CONFIG``, scaled by alpha_scale."""
+    return MultisineSpec(alpha_scale, DEFAULT_CONFIG["excitation"]["components"])
+
+
+def first_order_recursion(lam, x):
+    """z[0] = x[0], z[k] = lam z[k-1] + x[k]: the literal loop, one sample at a time."""
+    z = np.array(x, dtype=complex)
+    for k in range(1, z.size):
+        z[k] = lam * z[k - 1] + z[k]
+    return z
 
 
 def simulate_discrete(A, B, x0, d):

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 import ballbot_lab
 from ballbot_lab import sysid
 from ballbot_lab.errors import IdentificationFailedError
-from ballbot_lab.excitation import MultisineSpec, sample_sequence
+from ballbot_lab.excitation import sample_sequence
 from ballbot_lab.numerics import ContinuousSS, sum_squares, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
@@ -18,7 +18,8 @@ from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
 from ballbot_lab.sysid import (IdConfig, IdDataset, identify, simulate_syscl,
                                validate)
 
-from oracles import extract_open_loop, fd_jacobian, simulate_discrete
+from oracles import (default_multisine, extract_open_loop, fd_jacobian,
+                     first_order_recursion, simulate_discrete)
 
 GAINS = FeedbackGains.identification()
 TRUTH = LinearParams.reference().as_array()
@@ -39,8 +40,7 @@ def pe_cost(p, ds, gains):
 def make_dataset(duration=30.0, Ts=0.005, p=None, x0=None):
     """Noiseless closed-loop data generated by the literal discrete loop."""
     p = TRUTH if p is None else p
-    spec = MultisineSpec.reference()
-    d = sample_sequence(spec, Ts, duration).d[:-1]
+    d = sample_sequence(default_multisine(), Ts, duration).d[:-1]
     cl = discrete_closed_loop(zoh_discretize(reduced_model(p), Ts), GAINS)
     X = simulate_discrete(cl.A_d, cl.B_d, np.zeros(3) if x0 is None else x0, d)
     return IdDataset(Ts=Ts, d=d, theta=X[:, 0], ydot=X[:, 1], thetadot=X[:, 2])
@@ -151,6 +151,26 @@ class TestModalKernelEdges:
         n = 200
         assert np.all(np.abs(lam[np.abs(lam) > 0.9]) ** n > 5e-3)
         _assert_matches_literal(p, np.zeros(n), self.X0)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4097])
+    @pytest.mark.parametrize("lam", [0.87, -0.9, 0.95 + 0.1j, 0.9999, 1e-200, 0.0])
+    def test_scan_matches_the_literal_loop(self, lam, n):
+        # 4097 = 2^12 + 1: the last pass has shift 4096 and moves one sample;
+        # 1e-200 squares to zero after one pass, 0 stops before the first
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=n) + (1j * rng.normal(size=n) if isinstance(lam, complex) else 0)
+        z = x.copy()
+        sysid._modal_solve(lam, z, np.empty_like(z))
+        lit = first_order_recursion(lam, x)
+        assert np.max(np.abs(z - lit)) <= 1e-13 * np.max(np.abs(lit))
+
+    @pytest.mark.parametrize("tilt_stiffness", [TRUTH[3], 100.0],
+                             ids=["complex-pair", "all-real"])
+    def test_record_length_not_a_power_of_two(self, tilt_stiffness):
+        p = TRUTH.copy()
+        p[3] = tilt_stiffness
+        d = np.random.default_rng(7).normal(size=3001)
+        _assert_matches_literal(p, d, self.X0)
 
     def test_growing_mode_below_the_divergence_guard(self):
         p = TRUTH.copy()
