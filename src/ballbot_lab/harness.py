@@ -22,7 +22,7 @@ import hashlib
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -63,23 +63,10 @@ DEFAULT_CONFIG = {
         },
     },
     "gains": {
-        "k_y": 0.0,
-        "k_theta": 1.2,
-        "k_ydot": 1.1,
-        "k_thetadot": 0.005,
-        "kp": 300.0,
-        "KP": 180.0,
-        "KI": 830.0,
-        "KD": 50.0,
-        # The plain-P identification loop is not stabilized by the balancing
-        # k_thetadot on the reference model (the PID derivative term supplied
-        # that damping), so identification runs with the retuned value.
+        **asdict(FeedbackGains()),
+        # the P-only identification loop's two retuned gains
         "k_thetadot_identification": FeedbackGains.identification().k_thetadot,
-        # Identification-loop velocity gain. At 1.0 the net velocity feedback
-        # (k_ydot - 1) vanishes, which keeps the heavily quantized trackball
-        # velocity out of the loop; the measured channel is still logged and
-        # fitted. See the README identification notes.
-        "k_ydot_identification": 1.0,
+        "k_ydot_identification": FeedbackGains.identification().k_ydot,
     },
     "excitation": {
         "alpha": 1.0,
@@ -329,10 +316,7 @@ def _plant_model(cfg):
 
 
 def _balance_gains(cfg) -> FeedbackGains:
-    g = cfg["gains"]
-    return FeedbackGains(k_y=g["k_y"], k_theta=g["k_theta"], k_ydot=g["k_ydot"],
-                         k_thetadot=g["k_thetadot"], kp=g["kp"],
-                         KP=g["KP"], KI=g["KI"], KD=g["KD"])
+    return FeedbackGains(**{f.name: cfg["gains"][f.name] for f in fields(FeedbackGains)})
 
 
 def _identification_gains(cfg) -> FeedbackGains:

@@ -20,19 +20,20 @@ __all__ = [
     "feedback_row", "closed_loop", "discrete_closed_loop",
 ]
 
+# the measured speed that the speed error e = ydot_ref - ydot subtracts
+_UNIT_YDOT = np.array([0.0, 0.0, 1.0, 0.0])
+
 
 @dataclass
 class FeedbackGains:
     """Outer-loop state feedback plus inner-loop controller gains.
 
-    Defaults are the hand-tuned balancing set of the reference robot. Note
-    that ``identification()`` below raises the tilt-rate gain: with the
-    reference model constants, the plain-P inner loop is not stabilized by
-    the balancing value of k_thetadot (the PID derivative term was supplying
-    that damping), so identification experiments use the retuned value.
+    Defaults are the hand-tuned balancing set of the reference robot. There
+    is no position gain: ``outer_vector`` holds 0.0 in the position slot, so
+    position never enters the outer loop. ``identification()`` below gives
+    the gains of the P-only identification loop.
     """
 
-    k_y: float = 0.0
     k_theta: float = 1.2
     k_ydot: float = 1.1
     k_thetadot: float = 0.005
@@ -43,11 +44,19 @@ class FeedbackGains:
 
     @classmethod
     def identification(cls) -> "FeedbackGains":
-        """Outer gains for the P-only identification loop (k_thetadot retuned)."""
-        return cls(k_thetadot=0.12)
+        """Gains of the P-only identification loop, two of them retuned.
+
+        k_thetadot: with the reference model constants, the plain-P loop is
+        not stabilized by the balancing value (the PID derivative term
+        supplied that damping). k_ydot: at 1.0 the net velocity feedback
+        (k_ydot - 1) vanishes, which keeps the heavily quantized trackball
+        velocity out of the loop; the measured channel is still logged and
+        fitted. See the README identification notes.
+        """
+        return cls(k_thetadot=0.12, k_ydot=1.0)
 
     def outer_vector(self) -> np.ndarray:
-        return np.array([self.k_y, self.k_theta, self.k_ydot, self.k_thetadot])
+        return np.array([0.0, self.k_theta, self.k_ydot, self.k_thetadot])
 
 
 @dataclass
@@ -89,13 +98,13 @@ def p_step(kp: float, e_ydot: float) -> float:
 
 
 def feedback_row(gains: FeedbackGains, n_states: int = 4) -> np.ndarray:
-    """Net state-to-speed-error row F = [0, k_theta, k_ydot - 1, k_thetadot].
+    """Net state-to-speed-error row F = outer_vector() - [0, 0, 1, 0].
 
-    The -1 comes from the speed error e = ydot_ref - ydot; the leading zero
-    reflects k_y = 0 (position does not enter the balance loop), so the
-    3-state (theta, ydot, thetadot) row simply drops it.
+    The -1 comes from the speed error e = ydot_ref - ydot. Position has no
+    gain, so F's leading entry is 0 and the 3-state (theta, ydot, thetadot)
+    row simply drops it.
     """
-    F = np.array([0.0, gains.k_theta, gains.k_ydot - 1.0, gains.k_thetadot])
+    F = gains.outer_vector() - _UNIT_YDOT
     if n_states == 3:
         return F[1:]
     if n_states != 4:

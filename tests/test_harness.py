@@ -744,15 +744,19 @@ class TestCli:
         assert f"'{section}.{key}': must be {wanted}" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_removed_multistart_key_exits_2(self, tmp_path, capsys):
-        # the fit has one start; a config that still sets the old count is
-        # an unknown key, rejected before any output
+    @pytest.mark.parametrize("doc, key", [
+        ({"id": {"multistart_count": 1}}, "id.multistart_count"),
+        ({"gains": {"k_y": 0.0}}, "gains.k_y")], ids=["multistart_count", "k_y"])
+    def test_removed_multistart_key_exits_2(self, tmp_path, capsys, doc, key):
+        # the fit has one start, and the outer loop has no position gain; a
+        # config that still sets either removed key is an unknown key,
+        # rejected before any output
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"id": {"multistart_count": 1}}))
+        cfg.write_text(json.dumps(doc))
         out = tmp_path / "out"
         rc = cli.main(["identify", "--config", str(cfg), "--out", str(out)])
         assert rc == 2
-        assert "'id.multistart_count'" in capsys.readouterr().err
+        assert f"config error at '{key}': unknown key" in capsys.readouterr().err
         assert not out.exists()
 
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):

@@ -68,6 +68,11 @@ class TestPStep:
 class TestClosedLoop:
     def test_feedback_row(self):
         assert_allclose(feedback_row(FeedbackGains()), [0.0, 1.2, 0.1, 0.005])
+        # the fit's row is the loop's own outer vector less the measured
+        # speed, and position has no gain in either gain set
+        for g in (FeedbackGains(), FeedbackGains.identification()):
+            assert_allclose(feedback_row(g), g.outer_vector() - [0, 0, 1, 0], atol=0)
+            assert g.outer_vector()[0] == 0.0
 
     def test_open_loop_when_kp_zero(self):
         ss = build_linear_ss(LinearParams.reference())

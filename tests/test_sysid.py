@@ -412,7 +412,7 @@ class TestExtractOpenLoop:
         assert np.max(np.abs(B - open_loop.B)) < 1e-12
 
     def test_zero_feedback_row(self):
-        g = FeedbackGains(k_y=0, k_theta=0, k_ydot=1.0, k_thetadot=0, kp=250.0)
+        g = FeedbackGains(k_theta=0, k_ydot=1.0, k_thetadot=0, kp=250.0)
         assert_allclose(feedback_row(g), np.zeros(4), atol=0)
         A_cl = np.arange(16.0).reshape(4, 4)
         B_cl = np.arange(4.0).reshape(4, 1)
