@@ -4,9 +4,10 @@ Subcommands run one experiment each and write telemetry CSV plus a summary
 JSON under --out; `pipeline` chains all four, feeding the identified model
 into the LQR and MPC designs the way the real workflow does.
 
-Exit codes: 0 success; 1 an experiment aborted, a fall or a failed fit
-(outputs are still written); 2 a config value, argument, --config or
---model file that cannot be used (nothing is written).
+Exit codes: 0 success; 1 an experiment aborted: a fall, a non-finite or
+singular plant step, or a failed fit (outputs are still written); 2 a
+config value, argument, --config or --model file that cannot be used
+(nothing is written).
 """
 
 from __future__ import annotations

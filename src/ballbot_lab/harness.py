@@ -32,7 +32,7 @@ from . import sysid
 from .control import (MpcConfig, MpcController, SmoothStepRef,
                       build_predictor, design_lqr, smooth_step)
 from .errors import (ConfigError, IdentificationFailedError, MassMatrixSingularError,
-                     PlantFellOverError, StabilizabilityError)
+                     PlantBlowUpError, PlantFellOverError, StabilizabilityError)
 from .excitation import MultisineSpec, sample_sequence
 from .numerics import design_butterworth2, zoh_discretize
 from .plant import (LinearParams, PhysicalParams, Plant, Sensor, SensorSpec,
@@ -495,9 +495,10 @@ def _simulate(cfg, duration, theta0_deg, control):
     Returns the telemetry, cut to the logged ticks and with the wheel
     commands mixed in; the two planes' states, as lists, after the last
     completed tick (the initial states when the first tick aborts); and the
-    PlantFellOverError that ended the run or None. An abort leaves its tick
-    logged but not completed: a tracking-plane step taken before the mirror
-    plane fell is dropped.
+    error that ended the run or None: a fall, a non-finite state or a
+    singular mass matrix, each with the time ``t`` of its tick's end. An
+    abort leaves its tick logged but not completed: a tracking-plane step
+    taken before the mirror plane fell is dropped.
     """
     Ts = cfg["run"]["Ts_inner"]
     n_ticks = int(round(duration / Ts))
@@ -520,8 +521,9 @@ def _simulate(cfg, duration, theta0_deg, control):
             row[_CMD + 1] = u1
             x0 = plant0.step(x0, u0)
             x1 = plant1.step(x1, u1)
-    except PlantFellOverError as exc:
+    except (PlantFellOverError, PlantBlowUpError, MassMatrixSingularError) as exc:
         n_logged, abort = k + 1, exc
+        abort.t = getattr(exc, "t", (k + 1) * Ts)  # a fall carries its plant's time
         x0, x1 = row[s0:s0 + 4].tolist(), row[s1:s1 + 4].tolist()
     buf = buf[:n_logged]
     buf[:, _WHEELS:_WHEELS + 3] = np.column_stack(
@@ -558,12 +560,17 @@ def _outer_references(k_outer, xm0, xm1, row):
     return r0, r1
 
 
+def _lqr_input(k, x):
+    """-K x for the gain row ``k``, a tuple of floats, summed as outer_reference sums."""
+    return -(k[0] * x[0] + k[1] * x[1] + k[2] * x[2] + k[3] * x[3])
+
+
 def run_balance(cfg, duration=None) -> RunResult:
     """Double-loop PID balancing on both planes from an initial tilt."""
     Ts = cfg["run"]["Ts_inner"]
     duration = _duration(cfg, "balance", duration)
     gains = _balance_gains(cfg)
-    k_outer = gains.outer_vector()
+    k_outer = tuple(gains.outer_vector().tolist())
     pid0, pid1 = PidState(), PidState()
 
     def control(k, xm0, xm1, row):
@@ -602,7 +609,7 @@ def _identification_loop(cfg, duration):
     """
     Ts = cfg["run"]["Ts_inner"]
     gains = _identification_gains(cfg)
-    k_outer = gains.outer_vector()
+    k_outer = tuple(gains.outer_vector().tolist())
     sec = cfg["excitation"]
     exc_seq = sample_sequence(MultisineSpec(sec["alpha"], sec["components"]), Ts, duration)
     d = exc_seq.d
@@ -681,13 +688,12 @@ def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     """Regulator-only balancing from an initial tilt; position drifts."""
     duration = _duration(cfg, "lqr", duration)
     _, lqr = _design(cfg, model_lp)
-    K = lqr.K
+    k_lqr = tuple(lqr.K[0].tolist())
     u_lqr_col = _COL["u_lqr_y_ticks"]
 
     def control(k, xm0, xm1, row):
-        u0 = -K.dot(xm0)[0]
-        row[u_lqr_col] = u0
-        return u0, -K.dot(xm1)[0]
+        u0 = row[u_lqr_col] = _lqr_input(k_lqr, xm0)
+        return u0, _lqr_input(k_lqr, xm1)
 
     tel, states, abort = _simulate(cfg, duration, cfg["run"]["theta0_deg"], control)
     # the start time of the first tick after which |theta_x| < 0.05 deg
@@ -715,7 +721,7 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     controller = MpcController(pred, mpc_cfg)
     ref_spec = SmoothStepRef(**cfg["reference"])
     latency = cfg["run"]["latency_mpc_periods"]
-    K = lqr.K
+    k_lqr = tuple(lqr.K[0].tolist())
     n_ticks = int(round(duration / Ts))
     y_ref = smooth_step(ref_spec, np.arange(n_ticks) * Ts)[:, 0]
     # the MPC's reference preview at each solve's tick k, k * Ts + j * Ts_mpc
@@ -744,9 +750,9 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
                     u_mpc_raw = pending
                 pending = u_box
         u_mpc_filt = filt.step(u_mpc_raw)
-        u_lqr_y = -K.dot(xm0)[0]
+        u_lqr_y = _lqr_input(k_lqr, xm0)
         row[mpc_cols] = (u_lqr_y, u_mpc_raw, u_mpc_filt, y_ref[k])
-        return u_lqr_y + u_mpc_filt, -K.dot(xm1)[0]
+        return u_lqr_y + u_mpc_filt, _lqr_input(k_lqr, xm1)
 
     tel, states, abort = _simulate(cfg, duration, 0.0, control)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MassMatrixSingularError, PlantFellOverError
+from .errors import MassMatrixSingularError, PlantBlowUpError, PlantFellOverError
 from .numerics import ContinuousSS, rk4_step, zoh_discretize
 
 __all__ = [
@@ -309,24 +309,28 @@ class Plant:
     def step(self, x, u: float) -> list:
         """The state one period after ``x`` under the held input ``u``.
 
-        ``x`` and the returned state are lists of four floats.
+        ``x`` and the returned state are lists of four floats; a linear
+        model sums A_d x + B_d u left to right. Leaving the tilt envelope
+        raises PlantFellOverError, or PlantBlowUpError if the state is not
+        finite: a NaN anywhere in ``x`` or ``u`` reaches the linear step's
+        tilt, through A_d's zero entries if need be (0 NaN is NaN), and
+        ``rk4_step`` checks its stages and result.
         """
         u = float(u)  # a numpy scalar would turn the whole state into numpy scalars
         if self._rows is None:
             xn = rk4_step(self._dynamics, x, u, self.Ts)
         else:
-            # A_d x + B_d u on Python floats, summed in the order OpenBLAS's
-            # dgemv sums a 4 x 4 product, (a0 x0 + a2 x2) + (a1 x1 + a3 x3):
-            # bit for bit np.dot(A_d, x) + B_d u, which test_plant checks
             ((a00, a01, a02, a03, b0), (a10, a11, a12, a13, b1),
              (a20, a21, a22, a23, b2), (a30, a31, a32, a33, b3)) = self._rows
             x0, x1, x2, x3 = x
-            xn = [(a00 * x0 + a02 * x2) + (a01 * x1 + a03 * x3) + b0 * u,
-                  (a10 * x0 + a12 * x2) + (a11 * x1 + a13 * x3) + b1 * u,
-                  (a20 * x0 + a22 * x2) + (a21 * x1 + a23 * x3) + b2 * u,
-                  (a30 * x0 + a32 * x2) + (a31 * x1 + a33 * x3) + b3 * u]
+            xn = [a00 * x0 + a01 * x1 + a02 * x2 + a03 * x3 + b0 * u,
+                  a10 * x0 + a11 * x1 + a12 * x2 + a13 * x3 + b1 * u,
+                  a20 * x0 + a21 * x1 + a22 * x2 + a23 * x3 + b2 * u,
+                  a30 * x0 + a31 * x1 + a32 * x2 + a33 * x3 + b3 * u]
         self.t += self.Ts
-        if abs(xn[1]) >= TILT_ENVELOPE_DEG:
+        if not abs(xn[1]) < TILT_ENVELOPE_DEG:  # a NaN tilt fails this test too
+            if not all(map(math.isfinite, xn)):
+                raise PlantBlowUpError(np.asarray(xn))
             raise PlantFellOverError(self.t, np.asarray(xn))
         return xn
 

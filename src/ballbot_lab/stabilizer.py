@@ -67,15 +67,13 @@ class PidState:
     e_ydot_prev: float = field(default=0.0)
 
 
-def outer_reference(k: np.ndarray, x) -> float:
+def outer_reference(k, x) -> float:
     """Reference ball speed from weighted state feedback (cm/s).
 
-    ``k`` is ``FeedbackGains.outer_vector()``, built once per experiment.
-    The 4-term dot stays one BLAS call: its left-to-right fused
-    multiply-adds round differently from any order of plain float
-    operations.
+    ``k`` is ``FeedbackGains.outer_vector()`` as a tuple of floats. Like
+    every sum of the tick path, the dot is summed left to right on floats.
     """
-    return float(k.dot(x))
+    return k[0] * x[0] + k[1] * x[1] + k[2] * x[2] + k[3] * x[3]
 
 
 def pid_step(state: PidState, e_ydot: float, gains: FeedbackGains, Ts: float) -> float:

@@ -11,13 +11,19 @@ recursions instead of lifted or modal forms, and the stacked MPC problem
 (x0, ref) instead of the controller's parametric maps. The rigid-body
 step is kept in its numpy vector form (``vector_rk4_step`` of
 ``vector_nonlinear_dynamics``), which the plant's float step must equal bit
-for bit. The plant's mechanical energy, the biquad's frequency response and
-the algebraic inverse of the loop composition (``extract_open_loop``) are
-checks that the library itself never needs.
+for bit. The tick path's documented summation order is kept as a fold of
+its products (``plain_dot``, ``plain_plant_update``), which the linear
+plant step, the outer reference and the LQR input must equal bit for bit;
+``dot_order_bound`` bounds their distance from a BLAS dot. The plant's
+mechanical energy, the biquad's frequency response and the algebraic
+inverse of the loop composition (``extract_open_loop``) are checks that the
+library itself never needs.
 """
 
+import functools
 import itertools
 import math
+import operator
 
 import numpy as np
 
@@ -216,6 +222,24 @@ def residuals(prob, sol) -> tuple:
             _norm(prob.P @ sol.z + prob.q + prob.A.T @ sol.y))
 
 
+def kkt_violation(prob, sol):
+    """Largest violation of the optimality conditions of (z, y).
+
+    Primal feasibility, stationarity P z + q + A'y = 0, the multiplier signs
+    (positive on an upper side, negative on a lower side, free on an
+    equality row) and complementarity, each relative to the data size.
+    """
+    z, y = sol.z, sol.y
+    Az = prob.A @ z
+    box = prob.u - prob.l > 1e-12
+    up, lo = box & (y > 0), box & (y < 0)
+    compl = np.concatenate([y[up] * (prob.u - Az)[up], y[lo] * (prob.l - Az)[lo]])
+    scale = max(1.0, np.max(np.abs(prob.q)), np.max(np.abs(y), initial=0.0))
+    return max(np.max(np.maximum(Az - prob.u, prob.l - Az), initial=0.0),
+               np.max(np.abs(prob.P @ z + prob.q + prob.A.T @ y)) / scale,
+               np.max(np.abs(compl), initial=0.0) / scale)
+
+
 def fd_jacobian(f, x0, h=1e-5):
     """Central finite-difference Jacobian of f at x0."""
     x0 = np.asarray(x0, dtype=float)
@@ -321,6 +345,28 @@ def vector_rk4_step(f, x, u, dt):
     return out
 
 
+def plain_dot(k, x) -> float:
+    """sum k_i x_i in the tick path's order: the products added left to right."""
+    return functools.reduce(operator.add, [float(a) * float(b) for a, b in zip(k, x)])
+
+
+def plain_plant_update(A_d, B_d, x, u) -> list:
+    """A_d x + B_d u, each entry the plain dot of its row of [A_d | B_d] with [x; u]."""
+    rows = np.hstack([A_d, B_d]).tolist()
+    return [plain_dot(row, list(x) + [u]) for row in rows]
+
+
+def dot_order_bound(k, x):
+    """How far two summation orders of sum k_i x_i can lie apart: 2 gamma_n
+    sum |k_i x_i|, where gamma_n sum |k_i x_i|, gamma_n = n u / (1 - n u)
+    and u = eps / 2, bounds the forward error of one n-term dot in any
+    order, fused multiply-adds or not (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 3.1). Rows of a 2-D ``k`` give one bound each."""
+    k, x = np.asarray(k, dtype=float), np.asarray(x, dtype=float)
+    nu = k.shape[-1] * np.finfo(float).eps / 2
+    return 2 * nu / (1 - nu) * (np.abs(k) @ np.abs(x))
+
+
 def biquad_gain(f, f_hz, fs):
     """Magnitude of a Biquad's frequency response at f_hz for sample rate fs."""
     z = np.exp(2j * np.pi * f_hz / fs)
@@ -353,6 +399,7 @@ class InteriorPointQp:
     DELTA = 1e-9     # KKT regularization; perturbs the step, not the residuals
     STEP = 0.99      # fraction of the step to the boundary of s, lam > 0
     DUAL_BIG = 1e3   # dual size, relative to the data, that triggers the Farkas check
+    MAX_ITER = 100   # iterations, unless the settings give a cap
 
     def __init__(self, problem, settings=None, eps_prim_inf=1e-6):
         p = self.prob = problem
@@ -422,9 +469,10 @@ class InteriorPointQp:
         s = s + max(0.0, 1.0 - np.min(s, initial=1.0))
         lam = lam + max(0.0, 1.0 - np.min(lam, initial=1.0))
         data_size = max(1.0, _norm(p.q, p.P.ravel()))
-        status, iters = "max-iter", st.max_iter
+        max_iter = st.max_iter or self.MAX_ITER
+        status, iters = "max-iter", max_iter
         y_prev = None
-        for it in range(st.max_iter + 1):
+        for it in range(max_iter + 1):
             r_d, r_e, r_i, r_prim, r_dual, gap, done = self._residuals(z, yE, s, lam, b, h)
             if done:
                 status, iters = "solved", it
@@ -437,7 +485,7 @@ class InteriorPointQp:
                 status, iters = "primal-infeasible", it
                 break
             y_prev = y
-            if it == st.max_iter:
+            if it == max_iter:
                 break
             w = lam / s
             self.assemble(w)

@@ -7,7 +7,8 @@ from numpy.testing import assert_array_equal
 
 from ballbot_lab import cli, harness
 from ballbot_lab.control import MpcController, SmoothStepRef, design_lqr, smooth_step
-from ballbot_lab.errors import ConfigError, IdentificationFailedError, PlantFellOverError
+from ballbot_lab.errors import (ConfigError, IdentificationFailedError,
+                                MassMatrixSingularError, PlantFellOverError)
 from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
                                  config_hash, load_config, run_balance,
                                  run_identify, run_lqr, run_track,
@@ -15,6 +16,8 @@ from ballbot_lab.harness import (TELEMETRY_COLUMNS, TELEMETRY_DTYPE,
 from ballbot_lab.numerics import zoh_discretize
 from ballbot_lab.plant import Plant, PhysicalParams, build_linear_ss, linearize
 from ballbot_lab.qp import QpSettings
+
+from oracles import dot_order_bound, plain_dot
 
 
 INF = float("inf")
@@ -236,6 +239,25 @@ class TestLqr:
         cfg = quiet_config(theta0_deg=0.0)
         res = run_lqr(cfg, duration=1.0)
         assert all(abs(row["u_y_ticks"]) < 1e-12 for row in res.telemetry)
+
+    @pytest.mark.parametrize("runner", [run_lqr, run_track])
+    def test_inputs_sum_in_the_documented_order(self, runner):
+        # each tick's LQR input -K x of each plane's measurement is the
+        # left-to-right float sum bit for bit, and the BLAS product, whose
+        # order the kernel picks, within two summation orders' error bound.
+        # The y plane's is logged as u_lqr_y_ticks, the mirror plane's is
+        # its command.
+        cfg = load_config()
+        res = runner(cfg, duration=2.0)
+        k = harness._design(cfg, None)[1].K[0]
+        for row in res.telemetry:
+            for x, u in ((row[["y_meas_cm", "theta_x_meas_deg", "ydot_meas_cms",
+                               "thetadot_x_meas_degs"]], row["u_lqr_y_ticks"]),
+                         (row[["x_meas_cm", "theta_y_meas_deg", "xdot_meas_cms",
+                               "thetadot_y_meas_degs"]], row["u_x_ticks"])):
+                x = list(x.item())
+                assert u == -plain_dot(k, x)
+                assert abs(u + k.dot(x)) <= dot_order_bound(k, x)
 
 
 class TestTrack:
@@ -560,6 +582,59 @@ class TestAbortTruncation:
         cost = np.sum((after["y_cm"] - during["y_ref_cm"]) ** 2) * 0.005
         assert m["tracking_cost"] == pytest.approx(cost, rel=1e-12, abs=0.0)
         assert cost > 0.0
+
+
+class TestNonFiniteState:
+    """A plant step that is not finite, or that meets a singular mass
+    matrix, ends the run as a fall does: exit 1, every output written, the
+    reason and the tick's end time in the summary."""
+
+    # Plant.step's 9th call, the y plane's step of tick 4, returns its state
+    # with one entry made NaN. The y plane's step of tick 5 takes it, so
+    # ticks 0-5 are logged and the run ends at 6 ticks. Noise is off: the
+    # trackball's counter, like the hardware one, cannot count a NaN, and
+    # in a run no state reaches the sensor before a step has checked it.
+    CORRUPT_CALL = 9
+
+    def run_balance_cli(self, tmp_path, mode):
+        rc = cli.main(["balance", "--plant", mode, "--noise", "off", "--duration", "1",
+                       "--out", str(tmp_path)])
+        assert rc == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "balance_summary.json", "balance_telemetry.csv"]
+        summary = json.loads((tmp_path / "balance_summary.json").read_text())
+        assert summary["aborted"]
+        rows = (tmp_path / "balance_telemetry.csv").read_text().splitlines()[2:]
+        return summary, len(rows)
+
+    @pytest.mark.parametrize("mode", ["linear", "nonlinear"])
+    @pytest.mark.parametrize("slot", range(4))
+    def test_nan_state_aborts_with_outputs(self, tmp_path, monkeypatch, mode, slot):
+        step = Plant.step
+        calls = []
+
+        def corrupting_step(plant, x, u):
+            xn = step(plant, x, u)
+            calls.append(1)
+            if len(calls) == self.CORRUPT_CALL:
+                xn[slot] = float("nan")
+            return xn
+
+        monkeypatch.setattr(Plant, "step", corrupting_step)
+        summary, n_rows = self.run_balance_cli(tmp_path, mode)
+        assert summary["abort_reason"].startswith("non-finite")
+        assert summary["abort_time_s"] == 6 * 0.005
+        assert n_rows == 6
+
+    def test_singular_mass_matrix_aborts_with_outputs(self, tmp_path, monkeypatch):
+        def singular(pp, x, tau):
+            raise MassMatrixSingularError(f"mass matrix singular at theta={x[1]} deg")
+
+        monkeypatch.setattr("ballbot_lab.plant.nonlinear_dynamics", singular)
+        summary, n_rows = self.run_balance_cli(tmp_path, "nonlinear")
+        assert summary["abort_reason"].startswith("mass matrix singular")
+        assert summary["abort_time_s"] == 0.005
+        assert n_rows == 1
 
 
 class TestNonlinearPlant:

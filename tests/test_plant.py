@@ -10,8 +10,8 @@ from ballbot_lab.plant import (DEG, RAD, LinearParams, PhysicalParams, Plant,
                                Sensor, SensorSpec, build_linear_ss, linearize,
                                mix_to_wheels, nonlinear_dynamics)
 
-from oracles import (fd_jacobian, mechanical_energy, vector_nonlinear_dynamics,
-                     vector_rk4_step)
+from oracles import (dot_order_bound, fd_jacobian, mechanical_energy,
+                     plain_plant_update, vector_nonlinear_dynamics, vector_rk4_step)
 
 
 @pytest.fixture
@@ -202,25 +202,26 @@ class TestSensor:
 
 class TestPlant:
     def test_linear_step_is_discrete_update(self):
-        # A_d x + B_d u on Python floats, summed in the order of the BLAS
-        # matrix-vector product, gives exactly the vector expression, over
-        # many states and inputs, on the truth and on models a fit can
-        # return: every constant off by 30 %, and a wrong-signed p1
+        # A_d x + B_d u on Python floats is the documented left-to-right
+        # order bit for bit, and the BLAS product, whose order the kernel
+        # picks, within two summation orders' error bound, over many states
+        # and inputs, on the truth and on models a fit can return: every
+        # constant off by 30 %, and a wrong-signed p1
         truth = LinearParams.reference().as_array()
         for scale in (np.ones(8), np.full(8, 1.3),
                       np.array([-0.2, 0.18, 1, 1, 1, 1, 0.06, 1])):
             plant = Plant(LinearParams.from_array(truth * scale), 0.005)
             d = zoh_discretize(build_linear_ss(plant.model), 0.005)
-            x = np.array([1.0, 0.5, -0.2, 0.1])
-            xn = plant.step(x.tolist(), 3.0)
-            assert isinstance(xn, list)
-            assert_array_equal(xn, d.A_d @ x + d.B_d[:, 0] * 3.0)
+            AB = np.hstack([d.A_d, d.B_d])
             rng = np.random.default_rng(8)
             for _ in range(1000):
                 x = rng.normal(scale=[10.0, 5.0, 20.0, 50.0])
                 u = float(rng.normal(scale=100.0))
-                assert_array_equal(plant.step(x.tolist(), u),
-                                   d.A_d @ x + d.B_d[:, 0] * u)
+                xn = plant.step(x.tolist(), u)
+                assert isinstance(xn, list)
+                assert xn == plain_plant_update(d.A_d, d.B_d, x, u)
+                assert np.all(np.abs(xn - (d.A_d @ x + d.B_d[:, 0] * u))
+                              <= dot_order_bound(AB, np.append(x, u)))
 
     @pytest.mark.parametrize("Ts", [0.005, 0.0005])
     def test_rigid_body_step_is_the_vector_step(self, Ts):

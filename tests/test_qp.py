@@ -4,7 +4,8 @@ from numpy.testing import assert_allclose
 
 from ballbot_lab.qp import QpProblem, QpSettings, QpSolver
 
-from oracles import InteriorPointQp, enumerate_box_qp, objective, residuals
+from oracles import (InteriorPointQp, enumerate_box_qp, kkt_violation, objective,
+                     residuals)
 
 
 def random_box_qp(rng, n=None):
@@ -259,24 +260,6 @@ class TestUnconstrainedExit:
             assert sol.status == "solved"
             assert sol.iterations > 0
             assert_allclose(sol.z, -np.sign(q), atol=1e-6)
-
-
-def kkt_violation(prob, sol):
-    """Largest violation of the optimality conditions of (z, y).
-
-    Primal feasibility, stationarity P z + q + A'y = 0, the multiplier signs
-    (positive on an upper side, negative on a lower side, free on an
-    equality row) and complementarity, each relative to the data size.
-    """
-    z, y = sol.z, sol.y
-    Az = prob.A @ z
-    box = prob.u - prob.l > 1e-12
-    up, lo = box & (y > 0), box & (y < 0)
-    compl = np.concatenate([y[up] * (prob.u - Az)[up], y[lo] * (prob.l - Az)[lo]])
-    scale = max(1.0, np.max(np.abs(prob.q)), np.max(np.abs(y), initial=0.0))
-    return max(np.max(np.maximum(Az - prob.u, prob.l - Az), initial=0.0),
-               np.max(np.abs(prob.P @ z + prob.q + prob.A.T @ y)) / scale,
-               np.max(np.abs(compl), initial=0.0) / scale)
 
 
 class TestDualActiveSet:

@@ -8,7 +8,7 @@ from ballbot_lab.stabilizer import (FeedbackGains, PidState, closed_loop,
                                     discrete_closed_loop, feedback_row,
                                     outer_reference, p_step, pid_step)
 
-from oracles import simulate_discrete
+from oracles import dot_order_bound, plain_dot, simulate_discrete
 
 
 class TestOuterReference:
@@ -25,6 +25,20 @@ class TestOuterReference:
         g = FeedbackGains().outer_vector()
         x = np.array([1.0, -2.0, 0.5, 4.0])
         assert_allclose(outer_reference(g, 2 * x), 2 * outer_reference(g, x), rtol=1e-12)
+
+    def test_sums_in_the_documented_order(self):
+        # the left-to-right float sum bit for bit, and the BLAS dot, whose
+        # order the kernel picks, within two summation orders' error bound:
+        # the two loops' gains and random ones, over random states
+        rng = np.random.default_rng(26)
+        gains = [FeedbackGains().outer_vector(), FeedbackGains.identification().outer_vector()]
+        gains += list(rng.normal(size=(8, 4)))
+        for g in gains:
+            k = tuple(g.tolist())
+            for x in rng.normal(scale=[10.0, 5.0, 20.0, 50.0], size=(500, 4)):
+                ref = outer_reference(k, x.tolist())
+                assert ref == plain_dot(k, x)
+                assert abs(ref - g.dot(x)) <= dot_order_bound(k, x)
 
 
 class TestPidStep:
