@@ -4,7 +4,8 @@ The regulator runs at the fast inner rate and keeps the robot upright; the
 MPC runs at a slower rate, predicts through the ALREADY-stabilized loop
 (dual-mode prediction), and adds a correction input for position tracking.
 Predicting the pre-stabilized dynamics keeps the optimization well posed
-even though the open-loop plant is unstable.
+even though the open-loop plant is unstable. ``design_lqr`` closes and checks
+that loop once, and ``build_predictor`` lifts the loop the design hands it.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 from .errors import StabilizabilityError
 from .numerics import DiscreteSS, eigenvalues, solve_dare
 from .qp import QpProblem, QpSettings, QpSolution, QpSolver
+from .stabilizer import closed_loop
 
 __all__ = [
     "LqrDesign", "design_lqr",
@@ -26,27 +28,26 @@ __all__ = [
 
 @dataclass
 class LqrDesign:
-    Q: np.ndarray
-    R: np.ndarray
+    """The regulator u = -K x and the loop it closes, (A_d - B_d K, B_d)."""
+
     K: np.ndarray
-    P: np.ndarray
-    Ts: float
+    A_cl: np.ndarray
+    B_cl: np.ndarray
     closed_loop_eigs: list
 
 
 def design_lqr(sys_d: DiscreteSS, Q, R) -> LqrDesign:
     """State-feedback gain for u = -K x from the Riccati fixed point.
 
-    Verifies that every closed-loop eigenvalue lies strictly inside the unit
-    circle and records the spectrum for the run summary.
+    Closes the loop, verifies that every closed-loop eigenvalue lies strictly
+    inside the unit circle and records the spectrum for the run summary.
     """
-    Q = np.asarray(Q, dtype=float)
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    P, K = solve_dare(sys_d.A_d, sys_d.B_d, Q, R)
-    eigs = eigenvalues(sys_d.A_d - sys_d.B_d @ K)
+    _, K = solve_dare(sys_d.A_d, sys_d.B_d, Q, np.atleast_2d(R))
+    A_cl, B_cl = closed_loop(sys_d.A_d, sys_d.B_d, -K[0])
+    eigs = eigenvalues(A_cl)
     if max(abs(e) for e in eigs) >= 1.0:
         raise StabilizabilityError("closed-loop spectral radius not inside the unit circle")
-    return LqrDesign(Q=Q, R=R, K=K, P=P, Ts=sys_d.Ts, closed_loop_eigs=eigs)
+    return LqrDesign(K=K, A_cl=A_cl, B_cl=B_cl, closed_loop_eigs=eigs)
 
 
 @dataclass
@@ -66,26 +67,21 @@ class DualModePredictor:
         return self.A_bar.shape[0]
 
 
-def build_predictor(sys_d: DiscreteSS, K_lqr, m: int = 20) -> DualModePredictor:
-    """Lift the inner closed loop over one slow period.
+def build_predictor(lqr: LqrDesign, m: int = 20) -> DualModePredictor:
+    """Lift the regulator's closed loop over one slow period.
 
-    Refuses an unstable inner loop: the whole point of predicting through
-    the regulator is that the prediction never diverges.
+    ``design_lqr`` has refused an unstable loop, so the prediction never
+    diverges: that is the whole point of predicting through the regulator.
     """
     if m < 1:
         raise ValueError("rate ratio m must be >= 1")
-    K = np.atleast_2d(np.asarray(K_lqr, dtype=float))
-    A_cl = sys_d.A_d - sys_d.B_d @ K
-    if max(abs(e) for e in eigenvalues(A_cl)) >= 1.0:
-        raise StabilizabilityError(
-            "inner loop unstable; dual-mode prediction premise broken")
-    n = sys_d.n_states
+    n = lqr.A_cl.shape[0]
     A_bar = np.eye(n)
     S = np.zeros((n, n))
     for _ in range(m):
         S = S + A_bar
-        A_bar = A_cl @ A_bar
-    B_bar = S @ sys_d.B_d
+        A_bar = lqr.A_cl @ A_bar
+    B_bar = S @ lqr.B_cl
     return DualModePredictor(A_bar=A_bar, B_bar=B_bar)
 
 

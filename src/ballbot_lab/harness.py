@@ -374,10 +374,10 @@ def _truth_model(cfg) -> LinearParams:
 
 
 def _design(cfg, model_lp):
-    """The ZOH model and LQR design of ``model_lp``, or of the truth if None."""
+    """The LQR design on the ZOH model of ``model_lp``, or of the truth if None."""
     model = _truth_model(cfg) if model_lp is None else model_lp
     dss = zoh_discretize(build_linear_ss(model), cfg["run"]["Ts_inner"])
-    return dss, design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
+    return design_lqr(dss, np.diag(cfg["lqr"]["Q"]), [[cfg["lqr"]["R"]]])
 
 
 # The shortest identification record the fit takes: 1 s fits at seeds 0-7,
@@ -687,7 +687,7 @@ def run_identify(cfg, duration=None) -> RunResult:
 def run_lqr(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     """Regulator-only balancing from an initial tilt; position drifts."""
     duration = _duration(cfg, "lqr", duration)
-    _, lqr = _design(cfg, model_lp)
+    lqr = _design(cfg, model_lp)
     k_lqr = tuple(lqr.K[0].tolist())
     u_lqr_col = _COL["u_lqr_y_ticks"]
 
@@ -715,8 +715,8 @@ def run_track(cfg, duration=None, model_lp: LinearParams = None) -> RunResult:
     Ts = cfg["run"]["Ts_inner"]
     duration = _duration(cfg, "track", duration)
     m = int(round(cfg["mpc"]["Ts_mpc"] / Ts))
-    dss, lqr = _design(cfg, model_lp)
-    pred = build_predictor(dss, lqr.K, m=m)
+    lqr = _design(cfg, model_lp)
+    pred = build_predictor(lqr, m=m)
     mpc_cfg, filt = _mpc_section(cfg)
     controller = MpcController(pred, mpc_cfg)
     ref_spec = SmoothStepRef(**cfg["reference"])

@@ -2,8 +2,9 @@
 
 The outer loop turns the measured state into a reference ball speed; the
 inner loop (discrete PID, or plain P during identification experiments)
-turns the speed error into a motor command. Composing the plant with the
-P-only loop gives the closed-loop system that the identification stage fits.
+turns the speed error into a motor command. ``closed_loop`` closes a plant
+through the P-only loop (the system the identification stage fits) or through
+the LQR (the loop the MPC predicts through).
 """
 
 from __future__ import annotations
@@ -12,12 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import DiscreteSS
-
 __all__ = [
     "FeedbackGains", "PidState",
     "outer_reference", "pid_step", "p_step",
-    "feedback_row", "closed_loop", "discrete_closed_loop",
+    "feedback_row", "closed_loop",
 ]
 
 # the measured speed that the speed error e = ydot_ref - ydot subtracts
@@ -95,34 +94,22 @@ def p_step(kp: float, e_ydot: float) -> float:
     return kp * e_ydot
 
 
-def feedback_row(gains: FeedbackGains, n_states: int = 4) -> np.ndarray:
+def feedback_row(gains: FeedbackGains) -> np.ndarray:
     """Net state-to-speed-error row F = outer_vector() - [0, 0, 1, 0].
 
     The -1 comes from the speed error e = ydot_ref - ydot. Position has no
     gain, so F's leading entry is 0 and the 3-state (theta, ydot, thetadot)
-    row simply drops it.
+    loop takes F[1:].
     """
-    F = gains.outer_vector() - _UNIT_YDOT
-    if n_states == 3:
-        return F[1:]
-    if n_states != 4:
-        raise ValueError("expected a 3- or 4-state system")
-    return F
+    return gains.outer_vector() - _UNIT_YDOT
 
 
-def closed_loop(A, B, gains: FeedbackGains):
-    """Plant + outer feedback + inner P gain: (A + kp B F, kp B).
+def closed_loop(A, B, row, gain=1.0):
+    """The lab's one loop composition, u = gain (row x + v): (A + gain B row, gain B).
 
-    The excitation enters the speed-error summation, so it is scaled by kp
-    like the feedback. The same algebra closes the continuous loop and the
-    sampled one: the digital controller holds u = kp (F x_k + d_k) over each
-    period, so closing (A_d, B_d) gives the realized transition. A 3-state
-    system (position dropped) takes the 3-state feedback row.
+    The P loop is row F (``feedback_row``) with gain kp, since the excitation
+    enters the speed-error sum; the regulator is row -K with gain 1. Closing
+    (A_d, B_d) gives the realized sampled loop, as the digital controller
+    holds its output over each period. The row sets the state count.
     """
-    F = feedback_row(gains, A.shape[0])
-    return A + gains.kp * np.outer(B[:, 0], F), gains.kp * B
-
-
-def discrete_closed_loop(dss: DiscreteSS, gains: FeedbackGains) -> DiscreteSS:
-    """The sampled closed loop of a 3- or 4-state discrete model."""
-    return DiscreteSS(*closed_loop(dss.A_d, dss.B_d, gains), dss.Ts)
+    return A + gain * np.outer(B[:, 0], row), gain * B

@@ -9,9 +9,10 @@ The fitted constants parameterize the open loop directly (the planar model
 of ``plant.build_linear_ss`` without its position state).
 
 The candidate closed loop is composed at the discrete level, A_d + kp B_d F
-(``stabilizer.closed_loop``), matching the digital controller that actually
-ran: the controller holds its output over each sample period, so
-discretize-then-close is the exact model class of the recorded experiment.
+with F = ``feedback_row(gains)[1:]`` (``stabilizer.closed_loop``), matching
+the digital controller that actually ran: the controller holds its output
+over each sample period, so discretize-then-close is the exact model class of
+the recorded experiment.
 
 The Levenberg-Marquardt Jacobian is exact, built from the candidate's modal
 form rather than differenced (``_jacobian_fn``).
@@ -27,7 +28,7 @@ import numpy as np
 from .errors import IdentificationFailedError
 from .numerics import ContinuousSS, expm, nrmse_fit, sum_squares, zoh_discretize
 from .plant import LinearParams, build_linear_ss
-from .stabilizer import FeedbackGains, closed_loop, discrete_closed_loop
+from .stabilizer import FeedbackGains, closed_loop, feedback_row
 
 __all__ = [
     "IdDataset", "IdConfig", "IdResult",
@@ -131,10 +132,10 @@ def simulate_syscl(p, gains: FeedbackGains, d, Ts: float, x0=None):
             # the planar model without its position state
             full = build_linear_ss(LinearParams.from_array(p))
             dss = zoh_discretize(ContinuousSS(full.A[1:, 1:], full.B[1:]), Ts)
-            cl = discrete_closed_loop(dss, gains)
+            A_cl, B_cl = closed_loop(dss.A_d, dss.B_d, feedback_row(gains)[1:], gains.kp)
     except (ValueError, OverflowError, np.linalg.LinAlgError):
         return None  # includes a non-finite transition (DiscreteSS rejects it)
-    A_cl, B_cl = cl.A_d, cl.B_d[:, 0]
+    B_cl = B_cl[:, 0]
     x0 = np.zeros(3) if x0 is None else np.asarray(x0, dtype=float)
     try:
         lam, V = np.linalg.eig(A_cl)
@@ -278,6 +279,7 @@ def _jacobian_fn(gains: FeedbackGains, d, Ts: float, x0, scales):
     forcing[1:] = d[:-1]
     tmp = np.empty(n, dtype=complex)
     big = np.zeros((36, 36))
+    F = feedback_row(gains)[1:]
     for j, dX in enumerate(_DX, start=1):
         big[:4, 4 * j:4 * j + 4] = dX * Ts
 
@@ -287,7 +289,7 @@ def _jacobian_fn(gains: FeedbackGains, d, Ts: float, x0, scales):
             big[4 * b:4 * b + 4, 4 * b:4 * b + 4] = X
         try:
             E = expm(big)
-            blocks = [closed_loop(E[:3, 4 * b:4 * b + 3], E[:3, 4 * b + 3:4 * b + 4], gains)
+            blocks = [closed_loop(E[:3, 4 * b:4 * b + 3], E[:3, 4 * b + 3:4 * b + 4], F, gains.kp)
                       for b in range(9)]
             lam, V = np.linalg.eig(blocks[0][0])
         except (ValueError, np.linalg.LinAlgError):

@@ -31,9 +31,8 @@ from ballbot_lab.numerics import (design_butterworth2, eigenvalues,
                                   nrmse_fit, solve_dare, zoh_discretize)
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.qp import QpProblem, QpSolver
-from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
-                                    discrete_closed_loop, outer_reference,
-                                    p_step)
+from ballbot_lab.stabilizer import (FeedbackGains, closed_loop, feedback_row,
+                                    outer_reference, p_step)
 
 from oracles import (biquad_gain, eig_via_char_poly, enumerate_box_qp,
                      expm_series, extract_open_loop, literal_lift, objective,
@@ -117,7 +116,7 @@ def test_c01_open_loop_instability():
 def test_c02_identification_loop_hurwitz_as_stated():
     gains = FeedbackGains()  # kp=300, F = [0, 1.2, 0.1, 0.005]
     ss = build_linear_ss(LP)
-    A_r = closed_loop(ss.A, ss.B, gains)[0][1:, 1:]
+    A_r = closed_loop(ss.A, ss.B, feedback_row(gains), gains.kp)[0][1:, 1:]
     max_re = max(e.real for e in eigenvalues(A_r))
     report("C2", max_re < 0,
            f"A_CL with published gains: max Re = {max_re:+.4f} "
@@ -130,7 +129,7 @@ def test_c02_supplementary_artifact_identification_loop_is_hurwitz():
     gains = FeedbackGains.identification()
     gains.k_ydot = 1.0  # the experiment default; see README
     ss = build_linear_ss(LP)
-    A_r = closed_loop(ss.A, ss.B, gains)[0][1:, 1:]
+    A_r = closed_loop(ss.A, ss.B, feedback_row(gains), gains.kp)[0][1:, 1:]
     max_re = max(e.real for e in eigenvalues(A_r))
     elapsed = time.time() - t0
     report("C2*", max_re < 0,
@@ -146,12 +145,13 @@ def test_c03_composition_roundtrip_and_simulation_consistency():
     ss = build_linear_ss(LP)
     worst_rt = 0.0
     for gains in (FeedbackGains(), FeedbackGains.identification()):
-        A, B = extract_open_loop(*closed_loop(ss.A, ss.B, gains), gains)
+        A, B = extract_open_loop(*closed_loop(ss.A, ss.B, feedback_row(gains), gains.kp),
+                                 gains)
         worst_rt = max(worst_rt, np.max(np.abs(A - ss.A)), np.max(np.abs(B - ss.B)))
     # componentwise loop vs composed system over 1000 steps
     gains = FeedbackGains.identification()
     dss = zoh_discretize(ss, TS)
-    cl = discrete_closed_loop(dss, gains)
+    A_cl, B_cl = closed_loop(dss.A_d, dss.B_d, feedback_row(gains), gains.kp)
     rng = np.random.default_rng(123)
     d = rng.normal(size=1000)
     x = np.zeros(4)
@@ -160,7 +160,7 @@ def test_c03_composition_roundtrip_and_simulation_consistency():
         component[k] = x
         u = p_step(gains.kp, outer_reference(gains.outer_vector(), x) - x[2] + d[k])
         x = dss.A_d @ x + dss.B_d[:, 0] * u
-    composed = simulate_discrete(cl.A_d, cl.B_d, np.zeros(4), d)
+    composed = simulate_discrete(A_cl, B_cl, np.zeros(4), d)
     sim_gap = float(np.max(np.abs(component - composed)))
     ok = worst_rt < 1e-12 and sim_gap < 1e-9
     report("C3", ok, f"extraction round trip {worst_rt:.2e} (< 1e-12), "
@@ -288,7 +288,7 @@ def test_c08_dual_mode_predictor_exactness():
     t0 = time.time()
     dss = zoh_discretize(build_linear_ss(LP), TS)
     lqr = design_lqr(dss, np.diag([20.0, 100.0, 10.0, 50.0]), [[200.0]])
-    pred = build_predictor(dss, lqr.K, m=20)
+    pred = build_predictor(lqr, m=20)
     A_cl = dss.A_d - dss.B_d @ lqr.K
     rng = np.random.default_rng(88)
     worst = 0.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballbot_lab import harness
+from ballbot_lab import control, harness
 from ballbot_lab.control import (MpcConfig, MpcController, SmoothStepRef,
                                  _condense, build_predictor, design_lqr,
                                  smooth_step)
@@ -30,14 +30,21 @@ def lqr(dss):
 
 
 @pytest.fixture(scope="module")
-def pred(dss, lqr):
-    return build_predictor(dss, lqr.K, m=20)
+def pred(lqr):
+    return build_predictor(lqr, m=20)
 
 
 class TestDesignLqr:
     def test_closed_loop_in_unit_circle(self, dss, lqr):
         assert max(abs(e) for e in eigenvalues(dss.A_d - dss.B_d @ lqr.K)) < 1.0
         assert max(abs(e) for e in lqr.closed_loop_eigs) < 1.0
+
+    def test_design_holds_its_closed_loop(self, dss, lqr):
+        # B_d K has inner dimension 1, so each entry is one rounded product
+        # and closing through the row -K gives the same floats
+        assert_allclose(lqr.A_cl, dss.A_d - dss.B_d @ lqr.K, rtol=0, atol=0)
+        assert_allclose(lqr.B_cl, dss.B_d, rtol=0, atol=0)
+        assert lqr.closed_loop_eigs == eigenvalues(lqr.A_cl)
 
     def test_control_weight_insensitivity(self, dss, lqr):
         bigger_r = design_lqr(dss, Q_LQR, [[2000.0]])
@@ -63,32 +70,37 @@ class TestDesignLqr:
         with pytest.raises(StabilizabilityError):
             design_lqr(bad, np.eye(2), [[1.0]])
 
+    def test_unstable_closed_loop_refused(self, dss, monkeypatch):
+        # a Riccati solution whose gain leaves the loop open: K = 0 on the
+        # open-loop-unstable model reaches the design's own spectral check
+        n = dss.n_states
+        monkeypatch.setattr(control, "solve_dare",
+                            lambda *args: (np.eye(n), np.zeros((1, n))))
+        with pytest.raises(StabilizabilityError, match="spectral radius"):
+            design_lqr(dss, Q_LQR, R_LQR)
+
 
 class TestBuildPredictor:
-    def test_m_equals_one(self, dss, lqr):
-        p = build_predictor(dss, lqr.K, m=1)
-        assert_allclose(p.A_bar, dss.A_d - dss.B_d @ lqr.K, atol=1e-14)
-        assert_allclose(p.B_bar, dss.B_d, atol=1e-14)
+    def test_m_equals_one(self, lqr):
+        # one step of the lift is the design's own loop, bit for bit
+        p = build_predictor(lqr, m=1)
+        assert_allclose(p.A_bar, lqr.A_cl, rtol=0, atol=0)
+        assert_allclose(p.B_bar, lqr.B_cl, rtol=0, atol=0)
 
-    def test_lift_matches_literal_composition(self, dss, lqr, pred):
-        A_cl = dss.A_d - dss.B_d @ lqr.K
+    def test_lift_matches_literal_composition(self, lqr, pred):
         rng = np.random.default_rng(17)
         for _ in range(100):
             x0 = rng.normal(size=4)
             u = rng.normal()
             lifted = pred.A_bar @ x0 + pred.B_bar[:, 0] * u
-            literal = literal_lift(A_cl, dss.B_d, x0, u, 20)
+            literal = literal_lift(lqr.A_cl, lqr.B_cl, x0, u, 20)
             assert np.max(np.abs(lifted - literal)) < 1e-12 * max(
                 1.0, np.max(np.abs(literal)))
 
-    def test_spectral_radius_power_rule(self, dss, lqr, pred):
-        rho_inner = max(abs(e) for e in eigenvalues(dss.A_d - dss.B_d @ lqr.K))
+    def test_spectral_radius_power_rule(self, lqr, pred):
+        rho_inner = max(abs(e) for e in eigenvalues(lqr.A_cl))
         assert_allclose(max(abs(e) for e in eigenvalues(pred.A_bar)), rho_inner ** 20,
                         rtol=1e-9)
-
-    def test_unstable_inner_loop_refused(self, dss):
-        with pytest.raises(StabilizabilityError):
-            build_predictor(dss, np.zeros((1, 4)), m=20)  # open loop unstable
 
 
 def boxes(cfg):
@@ -316,8 +328,8 @@ def recorded_track_solves(cfg, model_lp=None):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MpcController, "mpc_step", recording)
         res = harness.run_track(cfg, model_lp=model_lp)
-    dss, lqr = harness._design(cfg, model_lp)
-    return build_predictor(dss, lqr.K, m=20), res.extra["controller"].cfg, solves
+    return (build_predictor(harness._design(cfg, model_lp), m=20),
+            res.extra["controller"].cfg, solves)
 
 
 class TestParametricMaps:

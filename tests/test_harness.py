@@ -249,7 +249,7 @@ class TestLqr:
         # its command.
         cfg = load_config()
         res = runner(cfg, duration=2.0)
-        k = harness._design(cfg, None)[1].K[0]
+        k = harness._design(cfg, None).K[0]
         for row in res.telemetry:
             for x, u in ((row[["y_meas_cm", "theta_x_meas_deg", "ydot_meas_cms",
                                "thetadot_x_meas_degs"]], row["u_lqr_y_ticks"]),

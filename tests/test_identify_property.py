@@ -1,13 +1,16 @@
 """Property test of noiseless identification: the fit recovers the truth
 table for any accepted identification loop, not only the default one.
 
-Each example draws the gains, ``run.Ts_inner``, ``plant.linear.r`` and the
-multisine amplitudes around their defaults, inside ``harness._RULES``, and
-runs a noiseless ``identify`` on the linear truth plant. The fit composes
-the candidate model with the controller that actually ran, so with no noise
-the truth is in its model set and every draw must recover the table. The
-draw is derandomized and the example count fixed, so every run tests the
-same configs.
+Each example draws the four gains that ``identify`` reads (the P loop's
+``kp`` and ``k_theta`` and its two retuned gains), ``run.Ts_inner``,
+``plant.linear.r`` and the multisine amplitudes around their defaults,
+inside ``harness._RULES``, and runs a noiseless ``identify`` on the linear
+truth plant. The PID gains and the balancing ``k_ydot`` and ``k_thetadot``
+are not drawn: the identification loop never reads them, so a draw of them
+would only repeat a loop. The fit composes the candidate model with the
+controller that actually ran, so with no noise the truth is in its model set
+and every draw must recover the table. The draw is derandomized and the
+example count fixed, so every run tests the same configs.
 """
 
 import numpy as np
@@ -16,7 +19,7 @@ import pytest
 from ballbot_lab import harness
 from ballbot_lab.numerics import ContinuousSS, zoh_discretize
 from ballbot_lab.plant import build_linear_ss
-from ballbot_lab.stabilizer import discrete_closed_loop
+from ballbot_lab.stabilizer import closed_loop, feedback_row
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -24,13 +27,16 @@ st = hypothesis.strategies
 _DURATION_S = 30.0
 # each gain and amplitude is its default times a factor in this range
 _FACTOR = st.floats(0.5, 2.0)
+# the gains the identification loop reads, in the order of the config
+_IDENTIFY_GAINS = ("k_theta", "kp", "k_thetadot_identification", "k_ydot_identification")
 
 
 def _spectral_radius(cfg) -> float:
     """Of the sampled identification loop on the truth, without position."""
     full = build_linear_ss(harness._truth_model(cfg))
     dss = zoh_discretize(ContinuousSS(full.A[1:, 1:], full.B[1:]), cfg["run"]["Ts_inner"])
-    A_cl = discrete_closed_loop(dss, harness._identification_gains(cfg)).A_d
+    gains = harness._identification_gains(cfg)
+    A_cl = closed_loop(dss.A_d, dss.B_d, feedback_row(gains)[1:], gains.kp)[0]
     return float(np.max(np.abs(np.linalg.eigvals(A_cl))))
 
 
@@ -42,7 +48,7 @@ def test_noiseless_identify_recovers_the_table(data):
                   for i, (a, f) in enumerate(defaults["excitation"]["components"])]
     cfg = harness.load_config(overrides={
         "gains": {name: defaults["gains"][name] * data.draw(_FACTOR, label=name)
-                  for name in defaults["gains"]},
+                  for name in _IDENTIFY_GAINS},
         "run": {"Ts_inner": data.draw(st.sampled_from([0.002, 0.005, 0.01]),
                                       label="Ts_inner"),
                 "noise": False},

@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from ballbot_lab.numerics import DiscreteSS, eigenvalues, zoh_discretize
+from ballbot_lab.numerics import eigenvalues, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
 from ballbot_lab.stabilizer import (FeedbackGains, PidState, closed_loop,
-                                    discrete_closed_loop, feedback_row,
-                                    outer_reference, p_step, pid_step)
+                                    feedback_row, outer_reference, p_step,
+                                    pid_step)
 
 from oracles import dot_order_bound, plain_dot, simulate_discrete
 
@@ -90,7 +90,7 @@ class TestClosedLoop:
 
     def test_open_loop_when_kp_zero(self):
         ss = build_linear_ss(LinearParams.reference())
-        A_cl, B_cl = closed_loop(ss.A, ss.B, FeedbackGains(kp=0.0))
+        A_cl, B_cl = closed_loop(ss.A, ss.B, feedback_row(FeedbackGains()), 0.0)
         assert_allclose(A_cl, ss.A, atol=0)
         assert_allclose(B_cl, np.zeros((4, 1)), atol=0)
 
@@ -99,8 +99,8 @@ class TestClosedLoop:
         # position column is zero and dropping position leaves a submatrix
         ss = build_linear_ss(LinearParams.reference())
         g = FeedbackGains.identification()
-        A_cl, B_cl = closed_loop(ss.A, ss.B, g)
-        A_r, B_r = closed_loop(ss.A[1:, 1:], ss.B[1:], g)
+        A_cl, B_cl = closed_loop(ss.A, ss.B, feedback_row(g), g.kp)
+        A_r, B_r = closed_loop(ss.A[1:, 1:], ss.B[1:], feedback_row(g)[1:], g.kp)
         assert not A_cl[:, 0].any()
         assert_allclose(A_r, A_cl[1:, 1:], atol=0)
         assert_allclose(B_r, B_cl[1:, :], atol=0)
@@ -110,30 +110,27 @@ class TestClosedLoop:
     @pytest.mark.parametrize("discrete", [False, True], ids=["continuous", "zoh"])
     def test_three_state_loop_is_four_state_loop_without_position(self, gains,
                                                                    discrete):
-        # F has a zero position entry, so closing the loop without position
-        # must give the same floats as closing it with position and then
-        # dropping the position row and column
+        # F has a zero position entry, so closing the loop on the 3-state
+        # model with F[1:] must give the same floats as closing it with
+        # position and then dropping the position row and column
         ss = build_linear_ss(LinearParams.reference())
         A, B = ss.A, ss.B
         if discrete:
             dss = zoh_discretize(ss, 0.005)
             A, B = dss.A_d, dss.B_d
-        A_cl, B_cl = closed_loop(A, B, gains)
-        A_r, B_r = closed_loop(A[1:, 1:], B[1:], gains)
+        F = feedback_row(gains)
+        A_cl, B_cl = closed_loop(A, B, F, gains.kp)
+        A_r, B_r = closed_loop(A[1:, 1:], B[1:], F[1:], gains.kp)
         assert_allclose(A_r, A_cl[1:, 1:], rtol=0, atol=0)
         assert_allclose(B_r, B_cl[1:], rtol=0, atol=0)
-
-    @pytest.mark.parametrize("n", [2, 5])
-    def test_closed_loop_rejects_other_state_counts(self, n):
-        with pytest.raises(ValueError):
-            closed_loop(np.eye(n), np.ones((n, 1)), FeedbackGains())
-        with pytest.raises(ValueError):
-            discrete_closed_loop(DiscreteSS(np.eye(n), np.ones((n, 1)), 0.005),
-                                 FeedbackGains())
+        # the composition is the documented one, A + kp (B F) and kp B
+        assert_allclose(A_cl, A + gains.kp * (B @ F[None, :]), rtol=0, atol=0)
+        assert_allclose(B_cl, gains.kp * B, rtol=0, atol=0)
 
     def test_identification_loop_is_hurwitz_with_retuned_gain(self):
         ss = build_linear_ss(LinearParams.reference())
-        A_r = closed_loop(ss.A, ss.B, FeedbackGains.identification())[0][1:, 1:]
+        g = FeedbackGains.identification()
+        A_r = closed_loop(ss.A, ss.B, feedback_row(g), g.kp)[0][1:, 1:]
         assert max(e.real for e in eigenvalues(A_r)) < 0
 
     def test_balancing_gain_set_does_not_stabilize_p_loop(self):
@@ -142,7 +139,8 @@ class TestClosedLoop:
         # term was supplying that damping); this is why identification runs
         # with the retuned gain. See the README identification notes.
         ss = build_linear_ss(LinearParams.reference())
-        A_r = closed_loop(ss.A, ss.B, FeedbackGains())[0][1:, 1:]
+        g = FeedbackGains()
+        A_r = closed_loop(ss.A, ss.B, feedback_row(g), g.kp)[0][1:, 1:]
         assert max(e.real for e in eigenvalues(A_r)) > 0
 
     def test_composition_matches_componentwise_simulation(self):
@@ -151,7 +149,7 @@ class TestClosedLoop:
         lp = LinearParams.reference()
         g = FeedbackGains.identification()
         dss = zoh_discretize(build_linear_ss(lp), 0.005)
-        cl = discrete_closed_loop(dss, g)
+        A_cl, B_cl = closed_loop(dss.A_d, dss.B_d, feedback_row(g), g.kp)
         rng = np.random.default_rng(11)
         d = rng.normal(size=1000)
         x = np.zeros(4)
@@ -161,23 +159,23 @@ class TestClosedLoop:
             e = outer_reference(g.outer_vector(), x) - x[2] + d[k]
             u = p_step(g.kp, e)
             x = dss.A_d @ x + dss.B_d[:, 0] * u
-        composed = simulate_discrete(cl.A_d, cl.B_d, np.zeros(4), d)
+        composed = simulate_discrete(A_cl, B_cl, np.zeros(4), d)
         assert np.max(np.abs(componentwise - composed)) < 1e-9
 
     def test_composition_exact_even_for_unstable_gains(self):
         lp = LinearParams.reference()
         g = FeedbackGains()  # unstable P-loop; equality is still algebraic
         dss = zoh_discretize(build_linear_ss(lp), 0.005)
-        cl = discrete_closed_loop(dss, g)
+        A_cl, B_cl = closed_loop(dss.A_d, dss.B_d, feedback_row(g), g.kp)
         rng = np.random.default_rng(12)
         d = rng.normal(size=300)
         x = np.zeros(4)
         for k in range(300):
             e = outer_reference(g.outer_vector(), x) - x[2] + d[k]
             x = dss.A_d @ x + dss.B_d[:, 0] * p_step(g.kp, e)
-        composed = simulate_discrete(cl.A_d, cl.B_d, np.zeros(4), d)
+        composed = simulate_discrete(A_cl, B_cl, np.zeros(4), d)
         xc = composed[-1]
-        xc = cl.A_d @ xc + cl.B_d[:, 0] * d[-1]  # advance to step 300
+        xc = A_cl @ xc + B_cl[:, 0] * d[-1]  # advance to step 300
         denom = np.maximum(np.abs(x), 1.0)
         assert np.max(np.abs(x - xc) / denom) < 1e-9
 

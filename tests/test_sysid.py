@@ -13,8 +13,7 @@ from ballbot_lab.errors import IdentificationFailedError
 from ballbot_lab.excitation import sample_sequence
 from ballbot_lab.numerics import ContinuousSS, sum_squares, zoh_discretize
 from ballbot_lab.plant import LinearParams, build_linear_ss
-from ballbot_lab.stabilizer import (FeedbackGains, closed_loop,
-                                    discrete_closed_loop, feedback_row)
+from ballbot_lab.stabilizer import FeedbackGains, closed_loop, feedback_row
 from ballbot_lab.sysid import (IdConfig, IdDataset, identify, simulate_syscl,
                                validate)
 
@@ -31,6 +30,12 @@ def reduced_model(p) -> ContinuousSS:
     return ContinuousSS(ss.A[1:, 1:], ss.B[1:])
 
 
+def _closed_loop(p, Ts=0.005):
+    """The sampled identification loop of parameters p, without position."""
+    dss = zoh_discretize(reduced_model(p), Ts)
+    return closed_loop(dss.A_d, dss.B_d, feedback_row(GAINS)[1:], GAINS.kp)
+
+
 def pe_cost(p, ds, gains):
     """The fit's cost at p: its sum of squared residuals, inf if divergent."""
     r = sysid._residual_fn(ds, gains)[0](p)
@@ -41,8 +46,8 @@ def make_dataset(duration=30.0, Ts=0.005, p=None, x0=None):
     """Noiseless closed-loop data generated by the literal discrete loop."""
     p = TRUTH if p is None else p
     d = sample_sequence(default_multisine(), Ts, duration).d[:-1]
-    cl = discrete_closed_loop(zoh_discretize(reduced_model(p), Ts), GAINS)
-    X = simulate_discrete(cl.A_d, cl.B_d, np.zeros(3) if x0 is None else x0, d)
+    A_cl, B_cl = _closed_loop(p, Ts)
+    X = simulate_discrete(A_cl, B_cl, np.zeros(3) if x0 is None else x0, d)
     return IdDataset(Ts=Ts, d=d, theta=X[:, 0], ydot=X[:, 1], thetadot=X[:, 2])
 
 
@@ -84,12 +89,12 @@ class TestSimulateSyscl:
         # response through the same filter as the forced one
         p = TRUTH.copy()
         p[3] = tilt_stiffness
-        cl = discrete_closed_loop(zoh_discretize(reduced_model(p), 0.005), GAINS)
-        assert np.any(np.linalg.eigvals(cl.A_d).imag != 0) == complex_pair
+        A_cl, B_cl = _closed_loop(p)
+        assert np.any(np.linalg.eigvals(A_cl).imag != 0) == complex_pair
         rng = np.random.default_rng(4)
         d = rng.normal(size=12_000)
         x0 = np.array([0.02, -1.5, 0.3])
-        lit = simulate_discrete(cl.A_d, cl.B_d, x0, d)
+        lit = simulate_discrete(A_cl, B_cl, x0, d)
         fast = simulate_syscl(p, GAINS, d, 0.005, x0=x0)
         assert fast.shape == (12_000, 3)
         assert np.max(np.abs(lit - fast)) <= 1e-9
@@ -104,21 +109,16 @@ class TestSimulateSyscl:
         rng = np.random.default_rng(3)
         p = TRUTH * rng.uniform(0.8, 1.2, size=8)
         d = rng.normal(size=500)
-        cl = discrete_closed_loop(zoh_discretize(reduced_model(p), 0.005), GAINS)
+        A_cl, B_cl = _closed_loop(p)
         x0 = rng.normal(size=3) * 0.1
-        lit = simulate_discrete(cl.A_d, cl.B_d, x0, d)
+        lit = simulate_discrete(A_cl, B_cl, x0, d)
         fast = simulate_syscl(p, GAINS, d, 0.005, x0=x0)
         assert np.max(np.abs(lit - fast)) < 1e-9
 
 
-def _closed_loop(p, Ts=0.005):
-    return discrete_closed_loop(zoh_discretize(reduced_model(p), Ts), GAINS)
-
-
 def _assert_matches_literal(p, d, x0, rel=1e-12):
     """simulate_syscl against the literal recursion, relative to its peak."""
-    cl = _closed_loop(p)
-    lit = simulate_discrete(cl.A_d, cl.B_d, x0, d)
+    lit = simulate_discrete(*_closed_loop(p), x0, d)
     fast = simulate_syscl(p, GAINS, d, 0.005, x0=x0)
     assert fast.shape == lit.shape
     assert np.max(np.abs(lit - fast)) <= rel * np.max(np.abs(lit))
@@ -146,7 +146,7 @@ class TestModalKernelEdges:
         # into the next mode's first would show
         p = TRUTH.copy()
         p[3] = tilt_stiffness
-        lam, V = np.linalg.eig(_closed_loop(p).A_d)
+        lam, V = np.linalg.eig(_closed_loop(p)[0])
         assert np.all(np.abs(np.linalg.solve(V, self.X0)) > 1e-3)
         n = 200
         assert np.all(np.abs(lam[np.abs(lam) > 0.9]) ** n > 5e-3)
@@ -175,7 +175,7 @@ class TestModalKernelEdges:
     def test_growing_mode_below_the_divergence_guard(self):
         p = TRUTH.copy()
         p[3] = 200.0
-        mags = np.abs(np.linalg.eigvals(_closed_loop(p).A_d))
+        mags = np.abs(np.linalg.eigvals(_closed_loop(p)[0]))
         assert 1.0 < mags.max() <= 1.05
         d = np.random.default_rng(5).normal(size=300)
         _assert_matches_literal(p, d, self.X0)
@@ -286,7 +286,7 @@ class TestModalJacobian:
         (_with(1, 0.5 * TRUTH[1]), 1),
     ], ids=["truth", "offset", "random", "three-real", "underflowing-mode"])
     def test_matches_central_differences(self, p, n_real):
-        lam = np.linalg.eigvals(_closed_loop(p).A_d)
+        lam = np.linalg.eigvals(_closed_loop(p)[0])
         assert np.sum(lam.imag == 0) == n_real
         ds = noisy_dataset()
         residuals, jacobian = sysid._residual_fn(ds, GAINS)
@@ -398,14 +398,15 @@ class TestExtractOpenLoop:
         lp = LinearParams.reference()
         ss = build_linear_ss(lp)
         for gains in (FeedbackGains(), GAINS):
-            A, B = extract_open_loop(*closed_loop(ss.A, ss.B, gains), gains)
+            A, B = extract_open_loop(*closed_loop(ss.A, ss.B, feedback_row(gains), gains.kp),
+                                     gains)
             assert np.max(np.abs(A - ss.A)) < 1e-12
             assert np.max(np.abs(B - ss.B)) < 1e-12
 
     def test_roundtrip_reduced(self):
         lp = LinearParams.reference()
         ss = build_linear_ss(lp)
-        A_cl, B_cl = closed_loop(ss.A, ss.B, GAINS)
+        A_cl, B_cl = closed_loop(ss.A, ss.B, feedback_row(GAINS), GAINS.kp)
         A, B = extract_open_loop(A_cl[1:, 1:], B_cl[1:], GAINS)
         open_loop = reduced_model(lp.as_array())
         assert np.max(np.abs(A - open_loop.A)) < 1e-12
